@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grid import Grid, write_csv
-from .lagrangian import InitialDataError, SolverConfig, ball_geometry, integrate
+from .lagrangian import GuardBreach, InitialDataError, SolverConfig, ball_geometry, integrate
 from .flowmap import flow_map, reconstruct, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
@@ -238,8 +238,7 @@ def _cmd_continuity(args) -> int:
     geometry = ball_geometry(u0, sc.r0)
     t_end = _resolve_t_end(sc, geometry)
     cfg = sc.solver_config(t_end, store_every=max(sc.store_every, 10))
-    report = continuity_experiment(u0, pert, eps_values, alphas, cfg,
-                                   jobs=max(1, args.jobs))
+    report = continuity_experiment(u0, pert, eps_values, alphas, cfg)
     sc.output_dir.mkdir(parents=True, exist_ok=True)
     (sc.output_dir / "continuity.json").write_text(report.to_json())
     with open(sc.output_dir / "continuity.csv", "w") as fh:
@@ -319,8 +318,6 @@ def main(argv=None) -> int:
                         help="comma-separated perturbation sizes")
     p_cont.add_argument("--alpha", default="0,0.5",
                         help="comma-separated interpolation exponents in [0, 1)")
-    p_cont.add_argument("--jobs", type=int, default=1,
-                        help="perturbed runs to execute concurrently")
 
     p_break = sub.add_parser("breaking", help="probe for stretch-factor collapse")
     _add_common(p_break)
@@ -340,6 +337,9 @@ def main(argv=None) -> int:
     except (ConfigError, InitialDataError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except GuardBreach as err:
+        print(f"guard breach: {err}", file=sys.stderr)
+        return EXIT_GUARD
     raise AssertionError("unreachable")
 
 

@@ -271,8 +271,7 @@ class ContinuityReport:
 
 
 def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
-                          eps_values, alphas, config: SolverConfig,
-                          jobs: int = 1) -> ContinuityReport:
+                          eps_values, alphas, config: SolverConfig) -> ContinuityReport:
     """Solve for the base data and each ``u0 + eps * perturbation``, and
     record sup-over-time solution distances against the data distance.
 
@@ -280,8 +279,8 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     by ``config.t_end``) and one grid, so discretization bias cancels in
     the differences.  Each perturbed datum must stay inside the base ball:
     the perturbation's product-space norm times ``eps`` may not exceed the
-    ball radius.  The perturbed runs are independent; ``jobs`` bounds how
-    many execute concurrently.
+    ball radius.  A guard breach in any run is raised as its
+    :class:`GuardBreach`.
     """
     alphas = list(alphas)
     for a in alphas:
@@ -301,14 +300,16 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
 
     geometry = ball_geometry(u0, config.r0)
     base = integrate(u0, config, geometry)
+    if base.breach is not None:
+        raise base.breach
     base_snaps = [reconstruct(s) for s in base.states]
 
     def one_run(eps):
         u0e = GridFunction(u0.grid, u0.values + eps * perturbation.values)
         # perturbed data lies in the base ball, so the base lifespan applies
         pert_traj = integrate(u0e, config, geometry)
-        if pert_traj.breach is not None or len(pert_traj.states) != len(base.states):
-            raise RuntimeError(f"perturbed run eps={eps:g} did not complete")
+        if pert_traj.breach is not None:
+            raise pert_traj.breach
         d0 = dC1 = 0.0
         dH = {a: 0.0 for a in alphas}
         for sp, sb in zip((reconstruct(s) for s in pert_traj.states), base_snaps):
@@ -320,16 +321,10 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
                 dH[a] = max(dH[a], holder_seminorm(du, a))
         return d0, dC1, dH
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_run, eps_values))
-    else:
-        results = [one_run(eps) for eps in eps_values]
-
     c0_data, c0_sol, c1_sol = [], [], []
     holder: dict = {a: [] for a in alphas}
-    for eps, (d0, dC1, dH) in zip(eps_values, results):
+    for eps in eps_values:
+        d0, dC1, dH = one_run(eps)
         c0_data.append(abs(eps) * sup_norm(perturbation))
         c0_sol.append(d0)
         c1_sol.append(dC1)

@@ -13,6 +13,10 @@ Two evaluation routes are provided and tested against each other:
 * ``fast``   - one backward and one forward sweep, O(N), the solver path;
 * ``direct`` - explicit weight matrix, O(N^2), kept as a differential oracle.
 
+The fast route makes a fixed number of whole-array passes whatever N is:
+one masked pass for the panels of both sweeps, then blocked cumulative sums
+with one scalar carry per block (see :func:`_sweeps`).
+
 Both integrate exactly the same per-panel model of the integrand, so they
 agree to near machine precision; disagreement indicates a bug in the sweep
 algebra, not discretization error.
@@ -48,9 +52,9 @@ __all__ = [
 
 DEFAULT_Q_FLOOR = 0.1
 
-# fast-path sweep blocks are sized so exp(span) stays O(10); see _scan_*
-_MAX_BLOCK_SPAN = 3.0
-_MAX_BLOCK = 1024
+# Lambda span of one sweep block; e^{+-30} ~ 1e{+-13} is far from float64
+# overflow and underflow.  See _sweeps.
+_SPAN = 30.0
 
 
 class MonotonicityError(ValueError):
@@ -74,18 +78,21 @@ class CumulativeFlow:
     values: NDArray[np.float64]  # strictly increasing, values[0] == 0
 
 
-def build_cumulative_flow(q: GridFunction, q_floor: float = DEFAULT_Q_FLOOR) -> CumulativeFlow:
-    """Trapezoid prefix sums of ``q``; rejects ``q <= q_floor`` anywhere."""
-    qv = q.values
-    bad = np.flatnonzero(qv <= q_floor)
+def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDArray[np.float64]:
+    """Trapezoid prefix sums of node values ``q``; rejects ``q <= q_floor`` anywhere."""
+    bad = np.flatnonzero(q <= q_floor)
     if bad.size:
         i = int(bad[0])
-        raise MonotonicityError(i, float(qv[i]), q_floor)
-    h = q.grid.h
-    lam = np.empty(qv.size)
+        raise MonotonicityError(i, float(q[i]), q_floor)
+    lam = np.empty(q.size)
     lam[0] = 0.0
-    np.cumsum(0.5 * h * (qv[:-1] + qv[1:]), out=lam[1:])
-    return CumulativeFlow(q.grid, lam)
+    np.cumsum(0.5 * h * (q[:-1] + q[1:]), out=lam[1:])
+    return lam
+
+
+def build_cumulative_flow(q: GridFunction, q_floor: float = DEFAULT_Q_FLOOR) -> CumulativeFlow:
+    """Trapezoid prefix sums of ``q``; rejects ``q <= q_floor`` anywhere."""
+    return CumulativeFlow(q.grid, cumulative_flow_values(q.values, q.grid.h, q_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -95,86 +102,84 @@ def build_cumulative_flow(q: GridFunction, q_floor: float = DEFAULT_Q_FLOOR) -> 
 def _phi1(z: NDArray[np.float64]) -> NDArray[np.float64]:
     """(e^z - 1)/z with the removable singularity filled in."""
     out = np.ones_like(z)
-    nz = z != 0.0
-    out[nz] = np.expm1(z[nz]) / z[nz]
+    np.divide(np.expm1(z), z, out=out, where=z != 0.0)
     return out
 
 
-def _panels_linear(w0, w1, d, decaying: bool):
-    """Exponentially weighted integral of the linear interpolant.
+def _panels(w: NDArray[np.float64], dlam: NDArray[np.float64]):
+    """Per-cell weighted integrals for both sweeps, in one masked pass.
 
-    decaying=True : int_0^d e^{-s}   (w0 + (w1-w0) s/d) ds   (right sweep)
-    decaying=False: int_0^d e^{s-d}  (w0 + (w1-w0) s/d) ds   (left sweep)
+    Returns ``decaying = int_0^d e^{-s} w ds`` (right sweep) and
+    ``growing = int_0^d e^{s-d} w ds`` (left sweep) on each cell of width
+    ``d``, with ``w`` the exponential fit through the endpoint values when
+    they share a sign, else the linear interpolant.  ``growing`` is
+    ``decaying`` with the endpoints swapped, so both share the weights.
     """
-    E = -np.expm1(-d)  # 1 - e^-d
-    if decaying:
-        B = (E - d * np.exp(-d)) / d
-    else:
-        B = 1.0 - E / d
-    A = E - B
-    return A * w0 + B * w1
-
-
-def _panels(w: NDArray[np.float64], dlam: NDArray[np.float64], decaying: bool):
-    """Per-cell weighted integrals, exponential fit with linear fallback."""
     w0, w1 = w[:-1], w[1:]
-    out = _panels_linear(w0, w1, dlam, decaying)
+    E = -np.expm1(-dlam)  # 1 - e^-d
+    B = (E - dlam * (1.0 - E)) / dlam  # linear weight of the far endpoint
+    A = E - B
     fit = (w0 * w1) > 0.0
-    if np.any(fit):
-        ratio = np.log(np.abs(np.where(fit, w1, 1.0) / np.where(fit, w0, 1.0)))
-        fit &= np.abs(ratio) < 500.0  # keep expm1 in range for freak ratios
-        if decaying:
-            out[fit] = dlam[fit] * w0[fit] * _phi1(ratio[fit] - dlam[fit])
-        else:
-            out[fit] = dlam[fit] * w0[fit] * np.exp(-dlam[fit]) * _phi1(ratio[fit] + dlam[fit])
-    return out
+    ratio = np.log(np.divide(w1, w0, out=np.ones_like(dlam), where=fit))
+    fit &= np.abs(ratio) < 500.0  # keep expm1 in range for freak ratios
+    ratio = np.where(fit, ratio, 0.0)
+    decaying = np.where(fit, dlam * w0 * _phi1(ratio - dlam), A * w0 + B * w1)
+    growing = np.where(fit, dlam * w1 * _phi1(-ratio - dlam), B * w0 + A * w1)
+    return decaying, growing
 
 
 # ---------------------------------------------------------------------------
 # O(N) sweeps
 # ---------------------------------------------------------------------------
 
-def _block_size(dlam: NDArray[np.float64]) -> int:
-    dmax = float(np.max(dlam)) if dlam.size else 1.0
-    b = int(_MAX_BLOCK_SPAN / max(dmax, 1e-30))
-    return max(1, min(_MAX_BLOCK, b))
+def _block_shape(dlam: NDArray[np.float64]) -> tuple[int, int]:
+    """``(blocks, block_len)`` with ``block_len * max(dlam) <= _SPAN`` (or 1)."""
+    blocks = -(-dlam.size // max(1, int(_SPAN / float(np.max(dlam)))))
+    return blocks, -(-dlam.size // blocks)
 
 
-def _scan_decaying(lam, panels):
-    """R_i = 0.5 * sum_{j >= i} e^{lam_i - lam_j} panels_j, right to left.
+def _sweeps(lam, dlam, decaying, growing):
+    """Right and left sweeps as blocked whole-array recurrences.
 
-    Vectorized first-order recurrence: within a block the prefix sums are
-    renormalized at the block head, so no exponential ever sees more than
-    the block's Lambda-span; the carry crosses blocks sequentially.
+        R_i = 0.5 * sum_{j >= i}    e^{lam_i - lam_j}     decaying_j
+        L_i = 0.5 * sum_{j+1 <= i}  e^{lam_{j+1} - lam_i} growing_j
+
+    The cells are laid out as a zero-padded ``(blocks, block_len)`` array
+    with ``block_len <= _SPAN / max(dlam)`` (at least 1).  Within a block
+    every term is renormalised to one block edge - the first left node for
+    R, the last right node for L - so the in-block sums are cumulative sums
+    along axis 1.  The renormalisation factors grow like ``e^{span}``, so
+    an unbounded block would overflow on long domains; bounding the span
+    keeps them within ``e^{+-30}``, far inside float64 range, while a grid
+    of a few thousand cells still needs only a few blocks.  Only the carry,
+    one scalar per block scaled by ``e^{-block span}``, crosses blocks in
+    a Python loop.
     """
-    n = lam.size
-    R = np.zeros(n)
-    carry = 0.0
-    block = _block_size(np.diff(lam))
-    for s in range(n - 1, 0, -block):
-        e = max(s - block, 0)
-        loc = lam[e:s + 1]
-        t = np.exp(loc[0] - loc[:-1]) * panels[e:s] * 0.5
-        S = np.cumsum(t[::-1])[::-1]
-        R[e:s] = np.exp(loc[:-1] - loc[0]) * S + np.exp(loc[:-1] - loc[-1]) * carry
-        carry = R[e]
-    return R
-
-
-def _scan_growing(lam, panels):
-    """L_i = 0.5 * sum_{j+1 <= i} e^{lam_{j+1} - lam_i} panels_j, left to right."""
-    n = lam.size
-    L = np.zeros(n)
-    carry = 0.0
-    block = _block_size(np.diff(lam))
-    for s in range(0, n - 1, block):
-        e = min(s + block, n - 1)
-        loc = lam[s:e + 1]
-        t = np.exp(loc[1:] - loc[-1]) * panels[s:e] * 0.5
-        S = np.cumsum(t)
-        L[s + 1:e + 1] = np.exp(loc[-1] - loc[1:]) * S + np.exp(loc[0] - loc[1:]) * carry
-        carry = L[e]
-    return L
+    m = dlam.size
+    blocks, block_len = _block_shape(dlam)
+    cells = np.zeros((4, blocks * block_len))
+    cells[:2] = lam[-1]  # padding cells have zero width and zero weight
+    cells[:, :m] = lam[:-1], lam[1:], decaying, growing
+    lo, hi, dec, gro = cells.reshape(4, blocks, block_len)
+    head, tail = lo[:, :1], hi[:, -1:]
+    up = np.exp(lo - head)  # in [1, e^span)
+    down = np.exp(hi - tail)  # in (e^-span, 1]
+    Sr = np.cumsum((0.5 * dec / up)[:, ::-1], axis=1)[:, ::-1]
+    Sl = np.cumsum(0.5 * gro * down, axis=1)
+    link = np.exp(head - tail).ravel().tolist()
+    right_sums, left_sums = Sr[:, 0].tolist(), Sl[:, -1].tolist()
+    # carry into each block: R from the next block, L from the previous one
+    cr, cl = [0.0] * blocks, [0.0] * blocks
+    R_next = L_prev = 0.0
+    for b in range(blocks):
+        c = blocks - 1 - b
+        cr[c] = R_next = link[c] * R_next
+        R_next += right_sums[c]
+        cl[b] = L_prev = link[b] * L_prev
+        L_prev += left_sums[b]
+    R = (up * (Sr + np.array(cr)[:, None])).ravel()[:m]
+    L = ((Sl + np.array(cl)[:, None]) / down).ravel()[:m]
+    return np.concatenate((R, [0.0])), np.concatenate(([0.0], L))
 
 
 def kernel_pair_arrays(w, lam):
@@ -184,8 +189,7 @@ def kernel_pair_arrays(w, lam):
     cumulative flow samples ``lam``.
     """
     dlam = np.diff(lam)
-    R = _scan_decaying(lam, _panels(w, dlam, decaying=True))
-    L = _scan_growing(lam, _panels(w, dlam, decaying=False))
+    R, L = _sweeps(lam, dlam, *_panels(w, dlam))
     return R - L, R + L
 
 
@@ -202,8 +206,7 @@ def kernel_pair_direct(w, lam):
     fast path.
     """
     dlam = np.diff(lam)
-    pr = _panels(w, dlam, decaying=True)
-    kl = _panels(w, dlam, decaying=False)
+    pr, kl = _panels(w, dlam)
     n = lam.size
     i = np.arange(n)
     # right contributions: cells j >= i, weight normalized at the cell's left edge

@@ -33,7 +33,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import Grid, GridFunction, c1_norm, derivative, derivative_values, sup_norm
-from .kernels import DEFAULT_Q_FLOOR, MonotonicityError, kernel_pair_arrays
+from .kernels import (DEFAULT_Q_FLOOR, MonotonicityError, cumulative_flow_values,
+                      kernel_pair_arrays)
 
 __all__ = [
     "LagrangianState",
@@ -174,8 +175,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.guard_mode not in ("enforce", "warn"):
             raise ValueError(f"guard_mode must be 'enforce' or 'warn', got {self.guard_mode!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.t_end is not None and not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if not self.q_floor > 0:
+            raise ValueError(f"q_floor must be positive, got {self.q_floor}")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
 
@@ -260,14 +265,7 @@ def _unpack(y: NDArray[np.float64], grid: Grid, t: float) -> LagrangianState:
 
 def _rhs_arrays(y: NDArray[np.float64], h: float, q_floor: float) -> NDArray[np.float64]:
     w, v, q = y[0], y[1], y[2]
-    bad = np.flatnonzero(q <= q_floor)
-    if bad.size:
-        i = int(bad[0])
-        raise MonotonicityError(i, float(q[i]), q_floor)
-    lam = np.empty(q.size)
-    lam[0] = 0.0
-    np.cumsum(0.5 * h * (q[:-1] + q[1:]), out=lam[1:])
-    odd, even = kernel_pair_arrays(w, lam)
+    odd, even = kernel_pair_arrays(w, cumulative_flow_values(q, h, q_floor))
     out = np.empty_like(y)
     out[0] = odd
     out[1] = even - w - 1.5 * v * v

@@ -80,7 +80,10 @@ def make_profile(spec: str, grid: Grid) -> GridFunction:
     if name == "from_csv":
         if set(params) != {"path"}:
             raise ValueError("from_csv needs exactly path=<file>")
-        f = read_csv(params["path"])
+        try:
+            f = read_csv(params["path"])
+        except OSError as err:
+            raise ValueError(f"cannot read profile csv: {err}") from None
         if f.grid != grid:
             raise ValueError(
                 f"csv grid (X={f.grid.half_width}, n={f.grid.n_points}) does not match "

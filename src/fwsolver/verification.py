@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, GridFunction, c1_norm, derivative_values, sup_norm
-from .kernels import (convected_pair, green_derivative, helmholtz_inverse,
-                      kernel_pair_arrays, kernel_pair_direct)
+from .kernels import (convected_pair, cumulative_flow_values, green_derivative,
+                      helmholtz_inverse, kernel_pair_arrays, kernel_pair_direct)
 from .lagrangian import (LagrangianState, SolverConfig, ball_geometry, integrate,
                          chain_rule_defect, step)
 from .flowmap import (FlowMap, flow_map, inverse_slope_bounds, map_slopes,
@@ -167,7 +167,7 @@ class VerificationSuite:
                                for k, (c, p) in enumerate(zip(rng.normal(size=5),
                                                               rng.uniform(0, 2 * np.pi, 5))))
             q = 1.0 + 0.1 * np.sin(rng.uniform(0.2, 0.7) * x + rng.uniform(0, 2 * np.pi))
-            lam = np.concatenate([[0.0], np.cumsum(0.5 * h * (q[:-1] + q[1:]))])
+            lam = cumulative_flow_values(q, h)
             fo, fe = kernel_pair_arrays(w, lam)
             do, de = kernel_pair_direct(w, lam)
             rel_o = np.max(np.abs(fo - do)) / max(np.max(np.abs(do)), 1e-300)
@@ -416,8 +416,7 @@ class VerificationSuite:
             return (u0.values + wiggle(0.02), v0 + wiggle(0.02), 1.0 + wiggle(0.03))
 
         def rhs_parts(w, v, q):
-            lam = np.concatenate([[0.0], np.cumsum(0.5 * h * (q[:-1] + q[1:]))])
-            odd, even = kernel_pair_arrays(w, lam)
+            odd, even = kernel_pair_arrays(w, cumulative_flow_values(q, h))
             return odd, even - w - 1.5 * v * v, 1.5 * v * q
 
         worst = 0.0

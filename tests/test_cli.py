@@ -108,6 +108,27 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     assert "breach" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["solve", "--X", "10", "--n", "201", "--dt", "inf"],
+     EXIT_CONFIG, "error: dt must be positive and finite"),
+    (["solve", "--X", "10", "--n", "201", "--q-floor", "-5"],
+     EXIT_CONFIG, "error: q_floor must be positive"),
+    (["solve", "--X", "10", "--n", "201", "--t-end", "nan"],
+     EXIT_CONFIG, "error: t_end must be finite"),
+    (["solve", "--X", "10", "--n", "201", "--profile", "from_csv:path=missing.csv"],
+     EXIT_CONFIG, "error: cannot read profile csv"),
+    # zero base data never moves q; the perturbed run drops below the floor
+    (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
+      "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3", "--q-floor", "0.999"],
+     EXIT_GUARD, "guard breach: "),
+], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach"])
+def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv, tmp_path, monkeypatch)[0] == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # config file parsing
 # ---------------------------------------------------------------------------

@@ -259,11 +259,3 @@ def test_diagnostics_series_and_csv(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,e1,e2,e3,min_q,sup_u,sup_ux,residual"
     assert len(path.read_text().splitlines()) == n_rows + 1
-
-
-def test_continuity_parallel_matches_serial():
-    u0, pert, cfg = _continuity_setup()
-    serial = continuity_experiment(u0, pert, [1e-2, 1e-3], [0.5], cfg, jobs=1)
-    parallel = continuity_experiment(u0, pert, [1e-2, 1e-3], [0.5], cfg, jobs=2)
-    assert serial.c0_sol_dist == parallel.c0_sol_dist
-    assert serial.holder_sol_dist == parallel.holder_sol_dist

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, derivative
-from fwsolver.kernels import (MonotonicityError, build_cumulative_flow,
-                              convected_green_derivative, convected_helmholtz,
-                              convected_pair, green_derivative, helmholtz_inverse)
+from fwsolver.kernels import (DEFAULT_Q_FLOOR, MonotonicityError, _block_shape,
+                              build_cumulative_flow, convected_green_derivative,
+                              convected_helmholtz, convected_pair, green_derivative,
+                              helmholtz_inverse)
 
 
 def gf(half_width, n, fn):
@@ -151,6 +153,45 @@ def test_fast_matches_direct_randomized():
         for a, b in ((fo, do), (fe, de)):
             rel = np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
             assert rel <= 1e-10
+
+
+def random_pair(n, half_width, seed):
+    """Signed random data and a rough random stretch in (q_floor, 2]."""
+    rng = np.random.default_rng(seed)
+    g = Grid(half_width, n)
+    q = DEFAULT_Q_FLOOR + (2.0 - DEFAULT_Q_FLOOR) * (1.0 - rng.random(n))
+    return GridFunction(g, rng.normal(size=n)), GridFunction(g, q)
+
+
+def sweep_layout(n, half_width, seed):
+    _, q = random_pair(n, half_width, seed)
+    blocks, block_len = _block_shape(np.diff(build_cumulative_flow(q).values))
+    return {"single block": blocks == 1, "many blocks": blocks >= 3,
+            "padded last block": blocks * block_len > n - 1, "block length 1": block_len == 1}
+
+
+# one example per sweep layout (plus an unpadded multi-block one), checked by
+# test_blocked_sweep_examples_cover_layouts
+LAYOUT_EXAMPLES = [(200, 1.0, 1), (400, 100.0, 2), (301, 40.0, 3), (40, 2000.0, 4)]
+
+
+def test_blocked_sweep_examples_cover_layouts():
+    hit = {k for args in LAYOUT_EXAMPLES for k, v in sweep_layout(*args).items() if v}
+    assert hit == {"single block", "many blocks", "padded last block", "block length 1"}
+
+
+@settings(deadline=None)
+@given(n=st.integers(3, 400), half_width=st.floats(0.5, 3000.0), seed=st.integers(0, 2**32 - 1))
+@example(*LAYOUT_EXAMPLES[0])
+@example(*LAYOUT_EXAMPLES[1])
+@example(*LAYOUT_EXAMPLES[2])
+@example(*LAYOUT_EXAMPLES[3])
+def test_blocked_sweep_matches_direct(n, half_width, seed):
+    w, q = random_pair(n, half_width, seed)
+    fast = convected_pair(w, q, method="fast")
+    direct = convected_pair(w, q, method="direct")
+    for a, b in zip(fast, direct):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
 
 
 def naive_quadrature_pair(w, q):
