@@ -15,9 +15,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grid import Grid, write_csv
+from .grid import Grid, write_columns, write_csv
 from .lagrangian import GuardBreach, InitialDataError, SolverConfig, ball_geometry, integrate
-from .flowmap import flow_map, reconstruct, write_flowmap_csv, write_snapshot_csv
+from .flowmap import flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
 from .profiles import make_profile, parse_profile_spec
@@ -53,7 +53,6 @@ class Scenario:
     profile: str = "gaussian:a=0.1,sigma=1"
     output_dir: Path = field(default_factory=lambda: Path("fw_out"))
     store_every: int = 1
-    snapshot_stride: int = 0  # 0 = pick automatically (about 20 files)
 
     def grid(self) -> Grid:
         return Grid(self.half_width, self.n_points)
@@ -170,12 +169,13 @@ def _cmd_solve(args) -> int:
     out = sc.output_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv(u0, out / "initial_data.csv")
-    stride = sc.snapshot_stride or max(1, (len(traj.states) - 1) // 20)
-    for i in range(0, len(traj.states), stride):
-        state = traj.states[i]
-        write_snapshot_csv(reconstruct(state), out / f"snapshot_{i:05d}.csv")
-        write_flowmap_csv(flow_map(state), out / f"flowmap_{i:05d}.csv")
-    write_series_csv(diagnostics_series(traj), out / "series.csv")
+    stride = max(1, (len(traj.states) - 1) // 20)  # about 20 snapshot files
+    snapshots = dict.fromkeys(range(0, len(traj.states), stride))
+    series = diagnostics_series(traj, snapshots)
+    for i, snap in snapshots.items():
+        write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
+        write_flowmap_csv(flow_map(traj.states[i]), out / f"flowmap_{i:05d}.csv")
+    write_series_csv(series, out / "series.csv")
     (out / "geometry.json").write_text(json.dumps({
         "r0": geometry.r0, "state_norm": geometry.state_norm, "r": geometry.r,
         "lipschitz_const": geometry.lipschitz_const, "lifespan": geometry.lifespan,
@@ -185,7 +185,7 @@ def _cmd_solve(args) -> int:
     if traj.breach is not None:
         print(f"guard breach: {traj.breach}", file=sys.stderr)
         return EXIT_GUARD
-    print(f"wrote {len(range(0, len(traj.states), stride))} snapshots to {out}")
+    print(f"wrote {len(snapshots)} snapshots to {out}")
     return EXIT_OK
 
 
@@ -241,14 +241,11 @@ def _cmd_continuity(args) -> int:
     report = continuity_experiment(u0, pert, eps_values, alphas, cfg)
     sc.output_dir.mkdir(parents=True, exist_ok=True)
     (sc.output_dir / "continuity.json").write_text(report.to_json())
-    with open(sc.output_dir / "continuity.csv", "w") as fh:
-        cols = ["eps", "c0_data_dist", "c0_sol_dist", "c1_sol_dist"]
-        cols += [f"holder_alpha_{a}" for a in alphas]
-        fh.write(",".join(cols) + "\n")
-        for i, eps in enumerate(report.eps_values):
-            row = [eps, report.c0_data_dist[i], report.c0_sol_dist[i], report.c1_sol_dist[i]]
-            row += [report.holder_sol_dist[a][i] for a in alphas]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_columns(sc.output_dir / "continuity.csv",
+                  ["eps", "c0_data_dist", "c0_sol_dist", "c1_sol_dist"]
+                  + [f"holder_alpha_{a}" for a in alphas],
+                  [report.eps_values, report.c0_data_dist, report.c0_sol_dist,
+                   report.c1_sol_dist] + [report.holder_sol_dist[a] for a in alphas])
     print(f"lipschitz_ratio_max = {report.lipschitz_ratio_max:.6g}")
     for a in alphas:
         print(f"fitted exponent alpha={a}: {report.fitted_exponent[a]:.4f}")

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import (Grid, GridFunction, derivative_values, holder_seminorm,
-                   quadrature, sup_norm)
+from .grid import (Grid, GridFunction, _trapezoid, derivative_values, holder_seminorm,
+                   quadrature, sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
 from .lagrangian import SolverConfig, Trajectory, ball_geometry, integrate
 from .flowmap import EulerianSnapshot, reconstruct
@@ -56,12 +57,13 @@ class ConservedTriple:
 
 
 def conserved(u: GridFunction) -> ConservedTriple:
-    """Conserved integrals of a physical-space profile."""
+    """Conserved integrals of a physical-space profile (overflow gives inf)."""
     K = helmholtz_inverse(u)
+    v, h = u.values, u.grid.h
     return ConservedTriple(
         e1=quadrature(u),
-        e2=quadrature(GridFunction(u.grid, u.values ** 2)),
-        e3=quadrature(GridFunction(u.grid, u.values * K.values - 0.5 * u.values ** 3)),
+        e2=_trapezoid(v ** 2, h),
+        e3=_trapezoid(v * K.values - 0.5 * v ** 3, h),
     )
 
 
@@ -84,19 +86,23 @@ def pde_residual(traj: Trajectory, t: float, interior_margin: float = 2.0) -> fl
     i = int(np.argmin(np.abs(times - t)))
     if i == 0 or i == times.size - 1:
         raise ValueError(f"t={t} has no stored neighbors on both sides")
-    sm = reconstruct(traj.states[i - 1], smooth=True)
-    s0 = reconstruct(traj.states[i], smooth=True)
-    sp = reconstruct(traj.states[i + 1], smooth=True)
-    dt_m = times[i] - times[i - 1]
-    dt_p = times[i + 1] - times[i]
+    window = [reconstruct(state, smooth=True) for state in traj.states[i - 1:i + 2]]
+    return _residual(window, times[i - 1:i + 2], interior_margin)
+
+
+def _residual(window, times, interior_margin: float = 2.0) -> float:
+    """:func:`pde_residual` at the middle of three consecutive C2 snapshots
+    stored at ``times``; raises ``ValueError`` unless they are equispaced."""
+    sm, s0, sp = window
+    dt_m = times[1] - times[0]
+    dt_p = times[2] - times[1]
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
         raise ValueError("stored times around t are not equispaced")
     u_t = (sp.u.values - sm.u.values) / (dt_p + dt_m)
     nonlocal_term = green_derivative(s0.u).values
     res = u_t + 1.5 * s0.u.values * s0.ux.values - nonlocal_term
-    x = traj.states[i].grid.x
-    X = traj.states[i].grid.half_width
-    interior = np.abs(x) <= X - interior_margin
+    grid = s0.u.grid
+    interior = np.abs(grid.x) <= grid.half_width - interior_margin
     return float(np.max(np.abs(res[interior])))
 
 
@@ -393,34 +399,42 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig,
 # per-run diagnostic series
 # ---------------------------------------------------------------------------
 
-def diagnostics_series(traj: Trajectory, with_residual: bool = True):
+SERIES_KEYS = ("t", "e1", "e2", "e3", "min_q", "sup_u", "sup_ux", "residual")
+
+
+def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
     """Time series ``t, e1, e2, e3, min_q, sup_u, sup_ux, residual`` as a
-    dict of lists; the residual needs stored neighbors so its first and
-    last entries are nan."""
-    out = {k: [] for k in ("t", "e1", "e2", "e3", "min_q", "sup_u", "sup_ux", "residual")}
-    for i, state in enumerate(traj.states):
+    dict of lists; the residual is nan at the ends and wherever the stored
+    neighbors are not equispaced (breach-shortened runs end off the stride).
+
+    Each state gets one interpolant per route: the shape-preserving
+    snapshot behind its row, stored as ``snapshots[i]`` for each state
+    index ``i`` already a key of ``snapshots``, and the C2 one, kept in a
+    window of three for the residual.
+    """
+    states = traj.states
+    out = {k: [] for k in SERIES_KEYS}
+
+    def c2(j):  # the residual, the only user of this route, needs an interior state
+        return reconstruct(states[j], smooth=True) if 2 < len(states) and j < len(states) else None
+
+    window = (None, None, c2(0))
+    for i, state in enumerate(states):
+        window = (window[1], window[2], c2(i + 1))
         snap = reconstruct(state)
+        if snapshots is not None and i in snapshots:
+            snapshots[i] = snap
         tri = conserved(snap.u)
-        out["t"].append(state.t)
-        out["e1"].append(tri.e1)
-        out["e2"].append(tri.e2)
-        out["e3"].append(tri.e3)
-        out["min_q"].append(float(np.min(state.q.values)))
-        out["sup_u"].append(sup_norm(snap.u))
-        out["sup_ux"].append(sup_norm(snap.ux))
-        if with_residual and 0 < i < len(traj.states) - 1:
-            try:
-                out["residual"].append(pde_residual(traj, state.t))
-            except ValueError:  # breach-shortened runs end off the stride
-                out["residual"].append(math.nan)
-        else:
-            out["residual"].append(math.nan)
+        residual = math.nan
+        if 0 < i < len(states) - 1:
+            with suppress(ValueError):
+                residual = _residual(window, traj.times[i - 1:i + 2])
+        for key, value in zip(SERIES_KEYS, (state.t, tri.e1, tri.e2, tri.e3,
+                                            float(np.min(state.q.values)), sup_norm(snap.u),
+                                            sup_norm(snap.ux), residual)):
+            out[key].append(value)
     return out
 
 
 def write_series_csv(series: dict, path) -> None:
-    keys = ["t", "e1", "e2", "e3", "min_q", "sup_u", "sup_ux", "residual"]
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in zip(*(series[k] for k in keys)):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_columns(path, SERIES_KEYS, [series[k] for k in SERIES_KEYS])

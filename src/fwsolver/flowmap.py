@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
-from .grid import Grid, GridFunction, interpolate_many
+from .grid import Grid, GridFunction, _monotone_spline, write_columns
 from .lagrangian import BallGeometry, LagrangianState
 
 __all__ = [
@@ -153,7 +153,8 @@ def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapsho
     Values are the state's ``w`` and ``v`` pulled back through the inverse
     map (the slope uses ``v`` directly, which equals the physical slope
     along trajectories, so no division by the stretch is needed).  Grid
-    nodes outside the image take 0 and are counted.
+    nodes outside the image take 0 and are counted.  One interpolant is
+    built per call, for ``w`` and ``v`` stacked as two columns.
 
     ``smooth=True`` swaps the shape-preserving interpolant for a C2 cubic
     spline; diagnostics that time-difference snapshots use this to avoid
@@ -163,17 +164,14 @@ def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapsho
     fmap = flow_map(state)
     x = state.grid.x
     labels, inside = invert_many(fmap, x)
-    u = np.zeros(x.size)
-    ux = np.zeros(x.size)
+    u, ux = np.zeros((2, x.size))
     if np.any(inside):
-        if smooth:
-            u[inside] = CubicSpline(x, state.w.values)(labels[inside])
-            ux[inside] = CubicSpline(x, state.v.values)(labels[inside])
-        else:
-            u_in, _ = interpolate_many(state.w, labels[inside])
-            ux_in, _ = interpolate_many(state.v, labels[inside])
-            u[inside] = u_in
-            ux[inside] = ux_in
+        wv = np.column_stack([state.w.values, state.v.values])
+        spline = CubicSpline(x, wv) if smooth else _monotone_spline(x, wv)
+        values = spline(labels[inside])
+        # PCHIP gives nan at a label rounded past the last node; it takes 0, as off-grid
+        values[np.isnan(values)] = 0.0
+        u[inside], ux[inside] = values.T
     return EulerianSnapshot(
         t=state.t,
         u=GridFunction(state.grid, u),
@@ -183,14 +181,8 @@ def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapsho
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,u,ux\n")
-        for xi, ui, di in zip(snap.u.grid.x, snap.u.values, snap.ux.values):
-            fh.write(f"{xi:.17g},{ui:.17g},{di:.17g}\n")
+    write_columns(path, ("x", "u", "ux"), (snap.u.grid.x, snap.u.values, snap.ux.values))
 
 
 def write_flowmap_csv(fmap: FlowMap, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,eta\n")
-        for xi, ei in zip(fmap.grid.x, fmap.positions):
-            fh.write(f"{xi:.17g},{ei:.17g}\n")
+    write_columns(path, ("x", "eta"), (fmap.grid.x, fmap.positions))

@@ -31,7 +31,6 @@ large argument, so arbitrarily coarse grids stay stable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +78,9 @@ class CumulativeFlow:
 
 
 def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDArray[np.float64]:
-    """Trapezoid prefix sums of node values ``q``; rejects ``q <= q_floor`` anywhere."""
-    bad = np.flatnonzero(q <= q_floor)
+    """Trapezoid prefix sums of node values ``q``; rejects ``q <= q_floor``
+    (or NaN) anywhere."""
+    bad = np.flatnonzero(~(q > q_floor))
     if bad.size:
         i = int(bad[0])
         raise MonotonicityError(i, float(q[i]), q_floor)
@@ -230,9 +230,6 @@ def convected_pair(w: GridFunction, q: GridFunction,
 
     Returns ``(odd, even)`` as grid functions.  ``method`` selects the
     O(N) sweeps (``"fast"``) or the O(N^2) oracle (``"direct"``).
-
-    Setting the environment variable ``FW_KERNEL_DEBUG`` to a directory
-    dumps both routes' outputs there as CSV for differential inspection.
     """
     _check_same_grid(w, q)
     lam = build_cumulative_flow(q, q_floor).values
@@ -242,25 +239,7 @@ def convected_pair(w: GridFunction, q: GridFunction,
         odd, even = kernel_pair_direct(w.values, lam)
     else:
         raise ValueError(f"unknown method {method!r}; use 'fast' or 'direct'")
-    debug_dir = os.environ.get("FW_KERNEL_DEBUG")
-    if debug_dir:
-        _dump_both_routes(w, lam, debug_dir)
     return GridFunction(w.grid, odd), GridFunction(w.grid, even)
-
-
-def _dump_both_routes(w: GridFunction, lam, debug_dir) -> None:
-    os.makedirs(debug_dir, exist_ok=True)
-    fo, fe = kernel_pair_arrays(w.values, lam)
-    do, de = kernel_pair_direct(w.values, lam)
-    path = os.path.join(debug_dir, f"kernel_routes_{_dump_both_routes.counter:04d}.csv")
-    _dump_both_routes.counter += 1
-    with open(path, "w") as fh:
-        fh.write("x,odd_fast,odd_direct,even_fast,even_direct\n")
-        for row in zip(w.grid.x, fo, do, fe, de):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-_dump_both_routes.counter = 0
 
 
 def convected_green_derivative(w: GridFunction, q: GridFunction,

@@ -66,7 +66,7 @@ class InitialDataError(ValueError):
 
 
 class GuardBreach(RuntimeError):
-    """The stretch factor hit the guard floor during a time step."""
+    """The stretch factor hit the guard floor, or the state went non-finite, in a step."""
 
     def __init__(self, stage: str, node: int, x: float, t: float, value: float, floor: float):
         self.stage = stage
@@ -75,10 +75,9 @@ class GuardBreach(RuntimeError):
         self.t = t
         self.value = value
         self.floor = floor
-        super().__init__(
-            f"stretch floor breached at RK stage {stage}, node {node} (x={x:.6g}), "
-            f"t={t:.6g}: q={value:.6g} <= {floor:.6g}"
-        )
+        where = f"at RK stage {stage}, node {node} (x={x:.6g}), t={t:.6g}"
+        super().__init__(f"stretch floor breached {where}: q={value:.6g} <= {floor:.6g}"
+                         if math.isfinite(value) else f"non-finite state {where}: value {value}")
 
 
 @dataclass(frozen=True)
@@ -274,24 +273,27 @@ def _rhs_arrays(y: NDArray[np.float64], h: float, q_floor: float) -> NDArray[np.
     return out
 
 
-def _rk4_arrays(y, t, dt, h, q_floor):
-    """One classical RK4 step; breaches name the stage and node."""
+def _rk4_arrays(y, t, dt, grid, q_floor):
+    """One classical RK4 step; breaches name the stage (or ``post-step``
+    for a non-finite or floored new state), the node and its x."""
     try:
         stage = "k1"
-        k1 = _rhs_arrays(y, h, q_floor)
+        k1 = _rhs_arrays(y, grid.h, q_floor)
         stage = "k2"
-        k2 = _rhs_arrays(y + 0.5 * dt * k1, h, q_floor)
+        k2 = _rhs_arrays(y + 0.5 * dt * k1, grid.h, q_floor)
         stage = "k3"
-        k3 = _rhs_arrays(y + 0.5 * dt * k2, h, q_floor)
+        k3 = _rhs_arrays(y + 0.5 * dt * k2, grid.h, q_floor)
         stage = "k4"
-        k4 = _rhs_arrays(y + dt * k3, h, q_floor)
+        k4 = _rhs_arrays(y + dt * k3, grid.h, q_floor)
     except MonotonicityError as err:
-        raise GuardBreach(stage, err.index, -1.0, t, err.value, err.floor) from err
+        raise GuardBreach(stage, err.index, float(grid.x[err.index]), t,
+                          err.value, err.floor) from err
     y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    bad = np.flatnonzero(y_new[2] <= q_floor)
-    if bad.size:
-        i = int(bad[0])
-        raise GuardBreach("post-step", i, -1.0, t + dt, float(y_new[2][i]), q_floor)
+    ok = np.isfinite(y_new).all(axis=0) & (y_new[2] > q_floor)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        value = next((v for v in y_new[:, i] if not math.isfinite(v)), y_new[2, i])
+        raise GuardBreach("post-step", i, float(grid.x[i]), t + dt, float(value), q_floor)
     return y_new
 
 
@@ -313,11 +315,7 @@ def rhs(state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR) -> Tendency:
 
 def step(state: LagrangianState, dt: float, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
     """Advance one RK4 step of size ``dt`` (may be negative)."""
-    try:
-        y = _rk4_arrays(_pack(state), state.t, dt, state.grid.h, q_floor)
-    except GuardBreach as gb:
-        raise GuardBreach(gb.stage, gb.node, float(state.grid.x[gb.node]),
-                          gb.t, gb.value, gb.floor) from None
+    y = _rk4_arrays(_pack(state), state.t, dt, state.grid, q_floor)
     return _unpack(y, state.grid, state.t + dt)
 
 
@@ -377,10 +375,9 @@ def integrate(u0: GridFunction, config: SolverConfig,
     for s in range(n_steps):
         t = s * dt_signed
         try:
-            y = _rk4_arrays(y, t, dt_signed, grid.h, config.q_floor)
+            y = _rk4_arrays(y, t, dt_signed, grid, config.q_floor)
         except GuardBreach as gb:
-            traj.breach = GuardBreach(gb.stage, gb.node, float(grid.x[gb.node]),
-                                      gb.t, gb.value, gb.floor)
+            traj.breach = gb
             if traj.times[-1] != t:  # retain the last valid state
                 traj.times.append(t)
                 traj.states.append(_unpack(y, grid, t))

@@ -1,8 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import fwsolver.cli
+import fwsolver.flowmap
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, ConfigError, main)
 from fwsolver.grid import read_csv
@@ -37,6 +40,44 @@ def test_solve_smoke(tmp_path, monkeypatch, capsys):
     header = snaps[0].read_text().splitlines()[0]
     assert header == "x,u,ux"
     assert (out / "flowmap_00000.csv").read_text().splitlines()[0] == "x,eta"
+
+
+def solve_counting_reconstructions(tmp_path, monkeypatch):
+    """``fw solve`` at n=201 with every fwsolver binding of ``reconstruct``
+    counting its calls per route; returns (out dir, trajectory, counts)."""
+    real = fwsolver.flowmap.reconstruct
+    counts = {"pchip": 0, "c2": 0}
+
+    def counting(state, smooth=False):
+        counts["c2" if smooth else "pchip"] += 1
+        return real(state, smooth)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fwsolver") and getattr(module, "reconstruct", None) is real:
+            monkeypatch.setattr(module, "reconstruct", counting)
+    runs = []
+    real_integrate = fwsolver.cli.integrate
+    monkeypatch.setattr(fwsolver.cli, "integrate",
+                        lambda *a: runs.append(real_integrate(*a)) or runs[-1])
+    code, out = run(["solve", "--X", "10", "--n", "201"], tmp_path, monkeypatch)
+    assert code == EXIT_OK and len(runs) == 1
+    return out, runs[0], counts
+
+
+def test_solve_reconstructs_each_state_once_per_route(tmp_path, monkeypatch):
+    _, traj, counts = solve_counting_reconstructions(tmp_path, monkeypatch)
+    assert counts == {"pchip": len(traj.states), "c2": len(traj.states)}
+
+
+def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
+    out, traj, _ = solve_counting_reconstructions(tmp_path, monkeypatch)
+    paths = sorted(out.glob("snapshot_*.csv"))
+    assert len(paths) >= 20
+    for path in paths:
+        snap = fwsolver.flowmap.reconstruct(traj.states[int(path.stem.split("_")[1])])
+        x, u, ux = np.loadtxt(path, delimiter=",", skiprows=1).T
+        assert np.array_equal(x, snap.u.grid.x)
+        assert np.array_equal(u, snap.u.values) and np.array_equal(ux, snap.ux.values)
 
 
 def test_solve_initial_csv_round_trips_bitwise(tmp_path, monkeypatch):
@@ -121,7 +162,12 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
       "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3", "--q-floor", "0.999"],
      EXIT_GUARD, "guard breach: "),
-], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach"])
+    # the slope tendency overflows in the first step; the last finite state is written
+    (["solve", "--X", "40", "--n", "4001", "--guard", "warn",
+      "--profile", "gaussian:a=1e160,sigma=4"],
+     EXIT_GUARD, "guard breach: non-finite state at RK stage"),
+], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
+        "non-finite"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(argv, tmp_path, monkeypatch)[0] == code

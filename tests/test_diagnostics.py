@@ -259,3 +259,25 @@ def test_diagnostics_series_and_csv(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,e1,e2,e3,min_q,sup_u,sup_ux,residual"
     assert len(path.read_text().splitlines()) == n_rows + 1
+
+
+def test_series_residual_is_pde_residual_bitwise():
+    grid = Grid(10.0, 401)
+    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
+    residual = diagnostics_series(traj)["residual"]
+    assert len(traj.times) > 3
+    for i in range(1, len(traj.times) - 1):
+        assert residual[i] == pde_residual(traj, traj.times[i])
+
+
+def test_series_residual_nan_where_breach_ends_off_stride():
+    # levels every 0.1; the breach at t=0.38 is kept as an off-stride last level
+    grid = Grid(20.0, 401)
+    cfg = SolverConfig(grid=grid, dt=2e-3, t_end=1.0, guard_mode="warn", store_every=50)
+    traj = integrate(sech2(grid, a=2.0, k=1.0), cfg)
+    assert traj.breach is not None and len(traj.times) == 5
+    residual = diagnostics_series(traj)["residual"]
+    assert all(residual[i] == pde_residual(traj, traj.times[i]) for i in (1, 2))
+    with pytest.raises(ValueError, match="not equispaced"):
+        pde_residual(traj, traj.times[3])
+    assert math.isnan(residual[3]) and math.isnan(residual[4])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from fwsolver.grid import Grid, GridFunction, derivative
+from fwsolver.grid import Grid, GridFunction, derivative, interpolate_many
 from fwsolver.lagrangian import (LagrangianState, SolverConfig, ball_geometry,
                                  integrate)
 from fwsolver.flowmap import (FlowMap, FlowMapError, OutOfImageError, flow_map,
@@ -142,6 +143,32 @@ def test_reconstruct_time_zero_is_data():
     assert np.max(np.abs(snap.u.values - u0.values)) <= 1e-30
     assert np.max(np.abs(snap.ux.values - derivative(u0).values)) <= 1e-30
     assert snap.out_of_image == 0
+
+
+def test_reconstruct_matches_per_column_interpolants_bitwise():
+    # a right-end displacement of 1e-15 rounds the last node's label just
+    # past X: the shape-preserving route must give 0 there, as
+    # interpolating each column on its own (the reference here) does
+    grid = Grid(10.0, 401)
+    x = grid.x
+    bump = np.exp(-x ** 2)
+    displacement = 0.05 * bump
+    displacement[-1] = 1e-15
+    st = LagrangianState(t=0.1, w=GridFunction(grid, bump),
+                         v=GridFunction(grid, -2.0 * x * bump),
+                         q=GridFunction(grid, np.ones(401)),
+                         displacement=GridFunction(grid, displacement))
+    labels, inside = invert_many(flow_map(st), x)
+    assert labels[-1] > grid.half_width and inside.all()
+    for smooth in (False, True):
+        snap = reconstruct(st, smooth=smooth)
+        for got, column in ((snap.u, st.w), (snap.ux, st.v)):
+            if smooth:
+                expected = CubicSpline(x, column.values)(labels)
+            else:
+                expected, _ = interpolate_many(column, labels)
+            assert np.array_equal(got.values, expected)
+    assert reconstruct(st).u.values[-1] == 0.0
 
 
 def test_reconstruct_zero_solution():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwsolver.grid import (Grid, GridFunction, NormReport, c1_norm, derivative,
-                           holder_seminorm, interpolate, interpolate_many,
-                           norm_report, quadrature, read_csv, sup_norm, write_csv)
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, NormReport, c1_norm,
+                           derivative, holder_seminorm, interpolate, interpolate_many,
+                           norm_report, quadrature, read_csv, sup_norm, write_columns,
+                           write_csv)
 
 
 def gf(half_width, n, fn):
@@ -284,6 +285,28 @@ def test_csv_round_trip(tmp_path):
     g = read_csv(path)
     assert g.grid == f.grid
     assert np.array_equal(g.values, f.values)  # 17 significant digits round-trip
+
+
+def test_write_columns_matches_format_spec_on_special_values(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+               2.2250738585072014e-308, 1.0 / 3.0, -1.7976931348623157e308]
+    columns = [special, special[::-1]]
+    path = tmp_path / "c.csv"
+    write_columns(path, ("a", "b"), columns)
+    rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(*columns))
+    assert path.read_text() == "a,b\n" + rows
+
+
+@pytest.mark.parametrize("n_rows", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_write_columns_round_trips_across_chunks(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    columns = rng.standard_normal((3, n_rows)) * 10.0 ** rng.integers(-300, 300, (3, n_rows))
+    path = tmp_path / "c.csv"
+    write_columns(path, ("a", "b", "c"), columns)
+    rows = "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in columns.T)
+    assert path.read_text() == "a,b,c\n" + rows
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back, columns.T)
 
 
 def test_read_csv_rejects_nonuniform(tmp_path):

@@ -274,12 +274,3 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         convected_pair(f, ones_like(f), method="magic")
 
-
-def test_debug_flag_dumps_both_routes(tmp_path, monkeypatch):
-    monkeypatch.setenv("FW_KERNEL_DEBUG", str(tmp_path))
-    f = gf(5.0, 101, lambda x: np.exp(-x ** 2))
-    convected_pair(f, ones_like(f))
-    dumps = list(tmp_path.glob("kernel_routes_*.csv"))
-    assert dumps
-    header = dumps[0].read_text().splitlines()[0]
-    assert header == "x,odd_fast,odd_direct,even_fast,even_direct"

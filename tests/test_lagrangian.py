@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fwsolver.grid import Grid, GridFunction, sup_norm
-from fwsolver.kernels import green_derivative
+from fwsolver.kernels import DEFAULT_Q_FLOOR, green_derivative
 from fwsolver.lagrangian import (GuardBreach, InitialDataError, LagrangianState,
-                                 SolverConfig, ball_geometry, chain_rule_defect,
+                                 SolverConfig, _rk4_arrays, ball_geometry, chain_rule_defect,
                                  initial_state, integrate, rhs, state_norm, step)
 from fwsolver.profiles import gaussian, peakon_profile, sech2
 
@@ -181,6 +181,22 @@ def test_step_breach_names_stage_and_node():
         step(st, 0.5)
     assert exc.value.stage in ("k1", "k2", "k3", "k4", "post-step")
     assert 0 <= exc.value.node < 101
+    assert exc.value.x == grid.x[exc.value.node]
+
+
+@pytest.mark.parametrize("component, stage, t", [(2, "k1", 0.5), (3, "post-step", 0.75)],
+                         ids=["nan-stretch", "nan-displacement"])
+def test_non_finite_state_breaches_naming_node_and_x(component, stage, t):
+    # the rest state has zero tendency, so the NaN is the only thing wrong;
+    # a NaN stretch fails the floor test, a NaN displacement only the new state
+    grid = Grid(5.0, 11)
+    y = np.stack([np.zeros(11), np.zeros(11), np.ones(11), np.zeros(11)])
+    y[component, 7] = np.nan
+    with pytest.raises(GuardBreach, match="^non-finite state") as exc:
+        _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
+    gb = exc.value
+    assert (gb.stage, gb.node, gb.x, gb.t) == (stage, 7, grid.x[7], t)
+    assert math.isnan(gb.value)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +263,7 @@ def test_integrate_records_breach_and_keeps_last_state():
     assert 0 < traj.breach.t < 1.0
     assert np.min(traj.final.q.values) > cfg.q_floor  # last stored state valid
     assert abs(traj.breach.x) <= 20.0
+    assert traj.breach.x == grid.x[traj.breach.node]
 
 
 def test_trajectory_state_lookup():
