@@ -1,14 +1,13 @@
 """Characteristic-coordinate solver for a nonlocal breaking-wave equation,
 with the flow-map machinery and diagnostics that verify its guarantees."""
 
-from .grid import (Grid, GridFunction, NormReport, c1_norm, derivative,
-                   holder_seminorm, interpolate, interpolate_many, norm_report,
-                   quadrature, read_csv, sup_norm, write_csv)
-from .kernels import (CumulativeFlow, MonotonicityError, build_cumulative_flow,
-                      convected_green_derivative, convected_helmholtz,
-                      convected_pair, green_derivative, helmholtz_inverse)
+from .grid import (Grid, GridFunction, c1_norm, derivative, holder_seminorm,
+                   interpolate, interpolate_many, quadrature, read_csv, sup_norm,
+                   write_csv)
+from .kernels import (MonotonicityError, convected_pair, cumulative_flow_values,
+                      green_derivative, helmholtz_inverse)
 from .lagrangian import (BallGeometry, GuardBreach, InitialDataError,
-                         LagrangianState, SolverConfig, Tendency, Trajectory,
+                         LagrangianState, SolverConfig, Trajectory,
                          ball_geometry, chain_rule_defect, initial_state,
                          integrate, rhs, state_norm, step)
 from .flowmap import (EulerianSnapshot, FlowMap, FlowMapError, OutOfImageError,

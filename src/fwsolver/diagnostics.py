@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .grid import (Grid, GridFunction, _trapezoid, derivative_values, holder_seminorm,
                    quadrature, sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
-from .lagrangian import SolverConfig, Trajectory, ball_geometry, integrate
+from .lagrangian import SolverConfig, Trajectory, _rk4, _time_steps, ball_geometry, integrate
 from .flowmap import EulerianSnapshot, reconstruct
 
 __all__ = [
@@ -142,28 +142,26 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig,
     """Method-of-lines solve of the physical-space equation, for cross-checks.
 
     Deliberately a different discretization family from the solver:
-    upwind-biased flux differences plus the fixed-grid kernel operator,
-    stepped with RK4.  Agreement with the characteristic route is then
-    evidence of correctness.
+    upwind-biased flux differences plus the fixed-grid kernel operator.
+    Only the RK4 step formula is shared with the solver (and checked on
+    its own against the slope ODE's closed form).  Agreement with the
+    characteristic route is then evidence of correctness.
 
     ``frozen_speed`` replaces the quadratic flux with linear advection at
     that speed (sanity mode); ``with_nonlocal_term=False`` drops the
     kernel term.  Rejects time steps that violate the advective CFL limit.
     """
     h = config.grid.h
-    geometry = ball_geometry(u0, config.r0)
-    t_end = config.t_end if config.t_end is not None else geometry.lifespan
-    dt = config.dt if config.dt is not None else min(h, geometry.lifespan / 200.0)
+    t_end, dt, n_steps = _time_steps(config, ball_geometry(u0, config.r0))
     speed_scale = abs(frozen_speed) if frozen_speed is not None else 1.5 * sup_norm(u0)
     if speed_scale > 0 and dt > h / speed_scale:
         raise ValueError(
             f"dt = {dt:.4g} violates the CFL limit {h / speed_scale:.4g} "
             f"for wave speed {speed_scale:.4g}"
         )
-    n_steps = max(1, int(round(abs(t_end) / dt)))
     dt = t_end / n_steps
 
-    def rhs_arrays(u):
+    def rhs_arrays(u, _stage):
         if frozen_speed is not None:
             du = np.gradient(u, h, edge_order=2)
             out = -frozen_speed * du
@@ -182,11 +180,7 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig,
     u = u0.values.copy()
     traj = OracleTrajectory(times=[0.0], snapshots=[snapshot(0.0, u)])
     for s in range(n_steps):
-        k1 = rhs_arrays(u)
-        k2 = rhs_arrays(u + 0.5 * dt * k1)
-        k3 = rhs_arrays(u + 0.5 * dt * k2)
-        k4 = rhs_arrays(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = _rk4(rhs_arrays, u, dt)
         if (s + 1) % config.store_every == 0 or s + 1 == n_steps:
             traj.times.append((s + 1) * dt)
             traj.snapshots.append(snapshot((s + 1) * dt, u))
@@ -383,12 +377,7 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig,
     """
     if config.guard_mode != "warn":
         raise ValueError("breaking probe needs guard_mode='warn'")
-    run_cfg = SolverConfig(
-        grid=config.grid, dt=config.dt, t_end=t_max, r0=config.r0,
-        q_floor=config.q_floor, boundary_tol=config.boundary_tol,
-        guard_mode="warn", store_every=config.store_every,
-    )
-    traj = integrate(u0, run_cfg)
+    traj = integrate(u0, replace(config, t_end=t_max))
     min_q = float(np.min(traj.final.q.values))
     if traj.breach is None:
         return BreakingReport(None, None, t_max, min_q)

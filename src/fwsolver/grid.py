@@ -19,7 +19,6 @@ from scipy.interpolate import PchipInterpolator
 __all__ = [
     "Grid",
     "GridFunction",
-    "NormReport",
     "sup_norm",
     "derivative",
     "c1_norm",
@@ -27,7 +26,6 @@ __all__ = [
     "quadrature",
     "interpolate",
     "interpolate_many",
-    "norm_report",
     "write_csv",
     "write_columns",
     "read_csv",
@@ -107,16 +105,6 @@ class GridFunction:
 def _check_same_grid(f: GridFunction, g: GridFunction):
     if f.grid != g.grid:
         raise ValueError("grid functions live on different grids")
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Bundle of the norms used by the well-posedness diagnostics."""
-
-    c0: float
-    c1: float
-    holder_alpha: float
-    holder_seminorm: float
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -208,15 +196,6 @@ def interpolate_many(f: GridFunction, xs: NDArray[np.float64]):
     if np.any(inside):
         out[inside] = _monotone_spline(f.grid.x, f.values)(xs[inside])
     return out, int(np.sum(~inside))
-
-
-def norm_report(f: GridFunction, alpha: float = 0.5) -> NormReport:
-    return NormReport(
-        c0=sup_norm(f),
-        c1=c1_norm(f),
-        holder_alpha=alpha,
-        holder_seminorm=holder_seminorm(f, alpha),
-    )
 
 
 def write_csv(f: GridFunction, path) -> None:

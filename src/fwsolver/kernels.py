@@ -31,21 +31,16 @@ large argument, so arbitrarily coarse grids stay stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, GridFunction, _check_same_grid
+from .grid import GridFunction, _check_same_grid
 
 __all__ = [
     "MonotonicityError",
-    "CumulativeFlow",
-    "build_cumulative_flow",
+    "cumulative_flow_values",
     "helmholtz_inverse",
     "green_derivative",
-    "convected_helmholtz",
-    "convected_green_derivative",
     "convected_pair",
 ]
 
@@ -69,17 +64,10 @@ class MonotonicityError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class CumulativeFlow:
-    """Prefix integral ``Lambda(x_i) = int_{-X}^{x_i} q`` of a positive stretch."""
-
-    grid: Grid
-    values: NDArray[np.float64]  # strictly increasing, values[0] == 0
-
-
 def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDArray[np.float64]:
-    """Trapezoid prefix sums of node values ``q``; rejects ``q <= q_floor``
-    (or NaN) anywhere."""
+    """Prefix integral ``Lambda(x_i) = int_{-X}^{x_i} q`` of the node values
+    ``q`` by the trapezoid rule: strictly increasing, ``Lambda[0] == 0``.
+    Rejects ``q <= q_floor`` (or NaN) anywhere."""
     bad = np.flatnonzero(~(q > q_floor))
     if bad.size:
         i = int(bad[0])
@@ -88,11 +76,6 @@ def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDA
     lam[0] = 0.0
     np.cumsum(0.5 * h * (q[:-1] + q[1:]), out=lam[1:])
     return lam
-
-
-def build_cumulative_flow(q: GridFunction, q_floor: float = DEFAULT_Q_FLOOR) -> CumulativeFlow:
-    """Trapezoid prefix sums of ``q``; rejects ``q <= q_floor`` anywhere."""
-    return CumulativeFlow(q.grid, cumulative_flow_values(q.values, q.grid.h, q_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +215,7 @@ def convected_pair(w: GridFunction, q: GridFunction,
     O(N) sweeps (``"fast"``) or the O(N^2) oracle (``"direct"``).
     """
     _check_same_grid(w, q)
-    lam = build_cumulative_flow(q, q_floor).values
+    lam = cumulative_flow_values(q.values, q.grid.h, q_floor)
     if method == "fast":
         odd, even = kernel_pair_arrays(w.values, lam)
     elif method == "direct":
@@ -242,35 +225,17 @@ def convected_pair(w: GridFunction, q: GridFunction,
     return GridFunction(w.grid, odd), GridFunction(w.grid, even)
 
 
-def convected_green_derivative(w: GridFunction, q: GridFunction,
-                               q_floor: float = DEFAULT_Q_FLOOR,
-                               method: str = "fast") -> GridFunction:
-    """Sign-split (odd) kernel integral in flow coordinates.
-
-    For ``q == 1`` this is exactly :func:`green_derivative` of ``w``.
-    """
-    return convected_pair(w, q, q_floor, method)[0]
-
-
-def convected_helmholtz(w: GridFunction, q: GridFunction,
-                        q_floor: float = DEFAULT_Q_FLOOR,
-                        method: str = "fast") -> GridFunction:
-    """Even kernel integral in flow coordinates.
-
-    For ``q == 1`` this is exactly :func:`helmholtz_inverse` of ``w``.
-    """
-    return convected_pair(w, q, q_floor, method)[1]
-
-
 def _ones_like(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, np.ones(f.grid.n_points))
 
 
 def helmholtz_inverse(f: GridFunction, method: str = "fast") -> GridFunction:
-    """Smoothing inverse of ``1 - d^2/dx^2``: convolution with ``0.5 e^{-|x|}``."""
-    return convected_helmholtz(f, _ones_like(f), method=method)
+    """Smoothing inverse of ``1 - d^2/dx^2``: convolution with ``0.5 e^{-|x|}``,
+    the even kernel integral at unit stretch."""
+    return convected_pair(f, _ones_like(f), method=method)[1]
 
 
 def green_derivative(f: GridFunction, method: str = "fast") -> GridFunction:
-    """Spatial derivative of :func:`helmholtz_inverse`, via the sign-split kernel."""
-    return convected_green_derivative(f, _ones_like(f), method=method)
+    """Spatial derivative of :func:`helmholtz_inverse`, via the sign-split
+    (odd) kernel integral at unit stretch."""
+    return convected_pair(f, _ones_like(f), method=method)[0]

@@ -38,7 +38,6 @@ from .kernels import (DEFAULT_Q_FLOOR, MonotonicityError, cumulative_flow_values
 
 __all__ = [
     "LagrangianState",
-    "Tendency",
     "BallGeometry",
     "SolverConfig",
     "Trajectory",
@@ -99,16 +98,6 @@ class LagrangianState:
     @property
     def grid(self) -> Grid:
         return self.w.grid
-
-
-@dataclass(frozen=True)
-class Tendency:
-    """Time derivative of a state, same shape as the state itself."""
-
-    w: GridFunction
-    v: GridFunction
-    q: GridFunction
-    displacement: GridFunction
 
 
 @dataclass(frozen=True)
@@ -273,27 +262,52 @@ def _rhs_arrays(y: NDArray[np.float64], h: float, q_floor: float) -> NDArray[np.
     return out
 
 
-def _rk4_arrays(y, t, dt, grid, q_floor):
-    """One classical RK4 step; breaches name the stage (or ``post-step``
-    for a non-finite or floored new state), the node and its x."""
-    try:
-        stage = "k1"
-        k1 = _rhs_arrays(y, grid.h, q_floor)
-        stage = "k2"
-        k2 = _rhs_arrays(y + 0.5 * dt * k1, grid.h, q_floor)
-        stage = "k3"
-        k3 = _rhs_arrays(y + 0.5 * dt * k2, grid.h, q_floor)
-        stage = "k4"
-        k4 = _rhs_arrays(y + dt * k3, grid.h, q_floor)
-    except MonotonicityError as err:
-        raise GuardBreach(stage, err.index, float(grid.x[err.index]), t,
-                          err.value, err.floor) from err
-    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ok = np.isfinite(y_new).all(axis=0) & (y_new[2] > q_floor)
+def _rk4(f, y, dt):
+    """One classical RK4 step for ``y' = f(y)``; ``f(y, stage)`` is told
+    which stage (``"k1"`` to ``"k4"``) it evaluates, so it can name it."""
+    k1 = f(y, "k1")
+    k2 = f(y + 0.5 * dt * k1, "k2")
+    k3 = f(y + 0.5 * dt * k2, "k3")
+    k4 = f(y + dt * k3, "k4")
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _time_steps(config: SolverConfig, geometry: BallGeometry) -> tuple[float, float, int]:
+    """``(t_end, dt, n_steps)``: the horizon (default the guaranteed
+    lifespan), the requested step (default ``min(h, lifespan/200)``) and
+    the number of equal steps, of size ``t_end / n_steps``, that land
+    exactly on ``t_end``."""
+    t_end = config.t_end if config.t_end is not None else geometry.lifespan
+    dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
+    return t_end, dt, max(1, int(round(abs(t_end) / dt)))
+
+
+def _guard_nodes(ok, y, stage, grid, t, q_floor):
+    """Raise :class:`GuardBreach` at the first node where ``ok`` is False,
+    reporting its first non-finite component of ``y``, else its stretch."""
     if not ok.all():
         i = int(np.argmin(ok))
-        value = next((v for v in y_new[:, i] if not math.isfinite(v)), y_new[2, i])
-        raise GuardBreach("post-step", i, float(grid.x[i]), t + dt, float(value), q_floor)
+        value = next((v for v in y[:, i] if not math.isfinite(v)), y[2, i])
+        raise GuardBreach(stage, i, float(grid.x[i]), t, float(value), q_floor)
+
+
+def _rk4_arrays(y, t, dt, grid, q_floor):
+    """One RK4 step of the packed state; breaches name the stage whose
+    tendency is non-finite or whose stretch is floored (or ``post-step``
+    for a non-finite or floored new state), the node and its x."""
+
+    def tendency(z, stage):
+        try:
+            k = _rhs_arrays(z, grid.h, q_floor)
+        except MonotonicityError as err:
+            raise GuardBreach(stage, err.index, float(grid.x[err.index]), t,
+                              err.value, err.floor) from err
+        _guard_nodes(np.isfinite(k).all(axis=0), k, stage, grid, t, q_floor)
+        return k
+
+    y_new = _rk4(tendency, y, dt)
+    _guard_nodes(np.isfinite(y_new).all(axis=0) & (y_new[2] > q_floor), y_new,
+                 "post-step", grid, t + dt, q_floor)
     return y_new
 
 
@@ -301,16 +315,10 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
 # public operations
 # ---------------------------------------------------------------------------
 
-def rhs(state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR) -> Tendency:
-    """Time derivative of a state.  The rest state (0, 0, 1) is a fixed point."""
-    out = _rhs_arrays(_pack(state), state.grid.h, q_floor)
-    g = state.grid
-    return Tendency(
-        w=GridFunction(g, out[0]),
-        v=GridFunction(g, out[1]),
-        q=GridFunction(g, out[2]),
-        displacement=GridFunction(g, out[3]),
-    )
+def rhs(state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
+    """Time derivative of a state, component by component, stamped with the
+    state's ``t``.  The rest state (0, 0, 1) is a fixed point."""
+    return _unpack(_rhs_arrays(_pack(state), state.grid.h, q_floor), state.grid, state.t)
 
 
 def step(state: LagrangianState, dt: float, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
@@ -358,14 +366,12 @@ def integrate(u0: GridFunction, config: SolverConfig,
     """
     if geometry is None:
         geometry = ball_geometry(u0, config.r0)
-    t_end = config.t_end if config.t_end is not None else geometry.lifespan
+    t_end, _, n_steps = _time_steps(config, geometry)
     if config.guard_mode == "enforce" and abs(t_end) > geometry.lifespan * (1 + 1e-12):
         raise InitialDataError(
             f"t_end = {t_end:.6g} exceeds the guaranteed lifespan {geometry.lifespan:.6g}; "
             "pass guard_mode='warn' to integrate beyond it"
         )
-    dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
-    n_steps = max(1, int(round(abs(t_end) / dt)))
     dt_signed = t_end / n_steps
 
     state0 = initial_state(u0, config)

@@ -9,6 +9,7 @@ import fwsolver.flowmap
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, ConfigError, main)
 from fwsolver.grid import read_csv
+from fwsolver.lagrangian import SolverConfig
 from fwsolver.profiles import gaussian
 from fwsolver.grid import Grid
 
@@ -114,20 +115,36 @@ def test_solve_determinism_byte_identical(tmp_path, monkeypatch):
 
 
 def test_solve_config_file_equals_flags(tmp_path, monkeypatch):
+    # every config key set away from its default; t_end beyond the lifespan
+    # needs guard_mode = warn, so a dropped guard_mode fails the run
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# canonical small run\n"
         "X = 10\n"
         "n_points = 401\n"
-        "t_end = auto\n"
-        "guard_mode = enforce\n"
+        "dt = 5e-4\n"
+        "t_end = 0.08\n"
+        "r0 = 0.05\n"
+        "q_floor = 0.2\n"
+        "boundary_tolerance = 1e-5\n"
+        "guard_mode = warn\n"
         "initial_data = gaussian(a=0.1, sigma=1)\n"
     )
-    _, out_flags = run(SOLVE_ARGS, tmp_path, monkeypatch, subdir="flags")
+    flags = ["solve", "--profile", "gaussian:a=0.1,sigma=1", "--X", "10", "--n", "401",
+             "--dt", "5e-4", "--t-end", "0.08", "--r0", "0.05", "--q-floor", "0.2",
+             "--boundary-tol", "1e-5", "--guard", "warn"]
+    real_integrate = fwsolver.cli.integrate
+    configs = []
+    monkeypatch.setattr(fwsolver.cli, "integrate",
+                        lambda u0, c, *a: configs.append(c) or real_integrate(u0, c, *a))
+    _, out_flags = run(flags, tmp_path, monkeypatch, subdir="flags")
     code, out_cfg = run(["solve", "--config", str(cfg)], tmp_path, monkeypatch,
                         subdir="cfg")
     assert code == EXIT_OK
-    for name in ("series.csv", "snapshot_00000.csv", "initial_data.csv"):
+    assert configs[0] == configs[1] == SolverConfig(
+        grid=Grid(10.0, 401), dt=5e-4, t_end=0.08, r0=0.05, q_floor=0.2,
+        boundary_tol=1e-5, guard_mode="warn")
+    for name in ("series.csv", "snapshot_00000.csv", "initial_data.csv", "geometry.json"):
         assert (out_flags / name).read_bytes() == (out_cfg / name).read_bytes()
 
 
@@ -162,10 +179,10 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
       "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3", "--q-floor", "0.999"],
      EXIT_GUARD, "guard breach: "),
-    # the slope tendency overflows in the first step; the last finite state is written
+    # the slope tendency overflows in the first stage; the last finite state is written
     (["solve", "--X", "40", "--n", "4001", "--guard", "warn",
       "--profile", "gaussian:a=1e160,sigma=4"],
-     EXIT_GUARD, "guard breach: non-finite state at RK stage"),
+     EXIT_GUARD, "guard breach: non-finite state at RK stage k1"),
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
         "non-finite"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):

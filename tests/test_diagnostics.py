@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fwsolver.grid import Grid, GridFunction
-from fwsolver.kernels import convected_helmholtz
+from fwsolver.kernels import convected_pair
 from fwsolver.lagrangian import SolverConfig, ball_geometry, integrate
 from fwsolver.diagnostics import (BreakingReport, conserved, continuity_experiment,
                                   diagnostics_series, eulerian_oracle, pde_residual,
@@ -33,7 +33,7 @@ def test_conserved_gaussian_closed_forms():
     assert tri.e2 == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-10)
     # nonlocal term of e3 cross-checked against the quadratic-cost oracle path
     ones = GridFunction(u.grid, np.ones(u.grid.n_points))
-    K_direct = convected_helmholtz(u, ones, method="direct")
+    K_direct = convected_pair(u, ones, method="direct")[1]
     from fwsolver.grid import quadrature
     e3_direct = quadrature(GridFunction(u.grid, u.values * K_direct.values
                                         - 0.5 * u.values ** 3))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, NormReport, c1_norm,
-                           derivative, holder_seminorm, interpolate, interpolate_many,
-                           norm_report, quadrature, read_csv, sup_norm, write_columns,
-                           write_csv)
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, c1_norm, derivative,
+                           holder_seminorm, interpolate, interpolate_many, quadrature,
+                           read_csv, sup_norm, write_columns, write_csv)
 
 
 def gf(half_width, n, fn):
@@ -264,14 +263,6 @@ def test_sup_norm_triangle_inequality(a, b):
     f1 = GridFunction(g, np.asarray(a[:n]))
     f2 = GridFunction(g, np.asarray(b[:n]))
     assert sup_norm(f1 + f2) <= sup_norm(f1) + sup_norm(f2) + 1e-12
-
-
-def test_norm_monotonicity_and_report():
-    f = gf(5.0, 201, lambda x: np.exp(-x ** 2) * np.sin(4 * x))
-    rep = norm_report(f, alpha=0.5)
-    assert isinstance(rep, NormReport)
-    assert rep.c0 <= rep.c1
-    assert rep.holder_seminorm >= 0 and rep.holder_alpha == 0.5
 
 
 # ---------------------------------------------------------------------------

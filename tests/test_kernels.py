@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, derivative
 from fwsolver.kernels import (DEFAULT_Q_FLOOR, MonotonicityError, _block_shape,
-                              build_cumulative_flow, convected_green_derivative,
-                              convected_helmholtz, convected_pair, green_derivative,
+                              convected_pair, cumulative_flow_values, green_derivative,
                               helmholtz_inverse)
 
 
@@ -26,26 +25,26 @@ def ones_like(f):
 
 def test_cumulative_flow_unit_stretch():
     q = gf(10.0, 1001, lambda x: np.ones_like(x))
-    lam = build_cumulative_flow(q)
-    assert lam.values[0] == 0.0
-    assert np.allclose(lam.values, q.grid.x + 10.0, atol=1e-12)
-    assert np.all(np.diff(lam.values) > 0)
+    lam = cumulative_flow_values(q.values, q.grid.h)
+    assert lam[0] == 0.0
+    assert np.allclose(lam, q.grid.x + 10.0, atol=1e-12)
+    assert np.all(np.diff(lam) > 0)
 
 
 def test_cumulative_flow_constant_scaling():
     q = gf(10.0, 1001, lambda x: 2.0 * np.ones_like(x))
-    lam = build_cumulative_flow(q)
-    assert np.allclose(lam.values, 2.0 * (q.grid.x + 10.0), atol=1e-11)
+    lam = cumulative_flow_values(q.values, q.grid.h)
+    assert np.allclose(lam, 2.0 * (q.grid.x + 10.0), atol=1e-11)
 
 
 def test_cumulative_flow_erf_antiderivative():
     # q = 1 + exp(-x^2)/2 integrates to x + X + (sqrt(pi)/4)(erf x + erf X)
     g = Grid(10.0, 2001)
     q = GridFunction(g, 1.0 + 0.5 * np.exp(-g.x ** 2))
-    lam = build_cumulative_flow(q)
+    lam = cumulative_flow_values(q.values, g.h)
     erf = np.vectorize(math.erf)
     exact = g.x + 10.0 + (math.sqrt(math.pi) / 4.0) * (erf(g.x) + erf(10.0))
-    assert np.max(np.abs(lam.values - exact)) <= 1e-5
+    assert np.max(np.abs(lam - exact)) <= 1e-5
 
 
 def test_cumulative_flow_floor_guard_reports_index():
@@ -53,7 +52,7 @@ def test_cumulative_flow_floor_guard_reports_index():
     qv = np.ones(101)
     qv[37] = 0.05
     with pytest.raises(MonotonicityError) as exc:
-        build_cumulative_flow(GridFunction(g, qv))
+        cumulative_flow_values(qv, g.h)
     assert exc.value.index == 37
 
 
@@ -126,15 +125,15 @@ def test_convected_zero_data():
 def test_convected_exponential_at_unit_stretch():
     w = gf(30.0, 3001, lambda x: np.exp(-np.abs(x)))
     x = w.grid.x
-    odd = convected_green_derivative(w, ones_like(w))
+    odd = convected_pair(w, ones_like(w))[0]
     assert np.max(np.abs(odd.values + np.sign(x) * 0.5 * np.abs(x) * np.exp(-np.abs(x)))) <= 1e-10
-    even = convected_helmholtz(w, ones_like(w))
+    even = convected_pair(w, ones_like(w))[1]
     assert np.max(np.abs(even.values - 0.5 * (1 + np.abs(x)) * np.exp(-np.abs(x)))) <= 1e-10
 
 
 def test_convected_constant_at_center():
     w = gf(30.0, 1501, lambda x: np.ones_like(x))
-    even = convected_helmholtz(w, ones_like(w))
+    even = convected_pair(w, ones_like(w))[1]
     assert abs(even.values[750] - 1.0) <= 1e-12
 
 
@@ -165,7 +164,7 @@ def random_pair(n, half_width, seed):
 
 def sweep_layout(n, half_width, seed):
     _, q = random_pair(n, half_width, seed)
-    blocks, block_len = _block_shape(np.diff(build_cumulative_flow(q).values))
+    blocks, block_len = _block_shape(np.diff(cumulative_flow_values(q.values, q.grid.h)))
     return {"single block": blocks == 1, "many blocks": blocks >= 3,
             "padded last block": blocks * block_len > n - 1, "block length 1": block_len == 1}
 
@@ -235,7 +234,7 @@ def test_even_integral_bounded_by_data():
     for _ in range(5):
         w = GridFunction(g, np.exp(-0.1 * g.x ** 2) * rng.normal(size=801))
         q = GridFunction(g, 1.0 + 0.1 * np.tanh(rng.normal() * g.x))
-        even = convected_helmholtz(w, q)
+        even = convected_pair(w, q)[1]
         bound = (np.max(np.abs(w.values)) * np.max(q.values) / np.min(q.values))
         assert np.max(np.abs(even.values)) <= bound * (1 + 1e-9)
 

@@ -184,19 +184,21 @@ def test_step_breach_names_stage_and_node():
     assert exc.value.x == grid.x[exc.value.node]
 
 
-@pytest.mark.parametrize("component, stage, t", [(2, "k1", 0.5), (3, "post-step", 0.75)],
-                         ids=["nan-stretch", "nan-displacement"])
-def test_non_finite_state_breaches_naming_node_and_x(component, stage, t):
-    # the rest state has zero tendency, so the NaN is the only thing wrong;
-    # a NaN stretch fails the floor test, a NaN displacement only the new state
+@pytest.mark.parametrize("component, bad, stage, t, value", [
+    (2, np.nan, "k1", 0.5, "nan"), (3, np.nan, "post-step", 0.75, "nan"),
+    (1, 1e160, "k1", 0.5, "-inf")], ids=["nan-stretch", "nan-displacement", "slope-overflow"])
+def test_non_finite_state_breaches_naming_node_and_x(component, bad, stage, t, value):
+    # the rest state has zero tendency, so the bad entry is the only thing wrong;
+    # a NaN stretch fails the floor test, a NaN displacement only the new state,
+    # and a huge slope overflows the k1 slope tendency -(3/2) v^2
     grid = Grid(5.0, 11)
     y = np.stack([np.zeros(11), np.zeros(11), np.ones(11), np.zeros(11)])
-    y[component, 7] = np.nan
+    y[component, 7] = bad
     with pytest.raises(GuardBreach, match="^non-finite state") as exc:
         _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
     gb = exc.value
     assert (gb.stage, gb.node, gb.x, gb.t) == (stage, 7, grid.x[7], t)
-    assert math.isnan(gb.value)
+    assert str(gb.value) == value
 
 
 # ---------------------------------------------------------------------------
