@@ -12,64 +12,58 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .grid import Grid, write_columns, write_csv
-from .lagrangian import GuardBreach, InitialDataError, SolverConfig, ball_geometry, integrate
+from .lagrangian import (GUARD_MODES, GuardBreach, InitialDataError, SolverConfig,
+                         _time_steps, ball_geometry, integrate)
 from .flowmap import flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
 from .profiles import make_profile, parse_profile_spec
 from .verification import VerificationSuite
-from .kernels import DEFAULT_Q_FLOOR
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
 
-_CONFIG_KEYS = ("X", "n_points", "dt", "t_end", "r0", "q_floor",
-                "boundary_tolerance", "guard_mode", "initial_data")
-
-
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class Scenario:
-    """Fully resolved run description shared by all subcommands."""
+def time_or_auto(val: str) -> float | None:
+    """A time, or ``None`` (the guaranteed lifespan) for ``auto``."""
+    return None if val == "auto" else float(val)
 
-    name: str = "run"
-    half_width: float = 20.0
-    n_points: int = 2001
-    dt: float | None = None
-    t_end: float | str | None = "auto"
-    r0: float = 0.1
-    q_floor: float = DEFAULT_Q_FLOOR
-    boundary_tol: float = 1e-6
-    guard_mode: str = "enforce"
-    profile: str = "gaussian:a=0.1,sigma=1"
-    output_dir: Path = field(default_factory=lambda: Path("fw_out"))
-    store_every: int = 1
 
-    def grid(self) -> Grid:
-        return Grid(self.half_width, self.n_points)
+def _guard_mode(val: str) -> str:
+    if val not in GUARD_MODES:
+        raise ValueError("must be enforce or warn")
+    return val
 
-    def solver_config(self, t_end: float | None,
-                      store_every: int | None = None) -> SolverConfig:
-        return SolverConfig(
-            grid=self.grid(), dt=self.dt, t_end=t_end, r0=self.r0,
-            q_floor=self.q_floor, boundary_tol=self.boundary_tol,
-            guard_mode=self.guard_mode,
-            store_every=store_every if store_every is not None else self.store_every,
-        )
+
+# config-file key -> (setting name, value parser); the setting names are the
+# flag dests, and all but half_width, n_points and profile are SolverConfig fields
+_CONFIG_KEYS = {
+    "X": ("half_width", float),
+    "n_points": ("n_points", int),
+    "dt": ("dt", float),
+    "t_end": ("t_end", time_or_auto),
+    "r0": ("r0", float),
+    "q_floor": ("q_floor", float),
+    "boundary_tolerance": ("boundary_tol", float),
+    "guard_mode": ("guard_mode", _guard_mode),
+    "initial_data": ("profile", str),
+}
 
 
 def _parse_config_file(path: str) -> dict:
-    """``key = value`` lines; unknown keys and bad values carry line numbers."""
-    values: dict = {}
+    """``key = value`` lines as setting name -> value; unknown keys and bad
+    values carry line numbers."""
+    out: dict = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as err:
@@ -83,64 +77,30 @@ def _parse_config_file(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = (val, lineno)
-    out: dict = {}
-    for key, (val, lineno) in values.items():
+        name, parse = _CONFIG_KEYS[key]
         try:
-            if key == "X":
-                out["half_width"] = float(val)
-            elif key == "n_points":
-                out["n_points"] = int(val)
-            elif key == "dt":
-                out["dt"] = float(val)
-            elif key == "t_end":
-                out["t_end"] = val if val == "auto" else float(val)
-            elif key == "r0":
-                out["r0"] = float(val)
-            elif key == "q_floor":
-                out["q_floor"] = float(val)
-            elif key == "boundary_tolerance":
-                out["boundary_tol"] = float(val)
-            elif key == "guard_mode":
-                if val not in ("enforce", "warn"):
-                    raise ValueError("must be enforce or warn")
-                out["guard_mode"] = val
-            elif key == "initial_data":
-                out["profile"] = val
+            out[name] = parse(val)
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
     return out
 
 
-def _scenario_from_args(args) -> Scenario:
-    sc = Scenario()
-    if getattr(args, "config", None):
-        for key, val in _parse_config_file(args.config).items():
-            setattr(sc, key, val)
-    # flags override the config file
-    mapping = {
-        "X": "half_width", "n": "n_points", "dt": "dt", "t_end": "t_end",
-        "r0": "r0", "q_floor": "q_floor", "boundary_tol": "boundary_tol",
-        "guard": "guard_mode", "profile": "profile", "store_every": "store_every",
-    }
-    for flag, attr in mapping.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(sc, attr, val)
-    if getattr(args, "output", None) is not None:
-        sc.output_dir = Path(args.output)
-    env_dir = os.environ.get("FW_OUTPUT_DIR")
-    if env_dir:
-        sc.output_dir = Path(env_dir)
-    if sc.t_end not in (None, "auto"):
-        sc.t_end = float(sc.t_end)
-    return sc
+def _run_description(args) -> tuple[SolverConfig, str, Path]:
+    """The solver config, profile spec and output directory of a run, layered
+    defaults < config file < flags; ``FW_OUTPUT_DIR`` beats ``--output``."""
+    settings = {"half_width": 20.0, "n_points": 2001, "profile": "gaussian:a=0.1,sigma=1"}
+    if "config" in args:
+        settings.update(_parse_config_file(args.config))
+    settings.update(vars(args))  # common flags are in args only when given
+    solver_fields = {f.name for f in fields(SolverConfig)}
+    cfg = SolverConfig(grid=Grid(settings["half_width"], settings["n_points"]),
+                       **{k: v for k, v in settings.items() if k in solver_fields})
+    out = os.environ.get("FW_OUTPUT_DIR") or settings.get("output", "fw_out")
+    return cfg, settings["profile"], Path(out)
 
 
-def _resolve_t_end(sc: Scenario, geometry) -> float:
-    if sc.t_end in (None, "auto"):
-        return geometry.lifespan
-    return float(sc.t_end)
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
 
 
 def _print_geometry(geo) -> None:
@@ -157,16 +117,13 @@ def _print_geometry(geo) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    sc = _scenario_from_args(args)
-    grid = sc.grid()
-    u0 = make_profile(sc.profile, grid)
-    geometry = ball_geometry(u0, sc.r0)
+    cfg, profile, out = _run_description(args)
+    grid = cfg.grid
+    u0 = make_profile(profile, grid)
+    geometry = ball_geometry(u0, cfg.r0)
     _print_geometry(geometry)
-    t_end = _resolve_t_end(sc, geometry)
-    cfg = sc.solver_config(t_end)
     traj = integrate(u0, cfg, geometry)
 
-    out = sc.output_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv(u0, out / "initial_data.csv")
     stride = max(1, (len(traj.states) - 1) // 20)  # about 20 snapshot files
@@ -179,7 +136,7 @@ def _cmd_solve(args) -> int:
     (out / "geometry.json").write_text(json.dumps({
         "r0": geometry.r0, "state_norm": geometry.state_norm, "r": geometry.r,
         "lipschitz_const": geometry.lipschitz_const, "lifespan": geometry.lifespan,
-        "lifespan_naive": geometry.lifespan_naive, "t_end": t_end,
+        "lifespan_naive": geometry.lifespan_naive, "t_end": _time_steps(cfg, geometry)[0],
         "n_points": grid.n_points, "half_width": grid.half_width,
     }, indent=2, sort_keys=True))
     if traj.breach is not None:
@@ -190,15 +147,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sc = _scenario_from_args(args)
+    cfg, profile, out = _run_description(args)
     # the scenario's smooth-bump parameters steer the canonical runs;
     # other profiles fall back to the reference bump
-    name, params = parse_profile_spec(sc.profile)
+    name, params = parse_profile_spec(profile)
     kwargs = {}
     if name == "gaussian":
         kwargs = {"amplitude": params.get("a", 0.1), "sigma": params.get("sigma", 1.0)}
-    suite = VerificationSuite(n=sc.n_points, half_width=sc.half_width, r0=sc.r0,
-                              **kwargs)
+    suite = VerificationSuite(n=cfg.grid.n_points, half_width=cfg.grid.half_width,
+                              r0=cfg.r0, **kwargs)
     results = suite.run_all()
     for res in results:
         print(res.line())
@@ -217,31 +174,25 @@ def _cmd_verify(args) -> int:
         }
         for res in results
     }
-    sc.output_dir.mkdir(parents=True, exist_ok=True)
-    (sc.output_dir / "verify.json").write_text(json.dumps(verdict, indent=2, sort_keys=True))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "verify.json").write_text(json.dumps(verdict, indent=2, sort_keys=True))
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed; verdict in "
-          f"{sc.output_dir / 'verify.json'}")
+          f"{out / 'verify.json'}")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
 def _cmd_continuity(args) -> int:
-    sc = _scenario_from_args(args)
+    cfg, profile, out = _run_description(args)
     alphas = [float(a) for a in args.alpha.split(",")]
-    for a in alphas:
-        if not (0.0 <= a < 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1), got {a}")
     eps_values = [float(e) for e in args.eps.split(",")]
-    grid = sc.grid()
-    u0 = make_profile(sc.profile, grid)
-    pert = make_profile(args.perturbation, grid)
-    geometry = ball_geometry(u0, sc.r0)
-    t_end = _resolve_t_end(sc, geometry)
-    cfg = sc.solver_config(t_end, store_every=max(sc.store_every, 10))
+    u0 = make_profile(profile, cfg.grid)
+    pert = make_profile(args.perturbation, cfg.grid)
+    cfg = replace(cfg, store_every=max(cfg.store_every, 10))
     report = continuity_experiment(u0, pert, eps_values, alphas, cfg)
-    sc.output_dir.mkdir(parents=True, exist_ok=True)
-    (sc.output_dir / "continuity.json").write_text(report.to_json())
-    write_columns(sc.output_dir / "continuity.csv",
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "continuity.json").write_text(report.to_json())
+    write_columns(out / "continuity.csv",
                   ["eps", "c0_data_dist", "c0_sol_dist", "c1_sol_dist"]
                   + [f"holder_alpha_{a}" for a in alphas],
                   [report.eps_values, report.c0_data_dist, report.c0_sol_dist,
@@ -253,15 +204,10 @@ def _cmd_continuity(args) -> int:
 
 
 def _cmd_breaking(args) -> int:
-    sc = _scenario_from_args(args)
-    if sc.guard_mode != "warn":
-        raise ConfigError("breaking probe requires --guard warn")
-    grid = sc.grid()
-    u0 = make_profile(sc.profile, grid)
-    cfg = sc.solver_config(None)
-    report = wave_breaking_probe(u0, cfg, t_max=args.t_max)
-    sc.output_dir.mkdir(parents=True, exist_ok=True)
-    (sc.output_dir / "breaking.json").write_text(json.dumps({
+    cfg, profile, out = _run_description(args)
+    report = wave_breaking_probe(make_profile(profile, cfg.grid), cfg, t_max=args.t_max)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "breaking.json").write_text(json.dumps({
         "breach_time": report.breach_time, "breach_x": report.breach_x,
         "t_max": report.t_max, "min_q_final": report.min_q_final,
     }, indent=2, sort_keys=True))
@@ -274,24 +220,26 @@ def _cmd_breaking(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """Flags shared by all subcommands; each dest is its setting name and
+    appears in the parsed args only when given, so it can override the
+    config file."""
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--profile", help="initial data, e.g. gaussian:a=0.1,sigma=1")
-    p.add_argument("--X", type=float, help="domain half-width")
-    p.add_argument("--n", type=int, help="number of grid points")
+    p.add_argument("--X", dest="half_width", type=float, help="domain half-width")
+    p.add_argument("--n", dest="n_points", type=int, help="number of grid points")
     p.add_argument("--dt", type=float, help="time step (default: min(h, T/200))")
-    p.add_argument("--t-end", dest="t_end",
+    p.add_argument("--t-end", type=time_or_auto,
                    help="final time, or 'auto' for the guaranteed lifespan")
     p.add_argument("--r0", type=float, help="contraction ball radius (< 1/9)")
-    p.add_argument("--q-floor", dest="q_floor", type=float,
-                   help="stretch-factor guard floor")
-    p.add_argument("--boundary-tol", dest="boundary_tol", type=float,
-                   help="max |u0| allowed at the domain ends")
-    p.add_argument("--guard", choices=("enforce", "warn"),
+    p.add_argument("--q-floor", type=float, help="stretch-factor guard floor")
+    p.add_argument("--boundary-tol", type=float, help="max |u0| allowed at the domain ends")
+    p.add_argument("--guard", dest="guard_mode", choices=GUARD_MODES,
                    help="lifespan/regularity guards: hard errors or warnings")
-    p.add_argument("--store-every", dest="store_every", type=int,
-                   help="keep every k-th time level")
+    p.add_argument("--store-every", type=int, help="keep every k-th time level")
     p.add_argument("--output", help="output directory (env FW_OUTPUT_DIR overrides)")
+    return p
 
 
 def main(argv=None) -> int:
@@ -300,44 +248,37 @@ def main(argv=None) -> int:
         description="Characteristic-coordinate solver for a nonlocal breaking-wave "
                     "equation, with quantitative verification of its guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="integrate and write snapshots/diagnostics")
-    _add_common(p_solve)
-
-    p_verify = sub.add_parser("verify", help="run the verification checks")
-    _add_common(p_verify)
-
-    p_cont = sub.add_parser("continuity", help="data-to-solution continuity experiment")
-    _add_common(p_cont)
-    p_cont.add_argument("--perturbation", default="gaussian:a=0.1,sigma=1",
-                        help="perturbation profile spec")
-    p_cont.add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4",
-                        help="comma-separated perturbation sizes")
-    p_cont.add_argument("--alpha", default="0,0.5",
-                        help="comma-separated interpolation exponents in [0, 1)")
-
-    p_break = sub.add_parser("breaking", help="probe for stretch-factor collapse")
-    _add_common(p_break)
-    p_break.add_argument("--t-max", dest="t_max", type=float, default=1.0,
-                         help="give up after this time")
+    common = _common_flags()
+    cmd = {}
+    for name, run, about in (
+            ("solve", _cmd_solve, "integrate and write snapshots/diagnostics"),
+            ("verify", _cmd_verify, "run the verification checks"),
+            ("continuity", _cmd_continuity, "data-to-solution continuity experiment"),
+            ("breaking", _cmd_breaking, "probe for stretch-factor collapse")):
+        cmd[name] = sub.add_parser(name, parents=[common], help=about)
+        cmd[name].set_defaults(run=run)
+    cmd["continuity"].add_argument("--perturbation", default="gaussian:a=0.1,sigma=1",
+                                   help="perturbation profile spec")
+    cmd["continuity"].add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4",
+                                   help="comma-separated perturbation sizes")
+    cmd["continuity"].add_argument("--alpha", default="0,0.5",
+                                   help="comma-separated interpolation exponents in [0, 1)")
+    cmd["breaking"].add_argument("--t-max", type=float, default=1.0,
+                                 help="give up after this time")
 
     args = parser.parse_args(argv)
+    # a warning prints as one line ahead of the verdict
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "continuity":
-            return _cmd_continuity(args)
-        if args.command == "breaking":
-            return _cmd_breaking(args)
+        return args.run(args)
     except (ConfigError, InitialDataError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardBreach as err:
         print(f"guard breach: {err}", file=sys.stderr)
         return EXIT_GUARD
-    raise AssertionError("unreachable")
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -80,10 +80,6 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def from_callable(cls, grid: Grid, f) -> "GridFunction":
-        return cls(grid, np.asarray(f(grid.x), dtype=np.float64))
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _check_same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)

@@ -56,6 +56,9 @@ __all__ = [
 MAX_BALL_RADIUS = 1.0 / 9.0
 DEFAULT_BALL_RADIUS = 0.1
 
+# SolverConfig.guard_mode: violated hypotheses raise, or only warn
+GUARD_MODES = ("enforce", "warn")
+
 # adjacent-difference screen for non-C1 initial data; see initial_state
 KINK_COEFF = 0.5
 
@@ -113,8 +116,6 @@ class BallGeometry:
     r0: float
     state_norm: float
     r: float
-    r_lower: float
-    r_upper: float
     lipschitz_const: float
     lifespan: float
     lifespan_naive: float
@@ -132,8 +133,6 @@ def ball_geometry(u0: GridFunction, r0: float = DEFAULT_BALL_RADIUS) -> BallGeom
         r0=r0,
         state_norm=y0,
         r=r,
-        r_lower=1.0 - r0,
-        r_upper=1.0 + r0,
         lipschitz_const=(50.0 / 9.0) * r,
         lifespan=9.0 / (100.0 * r),
         lifespan_naive=9.0 / (100.0 * u0_c1) if u0_c1 > 0 else math.inf,
@@ -161,7 +160,7 @@ class SolverConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.guard_mode not in ("enforce", "warn"):
+        if self.guard_mode not in GUARD_MODES:
             raise ValueError(f"guard_mode must be 'enforce' or 'warn', got {self.guard_mode!r}")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -294,7 +293,9 @@ def _guard_nodes(ok, y, stage, grid, t, q_floor):
 def _rk4_arrays(y, t, dt, grid, q_floor):
     """One RK4 step of the packed state; breaches name the stage whose
     tendency is non-finite or whose stretch is floored (or ``post-step``
-    for a non-finite or floored new state), the node and its x."""
+    for a non-finite or floored new state), the node and its x.  An
+    overflow that reaches a tendency or the state is such a breach, so
+    numpy's overflow warnings are silenced."""
 
     def tendency(z, stage):
         try:
@@ -305,7 +306,8 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
         _guard_nodes(np.isfinite(k).all(axis=0), k, stage, grid, t, q_floor)
         return k
 
-    y_new = _rk4(tendency, y, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_new = _rk4(tendency, y, dt)
     _guard_nodes(np.isfinite(y_new).all(axis=0) & (y_new[2] > q_floor), y_new,
                  "post-step", grid, t + dt, q_floor)
     return y_new

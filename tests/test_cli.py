@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,13 +186,35 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     (["solve", "--X", "40", "--n", "4001", "--guard", "warn",
       "--profile", "gaussian:a=1e160,sigma=4"],
      EXIT_GUARD, "guard breach: non-finite state at RK stage k1"),
+    # verify validates the common flags like the other subcommands
+    (["verify", "--X", "10", "--n", "201", "--dt", "inf"],
+     EXIT_CONFIG, "error: dt must be positive and finite"),
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
-        "non-finite"])
+        "non-finite", "verify-dt-inf"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(argv, tmp_path, monkeypatch)[0] == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_warnings_print_one_line_each_ahead_of_the_verdict(tmp_path):
+    # a fresh interpreter, so stderr is what a shell sees: the initial-data
+    # warning as one line, then the verdict, and no numpy RuntimeWarning
+    src = str(Path(fwsolver.cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("FW_OUTPUT_DIR", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fwsolver.cli", "solve", "--X", "40", "--n", "4001",
+         "--guard", "warn", "--profile", "gaussian:a=1e160,sigma=4",
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == EXIT_GUARD
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and proc.stderr.endswith("\n")
+    assert lines[0].startswith("warning: initial data does not decay")
+    assert lines[1].startswith("guard breach: non-finite state at RK stage k1")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +231,12 @@ def test_config_parse_errors_carry_line_numbers(tmp_path):
         _parse_config_file(str(cfg))
     cfg.write_text("just some words\n")
     with pytest.raises(ConfigError, match="key = value"):
+        _parse_config_file(str(cfg))
+    cfg.write_text("X = 10\nguard_mode = sometimes\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2: bad value for guard_mode"):
+        _parse_config_file(str(cfg))
+    cfg.write_text("n_points = 401\nX = 10\nt_end = soon\n")
+    with pytest.raises(ConfigError, match="bad.cfg:3: bad value for t_end"):
         _parse_config_file(str(cfg))
 
 

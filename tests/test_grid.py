@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, c1_norm, derivative,
                            holder_seminorm, interpolate, interpolate_many, quadrature,
@@ -192,6 +192,13 @@ def test_quadrature_peaked_exponential():
     assert abs(quadrature(f) - 32.0 / 9.0) <= 1e-6
 
 
+def test_quadrature_exact_on_affine_data():
+    # the trapezoid rule integrates 3 + x exactly, which needs both end weights
+    # of 1/2; decaying data hides them, and scaling is linear in any weights
+    f = gf(2.0, 9, lambda x: 3.0 + x)
+    assert quadrature(f) == pytest.approx(12.0, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
@@ -244,12 +251,24 @@ def test_interpolate_interlaces(vals, frac):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=30),
        st.floats(-100, 100))
+# the two quadratures cancel to 6255.7 from terms near 3e7 and differ by 6.4e-9
+@example(vals=[-868011.6808183427, 145752.04469439317, 912675.8633685098,
+               -320401.0, -607663.0], c=33.0)
 def test_norm_scaling_properties(vals, c):
     g = Grid(2.0, len(vals))
     f = GridFunction(g, np.asarray(vals))
     cf = c * f
     assert sup_norm(cf) == pytest.approx(abs(c) * sup_norm(f), rel=1e-12, abs=1e-300)
-    assert quadrature(cf) == pytest.approx(c * quadrature(f), rel=1e-12, abs=1e-9)
+    # Each side is h times a sum of n terms plus an end correction: rounding
+    # the products c*v_i, summing, correcting and scaling by h (or c) costs at
+    # most (n + 4) unit roundoffs of h * sum|c v_i| per side, i.e. about
+    # (n + 4) eps for the difference, a bound relative to the terms, not to a
+    # sum that may cancel.  Gradual underflow adds at most half a subnormal
+    # per operation, and h <= 2 here.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    n, h = len(vals), g.h
+    bound = 4 * n * (eps * h * float(np.sum(np.abs(cf.values))) + tiny)
+    assert quadrature(cf) == pytest.approx(c * quadrature(f), rel=0, abs=bound)
     assert holder_seminorm(cf, 0.5) == pytest.approx(
         abs(c) * holder_seminorm(f, 0.5), rel=1e-12, abs=1e-300)
 
