@@ -19,7 +19,7 @@ from .grid import (Grid, GridFunction, _trapezoid, derivative_values, holder_sem
                    quadrature, sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
 from .lagrangian import SolverConfig, Trajectory, _rk4, _time_steps, ball_geometry, integrate
-from .flowmap import EulerianSnapshot, reconstruct
+from .flowmap import EulerianSnapshot, _pull_back, reconstruct
 
 __all__ = [
     "ConservedTriple",
@@ -88,7 +88,7 @@ def pde_residual(traj: Trajectory, t: float, interior_margin: float = 2.0) -> fl
     i = int(np.argmin(np.abs(times - t)))
     if i == 0 or i == times.size - 1:
         raise ValueError(f"t={t} has no stored neighbors on both sides")
-    window = [reconstruct(state, smooth=True) for state in traj.states[i - 1:i + 2]]
+    window = [snap for snap, in _pull_back(traj.states[i - 1:i + 2], (True,))]
     return _residual(window, times[i - 1:i + 2], interior_margin)
 
 
@@ -277,11 +277,11 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     """Solve for the base data and each ``u0 + eps * perturbation``, and
     record sup-over-time solution distances against the data distance.
 
-    All runs share one horizon (the base data's guaranteed lifespan capped
-    by ``config.t_end``) and one grid, so discretization bias cancels in
-    the differences.  Each perturbed datum must stay inside the base ball:
-    the perturbation's product-space norm times ``eps`` may not exceed the
-    ball radius.  A guard breach in any run is raised as its
+    All runs share one grid and one horizon: ``config.t_end`` as given
+    (past the lifespan only in warn mode) or, if None, the base data's
+    guaranteed lifespan; so discretization bias cancels in the differences.
+    Each perturbed datum must stay inside the base ball: the perturbation's
+    product-space norm times ``eps`` may not exceed the ball radius.  A guard breach in any run is raised as its
     :class:`GuardBreach`.
     """
     alphas = list(alphas)
@@ -398,32 +398,29 @@ def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
     dict of lists; the residual is nan at the ends and wherever the stored
     neighbors are not equispaced (breach-shortened runs end off the stride).
 
-    Each state gets one interpolant per route: the shape-preserving
-    snapshot behind its row, stored as ``snapshots[i]`` for each state
-    index ``i`` already a key of ``snapshots``, and the C2 one, kept in a
-    window of three for the residual.
+    Each state's map is inverted once, and it gets one interpolant per route:
+    the shape-preserving snapshot behind its row, stored as ``snapshots[i]``
+    for each state index ``i`` already a key of ``snapshots``, and the C2
+    one, kept in a window of three for the residual.
     """
     states = traj.states
     out = {k: [] for k in SERIES_KEYS}
-
-    def c2(j):  # the residual, the only user of this route, needs an interior state
-        return reconstruct(states[j], smooth=True) if 2 < len(states) and j < len(states) else None
-
-    window = (None, None, c2(0))
-    for i, state in enumerate(states):
-        window = (window[1], window[2], c2(i + 1))
-        snap = reconstruct(state)
+    residuals = [math.nan] * len(states)
+    window = [None, None, None]
+    routes = (False, True) if len(states) > 2 else (False,)
+    for i, (state, (snap, *c2)) in enumerate(zip(states, _pull_back(states, routes))):
+        window = window[1:] + c2
+        if i >= 2:
+            with suppress(ValueError):
+                residuals[i - 1] = _residual(window, traj.times[i - 2:i + 1])
         if snapshots is not None and i in snapshots:
             snapshots[i] = snap
         tri = conserved(snap.u)
-        residual = math.nan
-        if 0 < i < len(states) - 1:
-            with suppress(ValueError):
-                residual = _residual(window, traj.times[i - 1:i + 2])
         for key, value in zip(SERIES_KEYS, (state.t, tri.e1, tri.e2, tri.e3,
                                             float(np.min(state.q.values)), sup_norm(snap.u),
-                                            sup_norm(snap.ux), residual)):
+                                            sup_norm(snap.ux))):
             out[key].append(value)
+    out["residual"] = residuals
     return out
 
 

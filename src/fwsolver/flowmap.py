@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
-from .grid import Grid, GridFunction, _monotone_spline, write_columns
+from .grid import Grid, GridFunction, _hermite, _slopes, write_columns
 from .lagrangian import BallGeometry, LagrangianState
 
 __all__ = [
@@ -147,37 +146,48 @@ def inverse_slope_bounds(fmap: FlowMap, geometry: BallGeometry, tol: float = 1e-
     return lo_meas, hi_meas
 
 
+#: grid values (nodes x columns) a :func:`_pull_back` batch interpolates at once
+_BATCH_VALUES = 1 << 17
+
+
 def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapshot:
     """Physical-space solution ``u`` and slope ``ux`` on the grid.
 
     Values are the state's ``w`` and ``v`` pulled back through the inverse
     map (the slope uses ``v`` directly, which equals the physical slope
     along trajectories, so no division by the stretch is needed).  Grid
-    nodes outside the image take 0 and are counted.  One interpolant is
-    built per call, for ``w`` and ``v`` stacked as two columns.
+    nodes outside the image take 0 and are counted.
 
     ``smooth=True`` swaps the shape-preserving interpolant for a C2 cubic
     spline; diagnostics that time-difference snapshots use this to avoid
     differentiating the interpolant's kinks (it may overshoot slightly,
     so it is off by default).
     """
-    fmap = flow_map(state)
-    x = state.grid.x
-    labels, inside = invert_many(fmap, x)
-    u, ux = np.zeros((2, x.size))
-    if np.any(inside):
-        wv = np.column_stack([state.w.values, state.v.values])
-        spline = CubicSpline(x, wv) if smooth else _monotone_spline(x, wv)
-        values = spline(labels[inside])
-        # PCHIP gives nan at a label rounded past the last node; it takes 0, as off-grid
-        values[np.isnan(values)] = 0.0
-        u[inside], ux[inside] = values.T
-    return EulerianSnapshot(
-        t=state.t,
-        u=GridFunction(state.grid, u),
-        ux=GridFunction(state.grid, ux),
-        out_of_image=int(np.sum(~inside)),
-    )
+    (snap,), = _pull_back([state], (smooth,))
+    return snap
+
+
+def _pull_back(states, routes=(False,)):
+    """Yield per state a tuple of its :func:`reconstruct` snapshots, one per
+    ``smooth`` flag in ``routes``, inverting each map once for all routes.
+    ``w`` and ``v`` of up to ``_BATCH_VALUES / 2n`` states are interpolated
+    as one ``(n, 2, states)`` batch; no column depends on its neighbours."""
+    x = states[0].grid.x
+    per = max(1, _BATCH_VALUES // (2 * x.size))
+    for lo in range(0, len(states), per):
+        batch = states[lo:lo + per]
+        inverses = [invert_many(flow_map(state), x) for state in batch]
+        labels, inside = (np.stack(a, axis=1)[:, None] for a in zip(*inverses))
+        wv = np.column_stack([s.w.values for s in batch] + [s.v.values for s in batch])
+        # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
+        values = [np.where(inside & ~np.isnan(v), v, 0.0) for v in (
+            _hermite(x, wv.reshape(x.size, 2, -1),
+                     _slopes(x, wv, smooth).reshape(x.size, 2, -1), labels, smooth)
+            for smooth in routes)]
+        for k, state in enumerate(batch):
+            yield tuple(EulerianSnapshot(state.t, GridFunction(state.grid, v[:, 0, k].copy()),
+                                         GridFunction(state.grid, v[:, 1, k].copy()),
+                                         int(np.sum(~inside[:, 0, k]))) for v in values)
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:

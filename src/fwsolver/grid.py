@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Grid",
@@ -165,10 +164,65 @@ def _trapezoid(v: NDArray[np.float64], h: float) -> float:
     return float(h * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 
 
-def _monotone_spline(x: NDArray[np.float64], values) -> PchipInterpolator:
-    """Shape-preserving cubic, nan outside ``[x[0], x[-1]]``; ``values`` may
-    stack columns as ``(n, k)``, each interpolated as it would be alone."""
-    return PchipInterpolator(x, values, extrapolate=False)
+def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False):
+    """Node slopes of the cubic through each column of ``y`` ``(n, k)`` on
+    the nodes ``x``: PCHIP (Fritsch-Carlson, Moler's three-point ends) or,
+    if ``smooth``, not-a-knot C2.  scipy's steps in scipy's order, so its
+    bits, except C2 at ``n = 3``: the parabola's closed form, equal to rounding."""
+    hk = x[1:] - x[:-1]
+    h = hk[:, None]
+    mk = (y[1:] - y[:-1]) / h
+    if not smooth:
+        flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
+        # Moler's one-sided three-point slopes at both ends, limited to keep the shape
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], mk[[0, -1]], mk[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        flip = np.sign(end) != np.sign(m0)
+        big = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3. * np.abs(m0))
+        end = np.where(flip, 0.0, np.where(big, 3. * m0, end))
+        return np.concatenate([end[:1], inner, end[1:]])
+    if x.size == 3:
+        h0, h1 = hk
+        return np.stack([(2 * h0 + h1) * mk[0] - h0 * mk[1], h1 * mk[0] + h0 * mk[1],
+                         (2 * h1 + h0) * mk[1] - h1 * mk[0]]) / (h0 + h1)
+    # CubicSpline's rows (sub dl, diagonal d, super du) solved in LAPACK dgtsv
+    # order; no row swap occurs (the first row ties, the rest dominate)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty_like(y)
+    b[0] = ((hk[0] + 2 * d0) * hk[1] * mk[0] + hk[0] ** 2 * mk[1]) / d0
+    b[1:-1] = 3 * (h[1:] * mk[:-1] + h[:-1] * mk[1:])
+    b[-1] = (hk[-1] ** 2 * mk[-2] + (2 * d1 + hk[-1]) * hk[-2] * mk[-1]) / d1
+    dl = hk[1:].tolist() + [float(d1)]
+    d = [float(hk[1])] + (2 * (hk[:-1] + hk[1:])).tolist() + [float(hk[-2])]
+    du = [float(d0)] + hk[:-1].tolist()
+    for i in range(x.size - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(x.size - 3, -1, -1):  # dgtsv keeps the eliminated dl = 0 term
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    return b
+
+
+def _hermite(x, y, dydx, xs, extrapolate: bool):
+    """scipy's ``CubicHermiteSpline`` through ``y`` with slopes ``dydx``
+    (``(n, ...)``) at ``xs`` (``(m, ...)``, broadcast against the columns),
+    bitwise: its coefficients, its power sum in ``xs - x_i``.  Outside
+    ``[x[0], x[-1]]`` the end cubics extrapolate, or give nan."""
+    i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, x.size - 2)
+    dx = x[i + 1] - x[i]
+    y0, d0 = np.take_along_axis(y, i, 0), np.take_along_axis(dydx, i, 0)
+    slope = (np.take_along_axis(y, i + 1, 0) - y0) / dx
+    t = (d0 + np.take_along_axis(dydx, i + 1, 0) - 2 * slope) / dx
+    s = xs - x[i]
+    z = s * s
+    out = 0.0 + y0 + d0 * s + ((slope - d0) / dx - t) * z + t / dx * (z * s)
+    return out if extrapolate else np.where((xs >= x[0]) & (xs <= x[-1]), out, np.nan)
 
 
 def interpolate(f: GridFunction, x: float) -> float:
@@ -186,11 +240,10 @@ def interpolate(f: GridFunction, x: float) -> float:
 def interpolate_many(f: GridFunction, xs: NDArray[np.float64]):
     """Vectorized :func:`interpolate`; returns ``(values, n_outside)``."""
     xs = np.asarray(xs, dtype=np.float64)
-    X = f.grid.half_width
-    inside = (xs >= -X) & (xs <= X)
+    x, y = f.grid.x, f.values[:, None]
+    inside = (xs >= x[0]) & (xs <= x[-1])
     out = np.zeros_like(xs)
-    if np.any(inside):
-        out[inside] = _monotone_spline(f.grid.x, f.values)(xs[inside])
+    out[inside] = _hermite(x, y, _slopes(x, y), xs[inside][:, None], False)[:, 0]
     return out, int(np.sum(~inside))
 
 

@@ -1,8 +1,12 @@
 """Every public name still resolves, and so does every function the
-per-layer tracer in ``perfbench/`` wraps by name."""
+per-layer tracer in ``perfbench/`` wraps by name; the command line runs
+on numpy alone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,16 @@ def test_traced_functions_exist(monkeypatch):
                for name in names
                if not callable(getattr(importlib.import_module(f"fwsolver.{module}"), name, None))]
     assert missing == []
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test-only dependency: a fresh ``import fwsolver.cli``
+    # must not load any scipy module
+    src = str(Path(fwsolver.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, fwsolver.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

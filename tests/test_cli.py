@@ -47,18 +47,24 @@ def test_solve_smoke(tmp_path, monkeypatch, capsys):
 
 
 def solve_counting_reconstructions(tmp_path, monkeypatch):
-    """``fw solve`` at n=201 with every fwsolver binding of ``reconstruct``
-    counting its calls per route; returns (out dir, trajectory, counts)."""
-    real = fwsolver.flowmap.reconstruct
-    counts = {"pchip": 0, "c2": 0}
+    """``fw solve`` at n=201 counting, per route, the states whose
+    interpolant is built (``flowmap._slopes`` gets two columns, ``w`` and
+    ``v``, per state) and the flow-map inversions; returns (out dir,
+    trajectory, counts)."""
+    real_slopes = fwsolver.flowmap._slopes
+    real_invert = fwsolver.flowmap.invert_many
+    counts = {"pchip": 0, "c2": 0, "inversions": 0}
 
-    def counting(state, smooth=False):
-        counts["c2" if smooth else "pchip"] += 1
-        return real(state, smooth)
+    def slopes(x, y, smooth=False):
+        counts["c2" if smooth else "pchip"] += y.shape[1] // 2
+        return real_slopes(x, y, smooth)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fwsolver") and getattr(module, "reconstruct", None) is real:
-            monkeypatch.setattr(module, "reconstruct", counting)
+    def invert_many(fmap, xs):
+        counts["inversions"] += 1
+        return real_invert(fmap, xs)
+
+    monkeypatch.setattr(fwsolver.flowmap, "_slopes", slopes)
+    monkeypatch.setattr(fwsolver.flowmap, "invert_many", invert_many)
     runs = []
     real_integrate = fwsolver.cli.integrate
     monkeypatch.setattr(fwsolver.cli, "integrate",
@@ -70,7 +76,8 @@ def solve_counting_reconstructions(tmp_path, monkeypatch):
 
 def test_solve_reconstructs_each_state_once_per_route(tmp_path, monkeypatch):
     _, traj, counts = solve_counting_reconstructions(tmp_path, monkeypatch)
-    assert counts == {"pchip": len(traj.states), "c2": len(traj.states)}
+    n = len(traj.states)
+    assert counts == {"pchip": n, "c2": n, "inversions": n}
 
 
 def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):

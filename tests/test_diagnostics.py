@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fwsolver.flowmap
 from fwsolver.grid import Grid, GridFunction
 from fwsolver.kernels import convected_pair
 from fwsolver.lagrangian import SolverConfig, ball_geometry, integrate
@@ -268,6 +269,21 @@ def test_series_residual_is_pde_residual_bitwise():
     assert len(traj.times) > 3
     for i in range(1, len(traj.times) - 1):
         assert residual[i] == pde_residual(traj, traj.times[i])
+
+
+def test_series_independent_of_batching(monkeypatch):
+    # batches of 1 and 2 states put the residual's three-state window
+    # across batch boundaries; rows and stored snapshots keep their bits
+    grid = Grid(10.0, 401)
+    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
+    runs = []
+    for states_per_batch in (1000, 1, 2):
+        monkeypatch.setattr(fwsolver.flowmap, "_BATCH_VALUES", 2 * 401 * states_per_batch)
+        snapshots = dict.fromkeys(range(0, len(traj.states), 3))
+        series = diagnostics_series(traj, snapshots)
+        runs.append((np.array([series[k] for k in series]).tobytes(),
+                     [(s.u.values.tobytes(), s.ux.values.tobytes()) for s in snapshots.values()]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_series_residual_nan_where_breach_ends_off_stride():

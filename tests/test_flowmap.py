@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import fwsolver.flowmap
 from fwsolver.grid import Grid, GridFunction, derivative, interpolate_many
 from fwsolver.lagrangian import (LagrangianState, SolverConfig, ball_geometry,
                                  integrate)
-from fwsolver.flowmap import (FlowMap, FlowMapError, OutOfImageError, flow_map,
+from fwsolver.flowmap import (FlowMap, FlowMapError, OutOfImageError, _pull_back, flow_map,
                               inverse_slope_bounds, invert, invert_many,
                               map_slopes, reconstruct, slope_bounds)
 from fwsolver.profiles import gaussian
@@ -205,3 +206,19 @@ def test_reconstruct_smooth_variant_close_to_monotone():
     a = reconstruct(traj.final, smooth=False)
     b = reconstruct(traj.final, smooth=True)
     assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-4
+
+
+@pytest.mark.parametrize("states_per_batch", [1, 2, 3, 1000])
+def test_pull_back_in_batches_equals_reconstruct_bitwise(monkeypatch, states_per_batch):
+    traj, _ = gaussian_run(n=401, store_every=40)
+    states = traj.states
+    assert len(states) >= 5
+    monkeypatch.setattr(fwsolver.flowmap, "_BATCH_VALUES", 2 * 401 * states_per_batch)
+    pulled = list(_pull_back(states, (False, True)))
+    assert len(pulled) == len(states)
+    for state, snaps in zip(states, pulled):
+        for smooth, snap in zip((False, True), snaps):
+            alone = reconstruct(state, smooth)
+            assert snap.t == alone.t and snap.out_of_image == alone.out_of_image
+            assert snap.u.values.tobytes() == alone.u.values.tobytes()
+            assert snap.ux.values.tobytes() == alone.ux.values.tobytes()

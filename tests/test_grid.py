@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, c1_norm, derivative,
-                           holder_seminorm, interpolate, interpolate_many, quadrature,
-                           read_csv, sup_norm, write_columns, write_csv)
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _slopes, c1_norm,
+                           derivative, holder_seminorm, interpolate, interpolate_many,
+                           quadrature, read_csv, sup_norm, write_columns, write_csv)
 
 
 def gf(half_width, n, fn):
@@ -242,6 +242,66 @@ def test_interpolate_interlaces(vals, frac):
     y = interpolate(f, float(x))
     lo, hi = min(vals[i], vals[i + 1]), max(vals[i], vals[i + 1])
     assert lo - 1e-9 * (1 + abs(lo)) <= y <= hi + 1e-9 * (1 + abs(hi))
+
+
+# values with repeats (flat runs, zero secants), both signs and both zeros
+SPLINE_VALUES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), st.floats(-100, 100))
+
+
+@st.composite
+def spline_data(draw):
+    """Grid nodes, ``(n, k)`` values with ``k = 1`` or ``k > 2`` and query
+    points: the nodes, the grid ends one ulp either side, and points in
+    and up to two cells past either end."""
+    n = draw(st.integers(3, 12) | st.just(4))
+    k = draw(st.sampled_from([1, 3, 5]))
+    x = Grid(draw(st.floats(0.5, 50.0)), n).x
+    y = np.asarray(draw(st.lists(SPLINE_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
+    h = x[1] - x[0]
+    inner = draw(st.lists(st.floats(-2.0, float(n + 1)), min_size=1, max_size=20))
+    xs = np.concatenate([x, x[0] + h * np.asarray(inner),
+                         np.nextafter(x[[0, 0, -1, -1]], [-np.inf, np.inf, -np.inf, np.inf])])
+    return x, y, xs
+
+
+# subnormal secants underflow to signed zeros: dgtsv's eliminated
+# ``0 * b[i+2]`` term then decides the sign of a zero C2 slope
+SIGNED_ZERO_SLOPES = (Grid(10.0, 4).x, np.array([[5e-324], [0.0], [-0.0], [-5e-324]]),
+                      Grid(10.0, 4).x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spline_data())
+@example(data=SIGNED_ZERO_SLOPES)
+def test_splines_match_scipy_bitwise(data):
+    # the PCHIP route (nan outside) and the not-a-knot C2 route
+    # (extrapolated) against scipy, bit for bit, slopes and values; the C2
+    # route at n = 3 is a closed-form parabola where scipy takes a dense
+    # solve, so there the values agree to rounding
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+    x, y, xs = data
+    for smooth, spline in ((False, PchipInterpolator(x, y, extrapolate=False)),
+                           (True, CubicSpline(x, y))):
+        slopes = _slopes(x, y, smooth)
+        got, ref = _hermite(x, y, slopes, xs[:, None], smooth), spline(xs)
+        if smooth and x.size == 3:
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        else:
+            # scipy keeps each cell's left-node slope as its linear coefficient
+            assert slopes[:-1].tobytes() == spline.c[2].tobytes()
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_c2_slopes_of_a_batch_equal_each_column_alone():
+    # five states, w and v each: one batched solve, column for column the
+    # same bits as ten solves of one column
+    x = Grid(20.0, 2001).x
+    rng = np.random.default_rng(5)
+    y = np.exp(-x[:, None] ** 2 / rng.uniform(1, 9, 10)) * rng.uniform(-1, 1, 10)
+    together = _slopes(x, y, smooth=True)
+    for j in range(y.shape[1]):
+        alone = _slopes(x, y[:, j:j + 1].copy(), smooth=True)
+        assert together[:, j].tobytes() == alone[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
