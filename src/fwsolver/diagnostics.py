@@ -19,7 +19,7 @@ from .grid import (Grid, GridFunction, _trapezoid, derivative_values, holder_sem
                    quadrature, sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
 from .lagrangian import SolverConfig, Trajectory, _rk4, _time_steps, ball_geometry, integrate
-from .flowmap import EulerianSnapshot, _pull_back, reconstruct
+from .flowmap import EulerianSnapshot, _pull_back
 
 __all__ = [
     "ConservedTriple",
@@ -304,7 +304,7 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     base = integrate(u0, config, geometry)
     if base.breach is not None:
         raise base.breach
-    base_snaps = [reconstruct(s) for s in base.states]
+    base_snaps = [snap for snap, in _pull_back(base.states)]
 
     def one_run(eps):
         u0e = GridFunction(u0.grid, u0.values + eps * perturbation.values)
@@ -314,7 +314,7 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
             raise pert_traj.breach
         d0 = dC1 = 0.0
         dH = {a: 0.0 for a in alphas}
-        for sp, sb in zip((reconstruct(s) for s in pert_traj.states), base_snaps):
+        for (sp,), sb in zip(_pull_back(pert_traj.states), base_snaps):
             du = GridFunction(u0.grid, sp.u.values - sb.u.values)
             dux = np.max(np.abs(sp.ux.values - sb.ux.values))
             d0 = max(d0, sup_norm(du))

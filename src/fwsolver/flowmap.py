@@ -163,8 +163,7 @@ def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapsho
     differentiating the interpolant's kinks (it may overshoot slightly,
     so it is off by default).
     """
-    (snap,), = _pull_back([state], (smooth,))
-    return snap
+    return next(_pull_back([state], (smooth,)))[0]
 
 
 def _pull_back(states, routes=(False,)):

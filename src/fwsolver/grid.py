@@ -189,7 +189,7 @@ def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False
         return np.stack([(2 * h0 + h1) * mk[0] - h0 * mk[1], h1 * mk[0] + h0 * mk[1],
                          (2 * h1 + h0) * mk[1] - h1 * mk[0]]) / (h0 + h1)
     # CubicSpline's rows (sub dl, diagonal d, super du) solved in LAPACK dgtsv
-    # order; no row swap occurs (the first row ties, the rest dominate)
+    # order; on a uniform grid it swaps no rows (row 0 ties, the rest dominate)
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     b = np.empty_like(y)
     b[0] = ((hk[0] + 2 * d0) * hk[1] * mk[0] + hk[0] ** 2 * mk[1]) / d0
@@ -212,16 +212,18 @@ def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False
 def _hermite(x, y, dydx, xs, extrapolate: bool):
     """scipy's ``CubicHermiteSpline`` through ``y`` with slopes ``dydx``
     (``(n, ...)``) at ``xs`` (``(m, ...)``, broadcast against the columns),
-    bitwise: its coefficients, its power sum in ``xs - x_i``.  Outside
-    ``[x[0], x[-1]]`` the end cubics extrapolate, or give nan."""
+    bitwise: its cell coefficients, then its power sum in ``s = xs - x_i``.
+    Outside ``[x[0], x[-1]]`` the end cubics extrapolate, or give nan."""
+    dx = (x[1:] - x[:-1]).reshape(-1, *[1] * (y.ndim - 1))
+    slope = (y[1:] - y[:-1]) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - dydx[:-1]) / dx - t
     i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, x.size - 2)
-    dx = x[i + 1] - x[i]
-    y0, d0 = np.take_along_axis(y, i, 0), np.take_along_axis(dydx, i, 0)
-    slope = (np.take_along_axis(y, i + 1, 0) - y0) / dx
-    t = (d0 + np.take_along_axis(dydx, i + 1, 0) - 2 * slope) / dx
+    at = i * y[0].size + np.arange(y[0].size).reshape(y.shape[1:])  # flat index of y[i]
     s = xs - x[i]
     z = s * s
-    out = 0.0 + y0 + d0 * s + ((slope - d0) / dx - t) * z + t / dx * (z * s)
+    out = (0.0 + np.take(y, at) + np.take(dydx, at) * s + np.take(c1, at) * z
+           + np.take(c0, at) * (z * s))
     return out if extrapolate else np.where((xs >= x[0]) & (xs <= x[-1]), out, np.nan)
 
 

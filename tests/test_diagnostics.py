@@ -286,6 +286,18 @@ def test_series_independent_of_batching(monkeypatch):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
+    # the residual, the only user of the C2 route, needs an interior state
+    grid = Grid(10.0, 201)
+    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=10 ** 6))
+    assert len(traj.states) == 2
+    routes, real = [], fwsolver.flowmap._slopes
+    monkeypatch.setattr(fwsolver.flowmap, "_slopes",
+                        lambda x, y, smooth=False: routes.append(smooth) or real(x, y, smooth))
+    residual = diagnostics_series(traj)["residual"]
+    assert routes == [False] and all(math.isnan(r) for r in residual)
+
+
 def test_series_residual_nan_where_breach_ends_off_stride():
     # levels every 0.1; the breach at t=0.38 is kept as an off-stride last level
     grid = Grid(20.0, 401)

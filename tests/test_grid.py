@@ -253,7 +253,7 @@ def spline_data(draw):
     """Grid nodes, ``(n, k)`` values with ``k = 1`` or ``k > 2`` and query
     points: the nodes, the grid ends one ulp either side, and points in
     and up to two cells past either end."""
-    n = draw(st.integers(3, 12) | st.just(4))
+    n = draw(st.integers(3, 12) | st.sampled_from([3, 4]))
     k = draw(st.sampled_from([1, 3, 5]))
     x = Grid(draw(st.floats(0.5, 50.0)), n).x
     y = np.asarray(draw(st.lists(SPLINE_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
@@ -268,11 +268,15 @@ def spline_data(draw):
 # ``0 * b[i+2]`` term then decides the sign of a zero C2 slope
 SIGNED_ZERO_SLOPES = (Grid(10.0, 4).x, np.array([[5e-324], [0.0], [-0.0], [-5e-324]]),
                       Grid(10.0, 4).x)
+# three nodes: the C2 route's closed-form parabola, off the nodes and past the ends
+PARABOLA = (Grid(2.0, 3).x, np.array([[0.3, 2.0], [1.0, 2.0], [-0.5, -1.0]]),
+            np.array([-2.5, -1.7, -0.3, 0.4, 1.9, 2.2]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(spline_data())
 @example(data=SIGNED_ZERO_SLOPES)
+@example(data=PARABOLA)
 def test_splines_match_scipy_bitwise(data):
     # the PCHIP route (nan outside) and the not-a-knot C2 route
     # (extrapolated) against scipy, bit for bit, slopes and values; the C2
