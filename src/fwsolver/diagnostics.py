@@ -281,8 +281,8 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     (past the lifespan only in warn mode) or, if None, the base data's
     guaranteed lifespan; so discretization bias cancels in the differences.
     Each perturbed datum must stay inside the base ball: the perturbation's
-    product-space norm times ``eps`` may not exceed the ball radius.  A guard breach in any run is raised as its
-    :class:`GuardBreach`.
+    product-space norm times ``eps`` may not exceed the ball radius.  A
+    guard breach in any run is raised as its :class:`GuardBreach`.
     """
     alphas = list(alphas)
     for a in alphas:

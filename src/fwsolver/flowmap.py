@@ -170,7 +170,7 @@ def _pull_back(states, routes=(False,)):
     """Yield per state a tuple of its :func:`reconstruct` snapshots, one per
     ``smooth`` flag in ``routes``, inverting each map once for all routes.
     ``w`` and ``v`` of up to ``_BATCH_VALUES / 2n`` states are interpolated
-    as one ``(n, 2, states)`` batch; no column depends on its neighbours."""
+    as one ``(n, 2, states)`` batch; no column depends on its neighbors."""
     x = states[0].grid.x
     per = max(1, _BATCH_VALUES // (2 * x.size))
     for lo in range(0, len(states), per):

@@ -188,13 +188,13 @@ def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False
         h0, h1 = hk
         return np.stack([(2 * h0 + h1) * mk[0] - h0 * mk[1], h1 * mk[0] + h0 * mk[1],
                          (2 * h1 + h0) * mk[1] - h1 * mk[0]]) / (h0 + h1)
-    # CubicSpline's rows (sub dl, diagonal d, super du) solved in LAPACK dgtsv
-    # order; on a uniform grid it swaps no rows (row 0 ties, the rest dominate)
+    # CubicSpline's rows (sub dl, diagonal d, super du; widths squared as arrays, since a
+    # scalar's ** is pow()) in dgtsv order, no row swapped: row 0 ties, the rest dominate
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     b = np.empty_like(y)
-    b[0] = ((hk[0] + 2 * d0) * hk[1] * mk[0] + hk[0] ** 2 * mk[1]) / d0
+    b[0] = ((h[0] + 2 * d0) * h[1] * mk[0] + h[0] ** 2 * mk[1]) / d0
     b[1:-1] = 3 * (h[1:] * mk[:-1] + h[:-1] * mk[1:])
-    b[-1] = (hk[-1] ** 2 * mk[-2] + (2 * d1 + hk[-1]) * hk[-2] * mk[-1]) / d1
+    b[-1] = (h[-1] ** 2 * mk[-2] + (2 * d1 + h[-1]) * h[-2] * mk[-1]) / d1
     dl = hk[1:].tolist() + [float(d1)]
     d = [float(hk[1])] + (2 * (hk[:-1] + hk[1:])).tolist() + [float(hk[-2])]
     du = [float(d0)] + hk[:-1].tolist()

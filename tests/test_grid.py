@@ -268,6 +268,11 @@ def spline_data(draw):
 # ``0 * b[i+2]`` term then decides the sign of a zero C2 slope
 SIGNED_ZERO_SLOPES = (Grid(10.0, 4).x, np.array([[5e-324], [0.0], [-0.0], [-5e-324]]),
                       Grid(10.0, 4).x)
+# the C2 end rows square a cell width: as a numpy scalar, 11.535252043926022 ** 2
+# is pow() and rounds one ulp away from the array square scipy takes
+SQUARED_WIDTH = (Grid(40.37338215374106, 8).x,
+                 np.array([[-1.0], [-1], [-1], [-1], [-1], [56.75], [-1], [0.5]]),
+                 Grid(40.37338215374106, 8).x)
 # three nodes: the C2 route's closed-form parabola, off the nodes and past the ends
 PARABOLA = (Grid(2.0, 3).x, np.array([[0.3, 2.0], [1.0, 2.0], [-0.5, -1.0]]),
             np.array([-2.5, -1.7, -0.3, 0.4, 1.9, 2.2]))
@@ -277,6 +282,7 @@ PARABOLA = (Grid(2.0, 3).x, np.array([[0.3, 2.0], [1.0, 2.0], [-0.5, -1.0]]),
 @given(spline_data())
 @example(data=SIGNED_ZERO_SLOPES)
 @example(data=PARABOLA)
+@example(data=SQUARED_WIDTH)
 def test_splines_match_scipy_bitwise(data):
     # the PCHIP route (nan outside) and the not-a-knot C2 route
     # (extrapolated) against scipy, bit for bit, slopes and values; the C2
