@@ -146,8 +146,8 @@ def inverse_slope_bounds(fmap: FlowMap, geometry: BallGeometry, tol: float = 1e-
     return lo_meas, hi_meas
 
 
-#: grid values (nodes x columns) a :func:`_pull_back` batch interpolates at once
-_BATCH_VALUES = 1 << 17
+#: states whose C2 slopes a :func:`_pull_back` batch solves at once
+_BATCH_STATES = 64
 
 
 def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapshot:
@@ -169,24 +169,22 @@ def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapsho
 def _pull_back(states, routes=(False,)):
     """Yield per state a tuple of its :func:`reconstruct` snapshots, one per
     ``smooth`` flag in ``routes``, inverting each map once for all routes.
-    ``w`` and ``v`` of up to ``_BATCH_VALUES / 2n`` states are interpolated
-    as one ``(n, 2, states)`` batch; no column depends on its neighbors."""
+    Up to ``_BATCH_STATES`` states share one C2 slope solve, and with it the
+    cost of its Python row loop, at every ``n``; the rest goes state by state."""
     x = states[0].grid.x
-    per = max(1, _BATCH_VALUES // (2 * x.size))
-    for lo in range(0, len(states), per):
-        batch = states[lo:lo + per]
-        inverses = [invert_many(flow_map(state), x) for state in batch]
-        labels, inside = (np.stack(a, axis=1)[:, None] for a in zip(*inverses))
-        wv = np.column_stack([s.w.values for s in batch] + [s.v.values for s in batch])
-        # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
-        values = [np.where(inside & ~np.isnan(v), v, 0.0) for v in (
-            _hermite(x, wv.reshape(x.size, 2, -1),
-                     _slopes(x, wv, smooth).reshape(x.size, 2, -1), labels, smooth)
-            for smooth in routes)]
+    for lo in range(0, len(states), _BATCH_STATES):
+        batch, c2 = states[lo:lo + _BATCH_STATES], None  # free the last batch's slopes first
+        if True in routes:
+            c2 = _slopes(x, np.column_stack([f.values for s in batch for f in (s.w, s.v)]), True)
         for k, state in enumerate(batch):
-            yield tuple(EulerianSnapshot(state.t, GridFunction(state.grid, v[:, 0, k].copy()),
-                                         GridFunction(state.grid, v[:, 1, k].copy()),
-                                         int(np.sum(~inside[:, 0, k]))) for v in values)
+            labels, inside = invert_many(flow_map(state), x)
+            y, cols = np.column_stack((state.w.values, state.v.values)), slice(2 * k, 2 * k + 2)
+            # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
+            values = [np.where(inside[:, None] & ~np.isnan(v), v, 0.0).T.copy() for v in (
+                _hermite(x, y, c2[:, cols] if smooth else _slopes(x, y), labels[:, None], smooth)
+                for smooth in routes)]
+            yield tuple(EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
+                                         int(np.sum(~inside))) for uux in values)
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:

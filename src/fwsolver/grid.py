@@ -193,8 +193,10 @@ def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     b = np.empty_like(y)
     b[0] = ((h[0] + 2 * d0) * h[1] * mk[0] + h[0] ** 2 * mk[1]) / d0
-    b[1:-1] = 3 * (h[1:] * mk[:-1] + h[:-1] * mk[1:])
     b[-1] = (h[-1] ** 2 * mk[-2] + (2 * d1 + h[-1]) * h[-2] * mk[-1]) / d1
+    np.multiply(h[1:], mk[:-1], out=b[1:-1])  # 3 * (h[1:] * mk[:-1] + h[:-1] * mk[1:])
+    b[1:-1] += np.multiply(h[:-1], mk[1:], out=mk[1:])
+    b[1:-1] *= 3
     dl = hk[1:].tolist() + [float(d1)]
     d = [float(hk[1])] + (2 * (hk[:-1] + hk[1:])).tolist() + [float(hk[-2])]
     du = [float(d0)] + hk[:-1].tolist()

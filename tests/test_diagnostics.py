@@ -278,7 +278,7 @@ def test_series_independent_of_batching(monkeypatch):
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
     runs = []
     for states_per_batch in (1000, 1, 2):
-        monkeypatch.setattr(fwsolver.flowmap, "_BATCH_VALUES", 2 * 401 * states_per_batch)
+        monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", states_per_batch)
         snapshots = dict.fromkeys(range(0, len(traj.states), 3))
         series = diagnostics_series(traj, snapshots)
         runs.append((np.array([series[k] for k in series]).tobytes(),
@@ -295,7 +295,7 @@ def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
     monkeypatch.setattr(fwsolver.flowmap, "_slopes",
                         lambda x, y, smooth=False: routes.append(smooth) or real(x, y, smooth))
     residual = diagnostics_series(traj)["residual"]
-    assert routes == [False] and all(math.isnan(r) for r in residual)
+    assert routes == [False, False] and all(math.isnan(r) for r in residual)
 
 
 def test_series_residual_nan_where_breach_ends_off_stride():

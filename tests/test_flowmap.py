@@ -208,12 +208,25 @@ def test_reconstruct_smooth_variant_close_to_monotone():
     assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-4
 
 
+def test_pull_back_batch_width_does_not_shrink_with_n(monkeypatch):
+    # the C2 row loop costs about the same per row at any width, so a fine
+    # grid must still share each row among _BATCH_STATES states
+    grid, per = Grid(10.0, 32001), 4
+    monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", per)
+    states = [rest_state(grid, t=0.01 * k) for k in range(per + 3)]
+    widths, real = [], fwsolver.flowmap._slopes
+    monkeypatch.setattr(fwsolver.flowmap, "_slopes", lambda x, y, smooth=False: (
+        widths.append(y.shape[1]) if smooth else None) or real(x, y, smooth))
+    assert len(list(_pull_back(states, (False, True)))) == len(states)
+    assert widths == [2 * per, 6]
+
+
 @pytest.mark.parametrize("states_per_batch", [1, 2, 3, 1000])
 def test_pull_back_in_batches_equals_reconstruct_bitwise(monkeypatch, states_per_batch):
     traj, _ = gaussian_run(n=401, store_every=40)
     states = traj.states
     assert len(states) >= 5
-    monkeypatch.setattr(fwsolver.flowmap, "_BATCH_VALUES", 2 * 401 * states_per_batch)
+    monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", states_per_batch)
     pulled = list(_pull_back(states, (False, True)))
     assert len(pulled) == len(states)
     for state, snaps in zip(states, pulled):
