@@ -209,8 +209,8 @@ def test_reconstruct_smooth_variant_close_to_monotone():
 
 
 def test_pull_back_batch_width_does_not_shrink_with_n(monkeypatch):
-    # the C2 row loop costs about the same per row at any width, so a fine
-    # grid must still share each row among _BATCH_STATES states
+    # the C2 row loop has a fixed Python cost per row, so a fine grid must
+    # still share each row among _BATCH_STATES states
     grid, per = Grid(10.0, 32001), 4
     monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", per)
     states = [rest_state(grid, t=0.01 * k) for k in range(per + 3)]
