@@ -10,9 +10,8 @@ from .lagrangian import (BallGeometry, GuardBreach, InitialDataError,
                          LagrangianState, SolverConfig, Trajectory,
                          ball_geometry, chain_rule_defect, initial_state,
                          integrate, rhs, state_norm, step)
-from .flowmap import (EulerianSnapshot, FlowMap, FlowMapError, OutOfImageError,
-                      flow_map, invert, invert_many, inverse_slope_bounds,
-                      map_slopes, reconstruct, slope_bounds)
+from .flowmap import (EulerianSnapshot, FlowMap, FlowMapError, flow_map, invert_many,
+                      inverse_slope_bounds, map_slopes, reconstruct, slope_bounds)
 from .diagnostics import (BreakingReport, ConservedTriple, ContinuityReport,
                           conserved, continuity_experiment, diagnostics_series,
                           eulerian_oracle, pde_residual, peakon, peakon_residual,

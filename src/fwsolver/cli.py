@@ -22,7 +22,7 @@ from .lagrangian import (GUARD_MODES, GuardBreach, InitialDataError, SolverConfi
 from .flowmap import flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
-from .profiles import make_profile, parse_profile_spec
+from .profiles import make_profile
 from .verification import VerificationSuite
 
 EXIT_OK = 0
@@ -148,15 +148,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, profile, out = _run_description(args)
-    # the scenario's smooth-bump parameters steer the canonical runs;
-    # other profiles fall back to the reference bump
-    name, params = parse_profile_spec(profile)
-    kwargs = {}
-    if name == "gaussian":
-        kwargs = {"amplitude": params.get("a", 0.1), "sigma": params.get("sigma", 1.0)}
-    suite = VerificationSuite(n=cfg.grid.n_points, half_width=cfg.grid.half_width,
-                              r0=cfg.r0, **kwargs)
-    results = suite.run_all()
+    results = VerificationSuite(cfg, profile).run_all()
     for res in results:
         print(res.line())
 

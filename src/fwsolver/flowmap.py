@@ -23,9 +23,7 @@ __all__ = [
     "FlowMap",
     "EulerianSnapshot",
     "FlowMapError",
-    "OutOfImageError",
     "flow_map",
-    "invert",
     "invert_many",
     "map_slopes",
     "slope_bounds",
@@ -38,10 +36,6 @@ __all__ = [
 
 class FlowMapError(RuntimeError):
     """The sampled map left the provable regime (monotonicity or bounds)."""
-
-
-class OutOfImageError(ValueError):
-    """Requested point lies outside the image of the sampled map."""
 
 
 @dataclass(frozen=True)
@@ -100,17 +94,6 @@ def invert_many(fmap: FlowMap, xs: NDArray[np.float64]):
     hi = xs == eta[j + 1]
     labels[hi] = fmap.grid.x[j + 1][hi]
     return labels, inside
-
-
-def invert(fmap: FlowMap, x: float) -> float:
-    """Inverse of the sampled map at one point; exact at map values of nodes."""
-    labels, inside = invert_many(fmap, np.asarray([x]))
-    if not inside[0]:
-        raise OutOfImageError(
-            f"x={x:.6g} lies outside the image [{fmap.positions[0]:.6g}, "
-            f"{fmap.positions[-1]:.6g}] of the flow map at t={fmap.t:.6g}"
-        )
-    return float(labels[0])
 
 
 def _check_bounds(name, lo_meas, hi_meas, lo, hi, tol, t):

@@ -175,7 +175,7 @@ def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False
     if not smooth:
         flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
         w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
         # Moler's one-sided three-point slopes at both ends, limited to keep the shape
         h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], mk[[0, -1]], mk[[1, -2]]

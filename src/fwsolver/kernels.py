@@ -10,8 +10,10 @@ stretched coordinate ``Lambda(x) = int_{-X}^x q``, giving the pair
 
 Two evaluation routes are provided and tested against each other:
 
-* ``fast``   - one backward and one forward sweep, O(N), the solver path;
-* ``direct`` - explicit weight matrix, O(N^2), kept as a differential oracle.
+* :func:`kernel_pair_arrays` - one backward and one forward sweep, O(N),
+  the solver path;
+* :func:`kernel_pair_direct` - explicit weight matrix, O(N^2), kept as a
+  differential oracle.
 
 The fast route makes a fixed number of whole-array passes whatever N is:
 one masked pass for the panels of both sweeps, then blocked cumulative sums
@@ -207,35 +209,24 @@ def kernel_pair_direct(w, lam):
 # public operators
 # ---------------------------------------------------------------------------
 
-def convected_pair(w: GridFunction, q: GridFunction,
-                   q_floor: float = DEFAULT_Q_FLOOR, method: str = "fast"):
-    """Both kernel integrals of ``(w, q)`` at once; the solver hot path.
-
-    Returns ``(odd, even)`` as grid functions.  ``method`` selects the
-    O(N) sweeps (``"fast"``) or the O(N^2) oracle (``"direct"``).
+def convected_pair(w: GridFunction, q: GridFunction, q_floor: float = DEFAULT_Q_FLOOR):
+    """Both kernel integrals of ``(w, q)`` at once by the O(N) sweeps; the
+    solver hot path.  Returns ``(odd, even)`` as grid functions;
+    :func:`kernel_pair_direct` is the O(N^2) oracle they are tested against.
     """
     _check_same_grid(w, q)
     lam = cumulative_flow_values(q.values, q.grid.h, q_floor)
-    if method == "fast":
-        odd, even = kernel_pair_arrays(w.values, lam)
-    elif method == "direct":
-        odd, even = kernel_pair_direct(w.values, lam)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'fast' or 'direct'")
+    odd, even = kernel_pair_arrays(w.values, lam)
     return GridFunction(w.grid, odd), GridFunction(w.grid, even)
 
 
-def _ones_like(f: GridFunction) -> GridFunction:
-    return GridFunction(f.grid, np.ones(f.grid.n_points))
-
-
-def helmholtz_inverse(f: GridFunction, method: str = "fast") -> GridFunction:
+def helmholtz_inverse(f: GridFunction) -> GridFunction:
     """Smoothing inverse of ``1 - d^2/dx^2``: convolution with ``0.5 e^{-|x|}``,
     the even kernel integral at unit stretch."""
-    return convected_pair(f, _ones_like(f), method=method)[1]
+    return convected_pair(f, GridFunction(f.grid, np.ones(f.grid.n_points)))[1]
 
 
-def green_derivative(f: GridFunction, method: str = "fast") -> GridFunction:
+def green_derivative(f: GridFunction) -> GridFunction:
     """Spatial derivative of :func:`helmholtz_inverse`, via the sign-split
     (odd) kernel integral at unit stretch."""
-    return convected_pair(f, _ones_like(f), method=method)[0]
+    return convected_pair(f, GridFunction(f.grid, np.ones(f.grid.n_points)))[0]

@@ -1,17 +1,19 @@
 """Quantitative verification checks, each pinning one guarantee of the
 construction to a measurable number with a fixed tolerance.
 
-The checks are written against a configurable scenario (grid size, domain,
-step count) so the CLI can run them on user settings; the defaults are the
-reference configuration the test suite pins.  Expensive runs are cached on
-the suite object and shared between checks.
+A suite runs on one run description, ``(SolverConfig, profile spec)``, of
+which only the grid, ``r0`` and the data shape the canonical runs: the
+battery's tolerances rest on its own time steps and guards, so a config that
+sets any other field is rejected.  Expensive runs are cached on the suite
+object and shared between checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,9 +27,16 @@ from .flowmap import (FlowMap, _pull_back, flow_map, inverse_slope_bounds, map_s
                       reconstruct, slope_bounds, FlowMapError)
 from .diagnostics import (conserved, continuity_experiment, eulerian_oracle,
                           pde_residual, peakon_residual)
-from .profiles import gaussian
+from .profiles import make_profile
 
 __all__ = ["CheckResult", "VerificationSuite", "CHECK_NAMES"]
+
+STEPS = 400  # RK4 steps to the lifespan at the configured n; half and double n scale them
+SEED = 2024  # random data of fast_vs_direct and lipschitz_sampling
+CLOSED_FORM_GRID = (30.0, 3001)  # (X, n) of kernel_closed_form
+DIRECT_N, DIRECT_PAIRS = 1501, 20  # grid size and random pairs of fast_vs_direct
+SMALL_N = 1001  # cap on n for continuity and lipschitz_sampling
+LIPSCHITZ_PAIRS = 100
 
 
 @dataclass(frozen=True)
@@ -45,11 +54,7 @@ class CheckResult:
 
 
 def _fmt(v):
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.4g}"
-    return str(v)
+    return f"{v:.4g}" if isinstance(v, float) else str(v)
 
 
 _CONVERGED = 1e-13  # errors below this count as already converged
@@ -61,7 +66,6 @@ def _fit_order(hs, errs) -> float:
     Degenerate data (all errors at the convergence floor, e.g. the zero
     solution) reports an infinite order rather than a meaningless fit.
     """
-    hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if np.max(errs) <= _CONVERGED:
         return math.inf
@@ -69,100 +73,106 @@ def _fit_order(hs, errs) -> float:
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
+def _check(requirement: str):
+    """Make a check body that returns ``(passed, measured)`` into a suite
+    method that returns its timed :class:`CheckResult`, named after the
+    method (``check_<name>``)."""
+    def decorate(body):
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check(self) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, measured = body(self)
+            return CheckResult(name, passed, measured, requirement, time.perf_counter() - t0)
+
+        return check
+
+    return decorate
+
+
 @dataclass
 class VerificationSuite:
-    """Scenario-parametrized check battery with cached reference runs.
+    """Check battery on one run description, with cached reference runs.
 
-    ``n`` and ``half_width`` shape the canonical smooth-bump run (the
-    refinement checks also use half and double resolution); the kernel
-    closed-form checks carry their own pinned grids.  The default domain
-    keeps the ends far enough out that the truncation mismatch between
-    the two solver routes (which decays like ``exp(-X)``) sits below the
-    finest grid's discretization error.
+    ``config.grid`` shapes the canonical runs of ``profile`` (the refinement
+    checks also use half and double resolution); the kernel closed-form
+    checks carry their own pinned grids.  The reference domain, X = 20,
+    keeps the ends far enough out that the truncation mismatch between the
+    two solver routes (which decays like ``exp(-X)``) sits below the finest
+    grid's discretization error.
     """
 
-    n: int = 2001
-    half_width: float = 20.0
-    amplitude: float = 0.1
-    sigma: float = 1.0
-    r0: float = 0.1
-    steps: int = 400
-    seed: int = 2024
-    _runs: dict = field(default_factory=dict, repr=False)
-    _oracles: dict = field(default_factory=dict, repr=False)
+    config: SolverConfig
+    profile: str = "gaussian:a=0.1,sigma=1"
+    _runs: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        used = SolverConfig(grid=self.config.grid, r0=self.config.r0)
+        if self.config != used:
+            ignored = [f.name for f in fields(used)
+                       if getattr(self.config, f.name) != getattr(used, f.name)]
+            raise ValueError("verify uses only X, n_points, r0 and the profile; "
+                             f"it picks its own {', '.join(ignored)}")
+        # data the checks cannot run on (a CSV holds one grid; r0 >= 1/9) fails here
+        for n in (*self._resolutions(), min(self.n, SMALL_N)):
+            ball_geometry(self._data(n), self.config.r0)
 
     # -- cached canonical runs -------------------------------------------
 
-    def _grid(self, n: int) -> Grid:
-        return Grid(self.half_width, n)
+    @property
+    def n(self) -> int:
+        return self.config.grid.n_points
 
     def _data(self, n: int) -> GridFunction:
-        return gaussian(self._grid(n), a=self.amplitude, sigma=self.sigma)
-
-    def geometry(self):
-        return ball_geometry(self._data(self.n), self.r0)
+        return make_profile(self.profile, Grid(self.config.grid.half_width, n))
 
     def run(self, n: int, steps: int):
         """Lagrangian run of the canonical data to its guaranteed lifespan."""
         key = (n, steps)
         if key not in self._runs:
             u0 = self._data(n)
-            geo = ball_geometry(u0, self.r0)
-            cfg = SolverConfig(grid=self._grid(n), dt=geo.lifespan / steps,
-                               t_end=geo.lifespan, r0=self.r0, store_every=1)
+            geo = ball_geometry(u0, self.config.r0)
+            cfg = SolverConfig(grid=u0.grid, dt=geo.lifespan / steps,
+                               t_end=geo.lifespan, r0=self.config.r0, store_every=1)
             self._runs[key] = integrate(u0, cfg, geo)
         return self._runs[key]
-
-    def oracle(self, n: int, steps: int):
-        """Physical-space oracle run of the same data to half the lifespan."""
-        key = (n, steps)
-        if key not in self._oracles:
-            u0 = self._data(n)
-            geo = ball_geometry(u0, self.r0)
-            cfg = SolverConfig(grid=self._grid(n), dt=(geo.lifespan / 2) / steps,
-                               t_end=geo.lifespan / 2, r0=self.r0, store_every=steps)
-            self._oracles[key] = eulerian_oracle(u0, cfg)
-        return self._oracles[key]
 
     def _resolutions(self):
         half = (self.n - 1) // 2 + 1
         double = 2 * (self.n - 1) + 1
         return half, self.n, double
 
-    # -- individual checks ------------------------------------------------
+    # -- individual checks, run in this order ----------------------------
 
-    def check_kernel_closed_form(self, n: int = 3001, half_width: float = 30.0) -> CheckResult:
+    @_check("bitwise collapse at q=1; closed-form sup error <= 1e-6")
+    def check_kernel_closed_form(self):
         """Collapse to the fixed-grid operators at unit stretch, and the
         exponential-profile convolution against its closed form."""
-        t0 = time.perf_counter()
-        grid = Grid(half_width, n)
+        grid = Grid(*CLOSED_FORM_GRID)
         x = grid.x
         w = GridFunction(grid, np.exp(-np.abs(x)))
-        ones = GridFunction(grid, np.ones(n))
+        ones = GridFunction(grid, np.ones(grid.n_points))
         odd, even = convected_pair(w, ones)
-        collapse_odd = bool(np.array_equal(odd.values, green_derivative(w).values))
-        collapse_even = bool(np.array_equal(even.values, helmholtz_inverse(w).values))
+        collapse = (np.array_equal(odd.values, green_derivative(w).values)
+                    and np.array_equal(even.values, helmholtz_inverse(w).values))
         exact_even = 0.5 * (1.0 + np.abs(x)) * np.exp(-np.abs(x))
         exact_odd = -np.sign(x) * 0.5 * np.abs(x) * np.exp(-np.abs(x))
         err_even = float(np.max(np.abs(even.values - exact_even)))
         err_odd = float(np.max(np.abs(odd.values - exact_odd)))
-        passed = collapse_odd and collapse_even and err_even <= 1e-6 and err_odd <= 1e-6
-        return CheckResult(
-            "kernel_closed_form", passed,
-            {"collapse_bitwise": collapse_odd and collapse_even,
-             "sup_err_even": err_even, "sup_err_odd": err_odd},
-            "bitwise collapse at q=1; closed-form sup error <= 1e-6",
-            time.perf_counter() - t0)
+        passed = collapse and err_even <= 1e-6 and err_odd <= 1e-6
+        return passed, {"collapse_bitwise": collapse,
+                        "sup_err_even": err_even, "sup_err_odd": err_odd}
 
-    def check_fast_vs_direct(self, n: int = 1501, pairs: int = 20) -> CheckResult:
+    @_check("relative sup disagreement <= 1e-10")
+    def check_fast_vs_direct(self):
         """O(N) sweeps against the O(N^2) oracle on randomized data."""
-        t0 = time.perf_counter()
-        grid = Grid(20.0, n)
+        grid = Grid(20.0, DIRECT_N)
         x = grid.x
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         worst = 0.0
         h = grid.h
-        for _ in range(pairs):
+        for _ in range(DIRECT_PAIRS):
             envelope = np.exp(-0.5 * (x / 8.0) ** 2)
             w = envelope * sum(c * np.cos((k + 1) * 0.4 * x + p)
                                for k, (c, p) in enumerate(zip(rng.normal(size=5),
@@ -174,15 +184,11 @@ class VerificationSuite:
             rel_o = np.max(np.abs(fo - do)) / max(np.max(np.abs(do)), 1e-300)
             rel_e = np.max(np.abs(fe - de)) / max(np.max(np.abs(de)), 1e-300)
             worst = max(worst, rel_o, rel_e)
-        return CheckResult(
-            "fast_vs_direct", worst <= 1e-10,
-            {"pairs": pairs, "worst_rel_disagreement": worst},
-            "relative sup disagreement <= 1e-10",
-            time.perf_counter() - t0)
+        return worst <= 1e-10, {"pairs": DIRECT_PAIRS, "worst_rel_disagreement": worst}
 
-    def check_lifespan_arithmetic(self) -> CheckResult:
+    @_check("T = 9/(100 r) exactly; zero data gives 9/110; r0 = 1/9 rejected")
+    def check_lifespan_arithmetic(self):
         """The contraction constants and guaranteed lifespan, exactly."""
-        t0 = time.perf_counter()
         grid = Grid(10.0, 101)
         zero = GridFunction(grid, np.zeros(101))
         geo0 = ball_geometry(zero, 0.1)
@@ -196,18 +202,15 @@ class VerificationSuite:
         except ValueError:
             rejected = True
         passed = exact_T and exact_L and t_err <= 1e-16 and half_L <= 1e-16 and rejected
-        return CheckResult(
-            "lifespan_arithmetic", passed,
-            {"T_zero_data": geo0.lifespan, "err_vs_9_110": t_err,
-             "T_equals_1_over_2L": half_L, "r0_at_bound_rejected": rejected},
-            "T = 9/(100 r) exactly; zero data gives 9/110; r0 = 1/9 rejected",
-            time.perf_counter() - t0)
+        return passed, {"T_zero_data": geo0.lifespan, "err_vs_9_110": t_err,
+                        "T_equals_1_over_2L": half_L, "r0_at_bound_rejected": rejected}
 
-    def check_flow_map_bounds(self) -> CheckResult:
+    @_check("slopes within 1 -+ (3/2) r t; saturated map >= 173/200, "
+            "inverse in [200/227, 200/173]")
+    def check_flow_map_bounds(self):
         """Forward and inverse slope bands for the canonical run, plus the
         synthetically saturated extreme map."""
-        t0 = time.perf_counter()
-        traj = self.run(self.n, self.steps)
+        traj = self.run(self.n, STEPS)
         geo = traj.geometry
         ok_run = True
         try:
@@ -217,7 +220,7 @@ class VerificationSuite:
         except FlowMapError:
             ok_run = False
         # map with slope pinned at the extreme value reached when r|t| = 9/100
-        grid = self._grid(1001)
+        grid = Grid(self.config.grid.half_width, 1001)
         t_sat = 0.09 / geo.r
         sat = FlowMap(grid, (173.0 / 200.0) * grid.x, t_sat)
         smin = float(np.min(map_slopes(sat)))
@@ -225,47 +228,36 @@ class VerificationSuite:
         sat_ok = (smin >= 173.0 / 200.0 - 1e-3
                   and inv_lo >= 200.0 / 227.0 - 1e-3
                   and inv_hi <= 200.0 / 173.0 + 1e-3)
-        return CheckResult(
-            "flow_map_bounds", ok_run and sat_ok,
-            {"run_in_band": ok_run, "saturated_min_slope": smin,
-             "saturated_inverse_range": (round(inv_lo, 9), round(inv_hi, 9))},
-            "slopes within 1 -+ (3/2) r t; saturated map >= 173/200, inverse in [200/227, 200/173]",
-            time.perf_counter() - t0)
+        return ok_run and sat_ok, {
+            "run_in_band": ok_run, "saturated_min_slope": smin,
+            "saturated_inverse_range": (round(inv_lo, 9), round(inv_hi, 9))}
 
-    def check_size_estimate(self) -> CheckResult:
+    @_check("sup_t (sup|u| + sup|ux|) <= 2 |u0|_C1 (1 + 1e-2)")
+    def check_size_estimate(self):
         """The solution never exceeds twice the size of the data."""
-        t0 = time.perf_counter()
-        traj = self.run(self.n, self.steps)
+        traj = self.run(self.n, STEPS)
         u0_c1 = c1_norm(self._data(self.n))
         worst = 0.0
         for snap, in _pull_back(traj.states):
             worst = max(worst, sup_norm(snap.u) + sup_norm(snap.ux))
         bound = 2.0 * u0_c1 * (1.0 + 1e-2)
-        return CheckResult(
-            "size_estimate", worst <= bound,
-            {"sup_c1_over_time": worst, "bound": bound},
-            "sup_t (sup|u| + sup|ux|) <= 2 |u0|_C1 (1 + 1e-2)",
-            time.perf_counter() - t0)
+        return worst <= bound, {"sup_c1_over_time": worst, "bound": bound}
 
-    def check_chain_rule(self) -> CheckResult:
+    @_check("defect <= 1e-3 and >= 3.5x decay when h is halved")
+    def check_chain_rule(self):
         """Compatibility of the carried slope with the spatial derivative,
         and its second-order decay under grid refinement."""
-        t0 = time.perf_counter()
         _, n, double = self._resolutions()
-        d_n = chain_rule_defect(self.run(n, self.steps).final)
-        d_2n = chain_rule_defect(self.run(double, self.steps).final)
+        d_n = chain_rule_defect(self.run(n, STEPS).final)
+        d_2n = chain_rule_defect(self.run(double, STEPS).final)
         ratio = math.inf if d_n <= _CONVERGED else d_n / max(d_2n, 1e-300)
         passed = d_n <= 1e-3 and ratio >= 3.5
-        return CheckResult(
-            "chain_rule", passed,
-            {"defect": d_n, "halving_ratio": ratio},
-            "defect <= 1e-3 and >= 3.5x decay when h is halved",
-            time.perf_counter() - t0)
+        return passed, {"defect": d_n, "halving_ratio": ratio}
 
-    def check_conservation_drift(self) -> CheckResult:
+    @_check("relative drift <= 1e-5 each, decreasing under refinement")
+    def check_conservation_drift(self):
         """Drift of the three invariants over the run, decreasing under
         refinement (or already at the convergence floor)."""
-        t0 = time.perf_counter()
         half, n, _ = self._resolutions()
 
         def drifts(nn, steps):
@@ -274,18 +266,16 @@ class VerificationSuite:
             eT = conserved(reconstruct(traj.final).u).as_array()
             return np.abs(eT - e0) / np.maximum(np.abs(e0), 1e-3)
 
-        d_coarse = drifts(half, self.steps // 2)
-        d_fine = drifts(n, self.steps)
+        d_coarse = drifts(half, STEPS // 2)
+        d_fine = drifts(n, STEPS)
         small = bool(np.all(d_fine <= 1e-5))
         shrinking = bool(np.all((d_fine <= d_coarse) | (d_fine <= 1e-6)))
-        return CheckResult(
-            "conservation_drift", small and shrinking,
-            {"drift_e1": float(d_fine[0]), "drift_e2": float(d_fine[1]),
-             "drift_e3": float(d_fine[2]), "shrinking": shrinking},
-            "relative drift <= 1e-5 each, decreasing under refinement",
-            time.perf_counter() - t0)
+        return small and shrinking, {
+            "drift_e1": float(d_fine[0]), "drift_e2": float(d_fine[1]),
+            "drift_e3": float(d_fine[2]), "shrinking": shrinking}
 
-    def check_oracle_agreement(self) -> CheckResult:
+    @_check("sup distance at T/2 <= 1e-3, empirical order >= 1.8")
+    def check_oracle_agreement(self):
         """Characteristic route against the physical-space oracle at half
         the lifespan, with the empirical convergence order of the gap.
 
@@ -295,50 +285,44 @@ class VerificationSuite:
         derivative kinks at the crest would otherwise wander with the
         in-cell phase and spoil the order fit.
         """
-        t0 = time.perf_counter()
         half, n, double = self._resolutions()
         dists, hs = [], []
-        for nn, steps in ((half, self.steps // 2), (n, self.steps), (double, 2 * self.steps)):
+        for nn, steps in ((half, STEPS // 2), (n, STEPS), (double, 2 * STEPS)):
             traj = self.run(nn, steps)
-            mid = traj.state_at(traj.geometry.lifespan / 2)
-            u_lag = reconstruct(mid, smooth=True).u
-            u_eul = self.oracle(nn, steps).final.u
+            t_half = traj.geometry.lifespan / 2
+            u_lag = reconstruct(traj.state_at(t_half), smooth=True).u
+            cfg = SolverConfig(grid=u_lag.grid, dt=t_half / steps, t_end=t_half,
+                               r0=self.config.r0, store_every=steps)
+            u_eul = eulerian_oracle(self._data(nn), cfg).final.u
             dists.append(float(np.max(np.abs(u_lag.values - u_eul.values))))
-            hs.append(self._grid(nn).h)
+            hs.append(u_lag.grid.h)
         order = _fit_order(hs, dists)
         passed = dists[1] <= 1e-3 and order >= 1.8
-        return CheckResult(
-            "oracle_agreement", passed,
-            {"sup_distance": dists[1], "order": order},
-            "sup distance at T/2 <= 1e-3, empirical order >= 1.8",
-            time.perf_counter() - t0)
+        return passed, {"sup_distance": dists[1], "order": order}
 
-    def check_pde_residual(self) -> CheckResult:
+    @_check("residual <= 1e-3, joint order >= 1.8, corner-profile residual <= 1e-6")
+    def check_pde_residual(self):
         """Interior residual of the reconstruction, its joint-refinement
         order, and the corner-profile residual that isolates the kernel."""
-        t0 = time.perf_counter()
         half, n, _ = self._resolutions()
 
         def mid_residual(nn, steps):
             traj = self.run(nn, steps)
             return pde_residual(traj, traj.geometry.lifespan / 2)
 
-        r_coarse = mid_residual(half, self.steps // 2)
-        r_fine = mid_residual(n, self.steps)
+        r_coarse = mid_residual(half, STEPS // 2)
+        r_fine = mid_residual(n, STEPS)
         order = (math.inf if r_coarse <= _CONVERGED
                  else math.log2(r_coarse / max(r_fine, 1e-300)))
         corner = peakon_residual(0.0, Grid(40.0, 4001))
         passed = r_fine <= 1e-3 and order >= 1.8 and corner <= 1e-6
-        return CheckResult(
-            "pde_residual", passed,
-            {"residual": r_fine, "joint_order": order, "corner_profile_residual": corner},
-            "residual <= 1e-3, joint order >= 1.8, corner-profile residual <= 1e-6",
-            time.perf_counter() - t0)
+        return passed, {"residual": r_fine, "joint_order": order,
+                        "corner_profile_residual": corner}
 
-    def check_slope_ode_closed_form(self) -> CheckResult:
+    @_check("global error order >= 3.8 against the separable closed form")
+    def check_slope_ode_closed_form(self):
         """Degenerate flat-profile system against its separable solution,
         confirming fourth-order time accuracy."""
-        t0 = time.perf_counter()
         grid = Grid(5.0, 101)
         v0, t_end = 0.3, 0.4
         errs = []
@@ -358,23 +342,19 @@ class VerificationSuite:
             errs.append(max(float(np.max(np.abs(state.v.values - v_exact))),
                             float(np.max(np.abs(state.q.values - q_exact)))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-        passed = min(orders) >= 3.8
-        return CheckResult(
-            "slope_ode_closed_form", passed,
-            {"errors": tuple(f"{e:.2e}" for e in errs), "min_order": min(orders)},
-            "global error order >= 3.8 against the separable closed form",
-            time.perf_counter() - t0)
+        return min(orders) >= 3.8, {"errors": tuple(f"{e:.2e}" for e in errs),
+                                    "min_order": min(orders)}
 
-    def check_continuity(self, n: int | None = None) -> CheckResult:
+    @_check("ratio variation <= 20% over 3 decades; exponent >= (1 - alpha) - 0.1")
+    def check_continuity(self):
         """Lipschitz stability in the sup norm and the interpolated-space
         scaling of the data-to-solution map."""
-        t0 = time.perf_counter()
-        n = n if n is not None else min(self.n, 1001)
-        grid = self._grid(n)
-        u0 = gaussian(grid, a=self.amplitude, sigma=self.sigma)
-        geo = ball_geometry(u0, self.r0)
+        n = min(self.n, SMALL_N)
+        u0 = self._data(n)
+        grid = u0.grid
+        geo = ball_geometry(u0, self.config.r0)
         cfg = SolverConfig(grid=grid, dt=geo.lifespan / 200, t_end=geo.lifespan,
-                           r0=self.r0, store_every=10)
+                           r0=self.config.r0, store_every=10)
         pert = GridFunction(grid, np.exp(-((grid.x - 1.0) ** 2)))
         eps = [2e-2, 6.3e-3, 2e-3, 6.3e-4, 2e-4, 6.3e-5, 2e-5]
         alphas = [0.25, 0.5, 0.75]
@@ -382,28 +362,23 @@ class VerificationSuite:
         ratios = np.asarray(report.lipschitz_ratios)
         variation = float((ratios.max() - ratios.min()) / ratios.max())
         exp_ok = all(report.fitted_exponent[a] >= (1.0 - a) - 0.1 for a in alphas)
-        passed = variation <= 0.2 and exp_ok
-        return CheckResult(
-            "continuity", passed,
-            {"lipschitz_ratio_max": report.lipschitz_ratio_max,
-             "ratio_variation": variation,
-             **{f"exponent_alpha_{a}": report.fitted_exponent[a] for a in alphas}},
-            "ratio variation <= 20% over 3 decades; exponent >= (1 - alpha) - 0.1",
-            time.perf_counter() - t0)
+        return variation <= 0.2 and exp_ok, {
+            "lipschitz_ratio_max": report.lipschitz_ratio_max,
+            "ratio_variation": variation,
+            **{f"exponent_alpha_{a}": report.fitted_exponent[a] for a in alphas}}
 
-    def check_lipschitz_sampling(self, pairs: int = 100) -> CheckResult:
+    @_check("difference quotient <= (50/9) r + 0.5 over random ball pairs")
+    def check_lipschitz_sampling(self):
         """Difference quotients of the right-hand side over random state
         pairs in the admissible ball, against the proven constant."""
-        t0 = time.perf_counter()
-        n = min(self.n, 1001)
-        grid = self._grid(n)
-        x = grid.x
-        h = grid.h
-        u0 = gaussian(grid, a=self.amplitude, sigma=self.sigma)
+        n = min(self.n, SMALL_N)
+        u0 = self._data(n)
+        x = u0.grid.x
+        h = u0.grid.h
         v0 = derivative_values(u0.values, h)
-        geo = ball_geometry(u0, self.r0)
+        geo = ball_geometry(u0, self.config.r0)
         bound = geo.lipschitz_const + 0.5
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         envelope = np.exp(-0.5 * (x / 4.0) ** 2)
 
         def wiggle(scale):
@@ -421,15 +396,11 @@ class VerificationSuite:
                     + np.max(np.abs(d[1])) + np.max(np.abs(d[2])))
 
         worst = 0.0
-        for _ in range(pairs):
+        for _ in range(LIPSCHITZ_PAIRS):
             y1, y2 = rand_state(), rand_state()
             dk = _rhs_arrays(y1, h, DEFAULT_Q_FLOOR) - _rhs_arrays(y2, h, DEFAULT_Q_FLOOR)
             worst = max(worst, float(ball_norm(dk) / ball_norm(y1 - y2)))
-        return CheckResult(
-            "lipschitz_sampling", worst <= bound,
-            {"pairs": pairs, "worst_ratio": worst, "bound": bound},
-            "difference quotient <= (50/9) r + 0.5 over random ball pairs",
-            time.perf_counter() - t0)
+        return worst <= bound, {"pairs": LIPSCHITZ_PAIRS, "worst_ratio": worst, "bound": bound}
 
     # -- driver -----------------------------------------------------------
 
@@ -437,17 +408,5 @@ class VerificationSuite:
         return [getattr(self, f"check_{name}")() for name in CHECK_NAMES]
 
 
-CHECK_NAMES = (
-    "kernel_closed_form",
-    "fast_vs_direct",
-    "lifespan_arithmetic",
-    "flow_map_bounds",
-    "size_estimate",
-    "chain_rule",
-    "conservation_drift",
-    "oracle_agreement",
-    "pde_residual",
-    "slope_ode_closed_form",
-    "continuity",
-    "lipschitz_sampling",
-)
+CHECK_NAMES = tuple(name.removeprefix("check_") for name in vars(VerificationSuite)
+                    if name.startswith("check_"))

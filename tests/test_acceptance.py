@@ -8,13 +8,15 @@ module-scoped suite.
 
 import pytest
 
+from fwsolver.grid import Grid
+from fwsolver.lagrangian import SolverConfig
 from fwsolver.verification import VerificationSuite
 
 
 @pytest.fixture(scope="module")
 def suite():
-    return VerificationSuite(n=2001, half_width=20.0, amplitude=0.1,
-                             sigma=1.0, r0=0.1, steps=400)
+    return VerificationSuite(SolverConfig(grid=Grid(20.0, 2001), r0=0.1),
+                             "gaussian:a=0.1,sigma=1")
 
 
 def _report(result, max_runtime=None):
@@ -28,12 +30,12 @@ def _report(result, max_runtime=None):
 
 def test_criterion_01_kernel_collapse_and_closed_form(suite):
     # q = 1 collapse bitwise; exponential closed form to 1e-6 on X=30, n=3001
-    _report(suite.check_kernel_closed_form(n=3001, half_width=30.0), max_runtime=1.0)
+    _report(suite.check_kernel_closed_form(), max_runtime=1.0)
 
 
 def test_criterion_02_fast_path_vs_direct_oracle(suite):
     # 20 randomized pairs with stretch in [0.9, 1.1], relative gap <= 1e-10
-    _report(suite.check_fast_vs_direct(pairs=20), max_runtime=30.0)
+    _report(suite.check_fast_vs_direct(), max_runtime=30.0)
 
 
 def test_criterion_03_lifespan_and_ball_arithmetic(suite):
@@ -88,4 +90,4 @@ def test_criterion_11_continuity_of_data_to_solution(suite):
 
 def test_criterion_12_lipschitz_constant_sampling(suite):
     # 100 random state pairs in the ball: quotient <= (50/9) r + 0.5
-    _report(suite.check_lipschitz_sampling(pairs=100))
+    _report(suite.check_lipschitz_sampling())

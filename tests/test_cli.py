@@ -11,10 +11,11 @@ import fwsolver.cli
 import fwsolver.flowmap
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, ConfigError, main)
-from fwsolver.grid import read_csv
+from fwsolver.grid import read_csv, write_csv
 from fwsolver.lagrangian import SolverConfig
-from fwsolver.profiles import gaussian
+from fwsolver.profiles import gaussian, sech2
 from fwsolver.grid import Grid
+from fwsolver.verification import VerificationSuite
 
 
 SOLVE_ARGS = ["solve", "--profile", "gaussian:a=0.1,sigma=1",
@@ -176,6 +177,10 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     assert "breach" in capsys.readouterr().err
 
 
+VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
+                  ("--boundary-tol", "1e-5"), ("--guard", "warn"), ("--store-every", "5")]
+
+
 @pytest.mark.parametrize("argv, code, prefix", [
     (["solve", "--X", "10", "--n", "201", "--dt", "inf"],
      EXIT_CONFIG, "error: dt must be positive and finite"),
@@ -196,8 +201,15 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     # verify validates the common flags like the other subcommands
     (["verify", "--X", "10", "--n", "201", "--dt", "inf"],
      EXIT_CONFIG, "error: dt must be positive and finite"),
+    (["verify", "--X", "10", "--n", "201", "--r0", "0.2"],
+     EXIT_CONFIG, "error: ball radius must satisfy 0 < r0 < 1/9"),
+    # and rejects every setting besides X, n, r0 and the profile
+    *[(["verify", "--X", "10", "--n", "201", flag, value],
+       EXIT_CONFIG, "error: verify uses only X, n_points, r0 and the profile")
+      for flag, value in VERIFY_REJECTS],
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
-        "non-finite", "verify-dt-inf"])
+        "non-finite", "verify-dt-inf", "verify-r0",
+        *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS]])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(argv, tmp_path, monkeypatch)[0] == code
@@ -306,6 +318,29 @@ def test_verify_coarse_grid_fails_informatively(tmp_path, monkeypatch, capsys):
     for entry in failed.values():
         assert entry["measured"]  # margins reported
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["--config", "run.cfg"], "error: verify uses only X, n_points, r0 and the profile"),
+    # a CSV holds one grid, and the battery also runs at half and double n
+    (["--X", "10", "--n", "201", "--profile", "from_csv:path=u0.csv"], "error: csv grid "),
+], ids=["config-dt", "csv-profile"])
+def test_verify_rejects_file_settings_before_any_check(argv, prefix, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("X = 10\nn_points = 201\ndt = 1e-3\n")
+    write_csv(gaussian(Grid(10.0, 201)), tmp_path / "u0.csv")
+    assert run(["verify", *argv], tmp_path, monkeypatch)[0] == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(prefix) and printed.err.count("\n") == 1
+
+
+def test_verify_suite_runs_on_the_given_profile():
+    grid = Grid(20.0, 201)
+    suite = VerificationSuite(SolverConfig(grid=grid), "sech2:a=0.05,k=1")
+    traj = suite.run(201, 10)
+    assert np.array_equal(traj.states[0].w.values, sech2(grid, a=0.05, k=1).values)
 
 
 def test_verify_zero_data_passes_trivially(tmp_path, monkeypatch):

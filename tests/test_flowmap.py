@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -5,9 +7,9 @@ from scipy.interpolate import CubicSpline
 import fwsolver.flowmap
 from fwsolver.grid import Grid, GridFunction, derivative, interpolate_many
 from fwsolver.lagrangian import (LagrangianState, SolverConfig, ball_geometry,
-                                 integrate)
-from fwsolver.flowmap import (FlowMap, FlowMapError, OutOfImageError, _pull_back, flow_map,
-                              inverse_slope_bounds, invert, invert_many,
+                                 initial_state, integrate)
+from fwsolver.flowmap import (FlowMap, FlowMapError, _pull_back, flow_map,
+                              inverse_slope_bounds, invert_many,
                               map_slopes, reconstruct, slope_bounds)
 from fwsolver.profiles import gaussian
 
@@ -56,16 +58,20 @@ def test_flow_map_rejects_nonmonotone():
 def test_invert_identity_and_nodes_exact():
     grid = Grid(10.0, 101)
     fmap = flow_map(rest_state(grid))
-    for i in (0, 31, 100):
-        assert invert(fmap, float(grid.x[i])) == grid.x[i]  # bitwise
-    assert invert(fmap, 0.123) == pytest.approx(0.123, abs=1e-15)
+    nodes = grid.x[[0, 31, 100]]
+    labels, inside = invert_many(fmap, np.append(nodes, 0.123))
+    assert np.all(inside)
+    assert np.array_equal(labels[:3], nodes)  # bitwise
+    assert labels[3] == pytest.approx(0.123, abs=1e-15)
 
 
 def test_invert_affine_map_exactly():
     grid = Grid(10.0, 101)
     fmap = FlowMap(grid, 1.1 * grid.x, t=0.05)
-    for x in (-10.9, -3.3, 0.0, 7.77):
-        assert invert(fmap, x) == pytest.approx(x / 1.1, abs=1e-13)
+    xs = np.array([-10.9, -3.3, 0.0, 7.77])
+    labels, inside = invert_many(fmap, xs)
+    assert np.all(inside)
+    assert labels == pytest.approx(xs / 1.1, abs=1e-13)
 
 
 def test_invert_round_trip_everywhere():
@@ -86,8 +92,7 @@ def test_invert_round_trip_everywhere():
 def test_invert_out_of_image():
     grid = Grid(1.0, 11)
     fmap = flow_map(rest_state(grid))
-    with pytest.raises(OutOfImageError):
-        invert(fmap, 1.5)
+    assert invert_many(fmap, [1.5])[1].tolist() == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +180,16 @@ def test_reconstruct_matches_per_column_interpolants_bitwise():
 def test_reconstruct_zero_solution():
     snap = reconstruct(rest_state(Grid(10.0, 101), t=0.3))
     assert np.all(snap.u.values == 0.0) and np.all(snap.ux.values == 0.0)
+
+
+def test_reconstruct_gaussian_tail_warns_nothing():
+    # the tail's secants are subnormal, so PCHIP's harmonic mean divides into
+    # an overflow; 1/inf = 0 is the right slope and no warning is due
+    grid = Grid(40.0, 4001)
+    state = initial_state(gaussian(grid), SolverConfig(grid=grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reconstruct(state)
 
 
 def test_reconstruct_two_slope_routes_agree():

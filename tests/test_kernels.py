@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from fwsolver.grid import Grid, GridFunction, derivative
 from fwsolver.kernels import (DEFAULT_Q_FLOOR, MonotonicityError, _block_shape,
                               convected_pair, cumulative_flow_values, green_derivative,
-                              helmholtz_inverse)
+                              helmholtz_inverse, kernel_pair_direct)
 
 
 def gf(half_width, n, fn):
@@ -147,10 +147,10 @@ def test_fast_matches_direct_randomized():
                                       for k, (c, p) in enumerate(
                                           zip(rng.normal(size=4), rng.uniform(0, 6, 4)))))
         q = GridFunction(g, 1.0 + 0.1 * np.sin(rng.uniform(0.2, 0.8) * x + rng.uniform(0, 6)))
-        fo, fe = convected_pair(w, q, method="fast")
-        do, de = convected_pair(w, q, method="direct")
+        fo, fe = convected_pair(w, q)
+        do, de = kernel_pair_direct(w.values, cumulative_flow_values(q.values, g.h))
         for a, b in ((fo, do), (fe, de)):
-            rel = np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
+            rel = np.max(np.abs(a.values - b)) / np.max(np.abs(b))
             assert rel <= 1e-10
 
 
@@ -187,10 +187,10 @@ def test_blocked_sweep_examples_cover_layouts():
 @example(*LAYOUT_EXAMPLES[3])
 def test_blocked_sweep_matches_direct(n, half_width, seed):
     w, q = random_pair(n, half_width, seed)
-    fast = convected_pair(w, q, method="fast")
-    direct = convected_pair(w, q, method="direct")
+    fast = convected_pair(w, q)
+    direct = kernel_pair_direct(w.values, cumulative_flow_values(q.values, q.grid.h))
     for a, b in zip(fast, direct):
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
+        assert np.max(np.abs(a.values - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def naive_quadrature_pair(w, q):
@@ -253,10 +253,10 @@ def test_coarse_grid_stability():
     g = Grid(50.0, 21)
     w = GridFunction(g, np.exp(-0.01 * g.x ** 2))
     q = GridFunction(g, np.ones(21))
-    fo, fe = convected_pair(w, q, method="fast")
-    do, de = convected_pair(w, q, method="direct")
+    fo, fe = convected_pair(w, q)
+    do, de = kernel_pair_direct(w.values, cumulative_flow_values(q.values, g.h))
     assert np.all(np.isfinite(fo.values)) and np.all(np.isfinite(fe.values))
-    assert np.max(np.abs(fe.values - de.values)) <= 1e-10 * np.max(np.abs(de.values))
+    assert np.max(np.abs(fe.values - de)) <= 1e-10 * np.max(np.abs(de))
 
 
 def test_floor_guard_propagates():
@@ -267,9 +267,4 @@ def test_floor_guard_propagates():
     with pytest.raises(MonotonicityError):
         convected_pair(w, GridFunction(g, qv))
 
-
-def test_unknown_method_rejected():
-    f = gf(5.0, 101, np.cos)
-    with pytest.raises(ValueError):
-        convected_pair(f, ones_like(f), method="magic")
 
