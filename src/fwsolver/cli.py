@@ -13,12 +13,12 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .grid import Grid, write_columns, write_csv
-from .lagrangian import (GUARD_MODES, GuardBreach, InitialDataError, SolverConfig,
-                         _time_steps, ball_geometry, integrate)
+from .lagrangian import (GUARD_MODES, GuardBreach, SolverConfig, _time_steps, ball_geometry,
+                         integrate)
 from .flowmap import flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
@@ -29,9 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
-
-class ConfigError(ValueError):
-    pass
 
 
 def time_or_auto(val: str) -> float | None:
@@ -67,21 +64,21 @@ def _parse_config_file(path: str) -> dict:
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as err:
-        raise ConfigError(f"{path}: {err}") from None
+        raise ValueError(f"{path}: {err}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         name, parse = _CONFIG_KEYS[key]
         try:
             out[name] = parse(val)
         except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {err}") from None
     return out
 
 
@@ -134,9 +131,7 @@ def _cmd_solve(args) -> int:
         write_flowmap_csv(flow_map(traj.states[i]), out / f"flowmap_{i:05d}.csv")
     write_series_csv(series, out / "series.csv")
     (out / "geometry.json").write_text(json.dumps({
-        "r0": geometry.r0, "state_norm": geometry.state_norm, "r": geometry.r,
-        "lipschitz_const": geometry.lipschitz_const, "lifespan": geometry.lifespan,
-        "lifespan_naive": geometry.lifespan_naive, "t_end": _time_steps(cfg, geometry)[0],
+        **asdict(geometry), "t_end": _time_steps(cfg, geometry)[0],
         "n_points": grid.n_points, "half_width": grid.half_width,
     }, indent=2, sort_keys=True))
     if traj.breach is not None:
@@ -199,10 +194,7 @@ def _cmd_breaking(args) -> int:
     cfg, profile, out = _run_description(args)
     report = wave_breaking_probe(make_profile(profile, cfg.grid), cfg, t_max=args.t_max)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "breaking.json").write_text(json.dumps({
-        "breach_time": report.breach_time, "breach_x": report.breach_x,
-        "t_max": report.t_max, "min_q_final": report.min_q_final,
-    }, indent=2, sort_keys=True))
+    (out / "breaking.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
     if report.breach_time is None:
         print(f"no breaking up to t = {report.t_max:.6g} (min q = {report.min_q_final:.6g})")
     else:
@@ -263,7 +255,7 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.run(args)
-    except (ConfigError, InitialDataError, ValueError) as err:
+    except ValueError as err:  # bad settings or data, InitialDataError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardBreach as err:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -18,14 +19,14 @@ from numpy.typing import NDArray
 from .grid import (Grid, GridFunction, _trapezoid, derivative_values, holder_seminorm,
                    quadrature, sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
-from .lagrangian import SolverConfig, Trajectory, _rk4, _time_steps, ball_geometry, integrate
+from .lagrangian import (SolverConfig, Trajectory, _norm, _rk4, _time_steps, ball_geometry,
+                         integrate)
 from .flowmap import EulerianSnapshot, _pull_back
 
 __all__ = [
     "ConservedTriple",
     "ContinuityReport",
     "BreakingReport",
-    "OracleTrajectory",
     "conserved",
     "pde_residual",
     "eulerian_oracle",
@@ -38,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConservedTriple:
+class ConservedTriple(NamedTuple):
     """The three invariant integrals monitored along runs.
 
     ``e3`` is the cubic-corrected quadratic ``int(u * S(u) - u^3/2)`` with
@@ -51,9 +51,6 @@ class ConservedTriple:
     e1: float
     e2: float
     e3: float
-
-    def as_array(self) -> NDArray[np.float64]:
-        return np.array([self.e1, self.e2, self.e3])
 
 
 def conserved(u: GridFunction) -> ConservedTriple:
@@ -69,7 +66,11 @@ def conserved(u: GridFunction) -> ConservedTriple:
         )
 
 
-def pde_residual(traj: Trajectory, t: float, interior_margin: float = 2.0) -> float:
+#: pde_residual's sup skips the nodes this close to the domain ends
+RESIDUAL_MARGIN = 2.0
+
+
+def pde_residual(traj: Trajectory, t: float) -> float:
     """Sup of the evolution-equation residual of the reconstruction near ``t``.
 
     The time derivative is a central difference of the reconstructed
@@ -82,17 +83,17 @@ def pde_residual(traj: Trajectory, t: float, interior_margin: float = 2.0) -> fl
     floor that has nothing to do with the solution.
 
     ``t`` must have stored neighbors on both sides; the sup runs over
-    nodes at least ``interior_margin`` inside the domain ends.
+    nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
     """
     times = np.asarray(traj.times)
     i = int(np.argmin(np.abs(times - t)))
     if i == 0 or i == times.size - 1:
         raise ValueError(f"t={t} has no stored neighbors on both sides")
     window = [snap for snap, in _pull_back(traj.states[i - 1:i + 2], (True,))]
-    return _residual(window, times[i - 1:i + 2], interior_margin)
+    return _residual(window, times[i - 1:i + 2])
 
 
-def _residual(window, times, interior_margin: float = 2.0) -> float:
+def _residual(window, times) -> float:
     """:func:`pde_residual` at the middle of three consecutive C2 snapshots
     stored at ``times``; raises ``ValueError`` unless they are equispaced."""
     sm, s0, sp = window
@@ -104,25 +105,13 @@ def _residual(window, times, interior_margin: float = 2.0) -> float:
     nonlocal_term = green_derivative(s0.u).values
     res = u_t + 1.5 * s0.u.values * s0.ux.values - nonlocal_term
     grid = s0.u.grid
-    interior = np.abs(grid.x) <= grid.half_width - interior_margin
+    interior = np.abs(grid.x) <= grid.half_width - RESIDUAL_MARGIN
     return float(np.max(np.abs(res[interior])))
 
 
 # ---------------------------------------------------------------------------
 # independent physical-space oracle
 # ---------------------------------------------------------------------------
-
-@dataclass
-class OracleTrajectory:
-    """Stored physical-space snapshots, same schema as the reconstruction."""
-
-    times: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # of EulerianSnapshot
-
-    @property
-    def final(self):
-        return self.snapshots[-1]
-
 
 def _upwind_flux_derivative(u: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     """Second-order upwind-biased difference of the flux ``(3/4) u^2``.
@@ -140,8 +129,10 @@ def _upwind_flux_derivative(u: NDArray[np.float64], h: float) -> NDArray[np.floa
 
 def eulerian_oracle(u0: GridFunction, config: SolverConfig,
                     with_nonlocal_term: bool = True,
-                    frozen_speed: float | None = None) -> OracleTrajectory:
-    """Method-of-lines solve of the physical-space equation, for cross-checks.
+                    frozen_speed: float | None = None) -> list:
+    """Method-of-lines solve of the physical-space equation, for cross-checks;
+    returns the stored :class:`EulerianSnapshot` of every ``store_every``-th
+    step, the first at ``t = 0`` and the last at ``t_end``.
 
     Deliberately a different discretization family from the solver:
     upwind-biased flux differences plus the fixed-grid kernel operator.
@@ -180,13 +171,12 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig,
                                                 derivative_values(vals, h)))
 
     u = u0.values.copy()
-    traj = OracleTrajectory(times=[0.0], snapshots=[snapshot(0.0, u)])
+    snapshots = [snapshot(0.0, u)]
     for s in range(n_steps):
         u = _rk4(rhs_arrays, u, dt)
         if (s + 1) % config.store_every == 0 or s + 1 == n_steps:
-            traj.times.append((s + 1) * dt)
-            traj.snapshots.append(snapshot((s + 1) * dt, u))
-    return traj
+            snapshots.append(snapshot((s + 1) * dt, u))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +201,7 @@ def peakon(t: float, grid: Grid) -> GridFunction:
     return GridFunction(grid, PEAKON_AMPLITUDE * np.exp(-0.5 * np.abs(grid.x - crest)))
 
 
-def peakon_residual(t: float, grid: Grid, exclude_nodes: int = 1,
-                    interior_margin: float = 10.0) -> float:
+def peakon_residual(t: float, grid: Grid) -> float:
     """Residual of the exact peaked wave with all local terms analytic.
 
     The evolution is invariant under ``(x, t, u) -> (x, -t, -u)`` together
@@ -222,8 +211,8 @@ def peakon_residual(t: float, grid: Grid, exclude_nodes: int = 1,
     Every term of that identity except the kernel integral is analytic
     here, so this residual isolates the accuracy of
     :func:`green_derivative` on data with a corner, independent of any
-    time stepping.  The crest node (where the slope does not exist) and
-    ``exclude_nodes`` neighbors either side are skipped.
+    time stepping.  The crest node (where the slope does not exist), its
+    two neighbors and the nodes within 10 of the domain ends are skipped.
     """
     x = grid.x
     s = x - PEAKON_SPEED * t
@@ -232,11 +221,9 @@ def peakon_residual(t: float, grid: Grid, exclude_nodes: int = 1,
     u_t = 0.5 * PEAKON_SPEED * np.sign(s) * env
     u_x = -0.5 * np.sign(s) * env
     res = u_t + 1.5 * u.values * u_x + green_derivative(u).values
-    keep = np.abs(x) <= grid.half_width - interior_margin
+    keep = np.abs(x) <= grid.half_width - 10.0
     crest_idx = int(np.argmin(np.abs(s)))
-    lo = max(0, crest_idx - exclude_nodes)
-    hi = min(x.size, crest_idx + exclude_nodes + 1)
-    keep[lo:hi] = False
+    keep[max(0, crest_idx - 1):crest_idx + 2] = False
     return float(np.max(np.abs(res[keep])))
 
 
@@ -259,16 +246,9 @@ class ContinuityReport:
     lipschitz_ratios: list
 
     def to_json(self) -> str:
-        payload = {
-            "eps_values": self.eps_values,
-            "c0_data_dist": self.c0_data_dist,
-            "c0_sol_dist": self.c0_sol_dist,
-            "c1_sol_dist": self.c1_sol_dist,
-            "holder_sol_dist": {str(a): v for a, v in self.holder_sol_dist.items()},
-            "fitted_exponent": {str(a): v for a, v in self.fitted_exponent.items()},
-            "lipschitz_ratio_max": self.lipschitz_ratio_max,
-            "lipschitz_ratios": self.lipschitz_ratios,
-        }
+        payload = asdict(self)
+        for key in ("holder_sol_dist", "fitted_exponent"):
+            payload[key] = {str(a): v for a, v in payload[key].items()}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -289,10 +269,9 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
         if not (0.0 <= a < 1.0):
             raise ValueError(f"alpha must lie in [0, 1), got {a}")
     eps_values = [float(e) for e in eps_values]
-    pert_norm = (sup_norm(perturbation)
-                 + 2.0 * sup_norm(GridFunction(perturbation.grid,
-                                               derivative_values(perturbation.values,
-                                                                 perturbation.grid.h))))
+    p, h, grid = perturbation.values, perturbation.grid.h, u0.grid
+    # the norm of the initial-state difference (w, v, q) = eps (p, p', 0)
+    pert_norm = _norm(np.stack([p, derivative_values(p, h), np.zeros_like(p)]), h)
     for eps in eps_values:
         if abs(eps) * pert_norm > config.r0:
             raise ValueError(
@@ -301,37 +280,25 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
             )
 
     geometry = ball_geometry(u0, config.r0)
-    base = integrate(u0, config, geometry)
-    if base.breach is not None:
-        raise base.breach
-    base_snaps = [snap for snap, in _pull_back(base.states)]
 
-    def one_run(eps):
-        u0e = GridFunction(u0.grid, u0.values + eps * perturbation.values)
+    def solve(data):
         # perturbed data lies in the base ball, so the base lifespan applies
-        pert_traj = integrate(u0e, config, geometry)
-        if pert_traj.breach is not None:
-            raise pert_traj.breach
-        d0 = dC1 = 0.0
-        dH = {a: 0.0 for a in alphas}
-        for (sp,), sb in zip(_pull_back(pert_traj.states), base_snaps):
-            du = GridFunction(u0.grid, sp.u.values - sb.u.values)
-            dux = np.max(np.abs(sp.ux.values - sb.ux.values))
-            d0 = max(d0, sup_norm(du))
-            dC1 = max(dC1, sup_norm(du) + float(dux))
-            for a in alphas:
-                dH[a] = max(dH[a], holder_seminorm(du, a))
-        return d0, dC1, dH
+        traj = integrate(GridFunction(grid, data), config, geometry)
+        if traj.breach is not None:
+            raise traj.breach
+        return [snap for snap, in _pull_back(traj.states)]
 
-    c0_data, c0_sol, c1_sol = [], [], []
-    holder: dict = {a: [] for a in alphas}
+    base = solve(u0.values)
+    c0_data, c0_sol, c1_sol, holder = [], [], [], {a: [] for a in alphas}
     for eps in eps_values:
-        d0, dC1, dH = one_run(eps)
+        diffs = [(GridFunction(grid, sp.u.values - sb.u.values),
+                  float(np.max(np.abs(sp.ux.values - sb.ux.values))))
+                 for sp, sb in zip(solve(u0.values + eps * p), base)]
         c0_data.append(abs(eps) * sup_norm(perturbation))
-        c0_sol.append(d0)
-        c1_sol.append(dC1)
+        c0_sol.append(max(sup_norm(du) for du, _ in diffs))
+        c1_sol.append(max(sup_norm(du) + dux for du, dux in diffs))
         for a in alphas:
-            holder[a].append(dH[a])
+            holder[a].append(max(holder_seminorm(du, a) for du, _ in diffs))
 
     ratios = [s / d for s, d in zip(c0_sol, c0_data) if d > 0]
     fitted = {}

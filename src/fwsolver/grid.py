@@ -23,7 +23,6 @@ __all__ = [
     "c1_norm",
     "holder_seminorm",
     "quadrature",
-    "interpolate",
     "interpolate_many",
     "write_csv",
     "write_columns",
@@ -63,7 +62,6 @@ class GridFunction:
     """Real-valued function sampled on a :class:`Grid`.
 
     Thin wrapper around a float64 array; all values must be finite.
-    Supports ``+``, ``-`` and scalar multiplication for convenience.
     """
 
     __slots__ = ("grid", "values")
@@ -78,19 +76,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = values
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return (f"GridFunction(n={self.grid.n_points}, X={self.grid.half_width}, "
@@ -129,10 +114,10 @@ def c1_norm(f: GridFunction) -> float:
     return sup_norm(f) + sup_norm(derivative(f))
 
 
-def holder_seminorm(f: GridFunction, alpha: float, pair_budget: int = PAIR_BUDGET) -> float:
+def holder_seminorm(f: GridFunction, alpha: float) -> float:
     """max over node pairs of ``|f_i - f_j| / |x_i - x_j|^alpha``.
 
-    Exhaustive over all pairs while ``n(n-1)/2 <= pair_budget``; beyond
+    Exhaustive over all pairs while ``n(n-1)/2 <= PAIR_BUDGET``; beyond
     that, all adjacent pairs are kept (they dominate for smooth data and
     ``alpha < 1``) plus a geometric ladder of wider separations.
     """
@@ -141,7 +126,7 @@ def holder_seminorm(f: GridFunction, alpha: float, pair_budget: int = PAIR_BUDGE
     v = f.values
     n = v.size
     h = f.grid.h
-    if n * (n - 1) // 2 <= pair_budget:
+    if n * (n - 1) // 2 <= PAIR_BUDGET:
         offsets = range(1, n)
     else:
         # adjacent pairs plus separations 2, 4, 8, ... cover all scales
@@ -229,20 +214,14 @@ def _hermite(x, y, dydx, xs, extrapolate: bool):
     return out if extrapolate else np.where((xs >= x[0]) & (xs <= x[-1]), out, np.nan)
 
 
-def interpolate(f: GridFunction, x: float) -> float:
-    """Evaluate ``f`` off the grid by shape-preserving cubic interpolation.
+def interpolate_many(f: GridFunction, xs: NDArray[np.float64]):
+    """Evaluate ``f`` at the points ``xs`` off the grid by shape-preserving
+    cubic interpolation; returns ``(values, n_outside)``.
 
     Exact at nodes, reproduces affine data, and never leaves the range
-    of the two bracketing samples (no overshoot), which the flow-map
-    composition relies on.  Points outside ``[-X, X]`` evaluate to 0 by
-    the decay convention; use :func:`interpolate_many` to also count them.
+    of the two bracketing samples (no overshoot).  Points outside
+    ``[-X, X]`` evaluate to 0 by the decay convention and are counted.
     """
-    values, _ = interpolate_many(f, np.asarray([x], dtype=np.float64))
-    return float(values[0])
-
-
-def interpolate_many(f: GridFunction, xs: NDArray[np.float64]):
-    """Vectorized :func:`interpolate`; returns ``(values, n_outside)``."""
     xs = np.asarray(xs, dtype=np.float64)
     x, y = f.grid.x, f.values[:, None]
     inside = (xs >= x[0]) & (xs <= x[-1])

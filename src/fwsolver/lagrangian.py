@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, GridFunction, c1_norm, derivative, derivative_values, sup_norm
+from .grid import Grid, GridFunction, derivative, derivative_values, sup_norm
 from .kernels import (DEFAULT_Q_FLOOR, MonotonicityError, cumulative_flow_values,
                       kernel_pair_arrays)
 
@@ -45,7 +45,6 @@ __all__ = [
     "InitialDataError",
     "ball_geometry",
     "initial_state",
-    "rhs",
     "step",
     "integrate",
     "state_norm",
@@ -125,9 +124,9 @@ def ball_geometry(u0: GridFunction, r0: float = DEFAULT_BALL_RADIUS) -> BallGeom
     """Lifespan and Lipschitz constants for data ``u0`` and ball radius ``r0``."""
     if not (0.0 < r0 < MAX_BALL_RADIUS):
         raise ValueError(f"ball radius must satisfy 0 < r0 < 1/9, got {r0}")
-    du = sup_norm(derivative(u0))
-    u0_c1 = sup_norm(u0) + du
-    y0 = u0_c1 + du + 1.0  # + sup|q0| with q0 == 1
+    v0 = derivative_values(u0.values, u0.grid.h)
+    u0_c1 = sup_norm(u0) + float(np.max(np.abs(v0)))
+    y0 = _norm(np.stack([u0.values, v0, np.ones_like(v0)]), u0.grid.h)  # (w, v, q) at t = 0
     r = r0 + y0
     return BallGeometry(
         r0=r0,
@@ -221,7 +220,7 @@ def initial_state(u0: GridFunction, config: SolverConfig) -> LagrangianState:
 
 def state_norm(state: LagrangianState) -> float:
     """Product-space norm ``|w|_C1 + sup|v| + sup|q|`` (ball monitor)."""
-    return c1_norm(state.w) + sup_norm(state.v) + sup_norm(state.q)
+    return _norm(_pack(state), state.grid.h)
 
 
 def chain_rule_defect(state: LagrangianState) -> float:
@@ -238,6 +237,13 @@ def chain_rule_defect(state: LagrangianState) -> float:
 def _pack(state: LagrangianState) -> NDArray[np.float64]:
     return np.stack([state.w.values, state.v.values, state.q.values,
                      state.displacement.values])
+
+
+def _norm(y: NDArray[np.float64], h: float) -> float:
+    """``|w|_C1 + sup|v| + sup|q|`` of the packed rows ``(w, v, q, ...)``,
+    summed left to right; later rows are ignored."""
+    return float(np.max(np.abs(y[0])) + np.max(np.abs(derivative_values(y[0], h)))
+                 + np.max(np.abs(y[1])) + np.max(np.abs(y[2])))
 
 
 def _unpack(y: NDArray[np.float64], grid: Grid, t: float) -> LagrangianState:
@@ -317,12 +323,6 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
 # public operations
 # ---------------------------------------------------------------------------
 
-def rhs(state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
-    """Time derivative of a state, component by component, stamped with the
-    state's ``t``.  The rest state (0, 0, 1) is a fixed point."""
-    return _unpack(_rhs_arrays(_pack(state), state.grid.h, q_floor), state.grid, state.t)
-
-
 def step(state: LagrangianState, dt: float, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
     """Advance one RK4 step of size ``dt`` (may be negative)."""
     y = _rk4_arrays(_pack(state), state.t, dt, state.grid, q_floor)
@@ -339,7 +339,6 @@ class Trajectory:
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    config: SolverConfig | None = None
     geometry: BallGeometry | None = None
     breach: GuardBreach | None = None
 
@@ -377,7 +376,7 @@ def integrate(u0: GridFunction, config: SolverConfig,
     dt_signed = t_end / n_steps
 
     state0 = initial_state(u0, config)
-    traj = Trajectory(times=[0.0], states=[state0], config=config, geometry=geometry)
+    traj = Trajectory(times=[0.0], states=[state0], geometry=geometry)
     y = _pack(state0)
     grid = config.grid
     for s in range(n_steps):

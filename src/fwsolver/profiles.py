@@ -10,7 +10,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, read_csv
 
-__all__ = ["gaussian", "peakon_profile", "sech2", "make_profile", "parse_profile_spec"]
+__all__ = ["gaussian", "peakon_profile", "sech2", "make_profile"]
 
 
 def gaussian(grid: Grid, a: float = 0.1, sigma: float = 1.0) -> GridFunction:
@@ -87,7 +87,7 @@ def make_profile(spec: str, grid: Grid) -> GridFunction:
         if f.grid != grid:
             raise ValueError(
                 f"csv grid (X={f.grid.half_width}, n={f.grid.n_points}) does not match "
-                f"the configured grid (X={grid.half_width}, n={grid.n_points})"
+                f"the requested grid (X={grid.half_width}, n={grid.n_points})"
             )
         return f
     raise ValueError(f"unknown profile {name!r}; "

@@ -21,7 +21,7 @@ from .grid import Grid, GridFunction, c1_norm, derivative_values, sup_norm
 from .kernels import (DEFAULT_Q_FLOOR, convected_pair, cumulative_flow_values,
                       green_derivative, helmholtz_inverse, kernel_pair_arrays,
                       kernel_pair_direct)
-from .lagrangian import (LagrangianState, SolverConfig, _rhs_arrays, ball_geometry,
+from .lagrangian import (LagrangianState, SolverConfig, _norm, _rhs_arrays, ball_geometry,
                          integrate, chain_rule_defect, step)
 from .flowmap import (FlowMap, _pull_back, flow_map, inverse_slope_bounds, map_slopes,
                       reconstruct, slope_bounds, FlowMapError)
@@ -115,8 +115,14 @@ class VerificationSuite:
             raise ValueError("verify uses only X, n_points, r0 and the profile; "
                              f"it picks its own {', '.join(ignored)}")
         # data the checks cannot run on (a CSV holds one grid; r0 >= 1/9) fails here
-        for n in (*self._resolutions(), min(self.n, SMALL_N)):
-            ball_geometry(self._data(n), self.config.r0)
+        sizes = sorted({*self._resolutions(), min(self.n, SMALL_N)})
+        try:
+            data = [self._data(n) for n in sizes]
+        except ValueError as err:
+            raise ValueError(f"{err}; verify runs the profile at n = "
+                             f"{', '.join(map(str, sizes))}") from None
+        for u0 in data:
+            ball_geometry(u0, self.config.r0)
 
     # -- cached canonical runs -------------------------------------------
 
@@ -262,8 +268,8 @@ class VerificationSuite:
 
         def drifts(nn, steps):
             traj = self.run(nn, steps)
-            e0 = conserved(reconstruct(traj.states[0]).u).as_array()
-            eT = conserved(reconstruct(traj.final).u).as_array()
+            e0 = np.array(conserved(reconstruct(traj.states[0]).u))
+            eT = np.array(conserved(reconstruct(traj.final).u))
             return np.abs(eT - e0) / np.maximum(np.abs(e0), 1e-3)
 
         d_coarse = drifts(half, STEPS // 2)
@@ -293,7 +299,7 @@ class VerificationSuite:
             u_lag = reconstruct(traj.state_at(t_half), smooth=True).u
             cfg = SolverConfig(grid=u_lag.grid, dt=t_half / steps, t_end=t_half,
                                r0=self.config.r0, store_every=steps)
-            u_eul = eulerian_oracle(self._data(nn), cfg).final.u
+            u_eul = eulerian_oracle(self._data(nn), cfg)[-1].u
             dists.append(float(np.max(np.abs(u_lag.values - u_eul.values))))
             hs.append(u_lag.grid.h)
         order = _fit_order(hs, dists)
@@ -391,15 +397,11 @@ class VerificationSuite:
             return np.stack([u0.values + wiggle(0.02), v0 + wiggle(0.02),
                              1.0 + wiggle(0.03), np.zeros(n)])
 
-        def ball_norm(d):  # |w|_C1 + sup|v| + sup|q| of a packed difference
-            return (np.max(np.abs(d[0])) + np.max(np.abs(derivative_values(d[0], h)))
-                    + np.max(np.abs(d[1])) + np.max(np.abs(d[2])))
-
         worst = 0.0
         for _ in range(LIPSCHITZ_PAIRS):
             y1, y2 = rand_state(), rand_state()
             dk = _rhs_arrays(y1, h, DEFAULT_Q_FLOOR) - _rhs_arrays(y2, h, DEFAULT_Q_FLOOR)
-            worst = max(worst, float(ball_norm(dk) / ball_norm(y1 - y2)))
+            worst = max(worst, _norm(dk, h) / _norm(y1 - y2, h))
         return worst <= bound, {"pairs": LIPSCHITZ_PAIRS, "worst_ratio": worst, "bound": bound}
 
     # -- driver -----------------------------------------------------------

@@ -23,6 +23,16 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
+def test_package_names_are_the_module_names():
+    # fwsolver exports each module's __all__, and no name twice
+    owner = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"fwsolver.{module}")
+        for name in getattr(mod, "__all__", ()):
+            assert owner.setdefault(name, module) == module, name
+            assert getattr(fwsolver, name) is getattr(mod, name), name
+
+
 def test_traced_functions_exist(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracer = importlib.import_module("tracer")

@@ -10,7 +10,7 @@ import pytest
 import fwsolver.cli
 import fwsolver.flowmap
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
-                          _parse_config_file, ConfigError, main)
+                          _parse_config_file, main)
 from fwsolver.grid import read_csv, write_csv
 from fwsolver.lagrangian import SolverConfig
 from fwsolver.profiles import gaussian, sech2
@@ -243,19 +243,19 @@ def test_warnings_print_one_line_each_ahead_of_the_verdict(tmp_path):
 def test_config_parse_errors_carry_line_numbers(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("X = 10\nwhat = 3\n")
-    with pytest.raises(ConfigError, match="bad.cfg:2"):
+    with pytest.raises(ValueError, match="bad.cfg:2"):
         _parse_config_file(str(cfg))
     cfg.write_text("X = ten\n")
-    with pytest.raises(ConfigError, match="bad.cfg:1"):
+    with pytest.raises(ValueError, match="bad.cfg:1"):
         _parse_config_file(str(cfg))
     cfg.write_text("just some words\n")
-    with pytest.raises(ConfigError, match="key = value"):
+    with pytest.raises(ValueError, match="key = value"):
         _parse_config_file(str(cfg))
     cfg.write_text("X = 10\nguard_mode = sometimes\n")
-    with pytest.raises(ConfigError, match="bad.cfg:2: bad value for guard_mode"):
+    with pytest.raises(ValueError, match="bad.cfg:2: bad value for guard_mode"):
         _parse_config_file(str(cfg))
     cfg.write_text("n_points = 401\nX = 10\nt_end = soon\n")
-    with pytest.raises(ConfigError, match="bad.cfg:3: bad value for t_end"):
+    with pytest.raises(ValueError, match="bad.cfg:3: bad value for t_end"):
         _parse_config_file(str(cfg))
 
 
@@ -334,6 +334,16 @@ def test_verify_rejects_file_settings_before_any_check(argv, prefix, tmp_path, m
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err.startswith(prefix) and printed.err.count("\n") == 1
+
+
+def test_verify_csv_error_names_the_resolutions_it_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_csv(gaussian(Grid(10.0, 201)), tmp_path / "u0.csv")
+    argv = ["verify", "--X", "10", "--n", "201", "--profile", "from_csv:path=u0.csv"]
+    assert run(argv, tmp_path, monkeypatch)[0] == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: csv grid (X=10.0, n=201) does not match the requested grid (X=10.0, n=101); "
+        "verify runs the profile at n = 101, 201, 401\n")
 
 
 def test_verify_suite_runs_on_the_given_profile():

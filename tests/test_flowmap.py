@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 import fwsolver.flowmap
@@ -87,6 +88,17 @@ def test_invert_round_trip_everywhere():
     assert np.all(inside)
     back = np.interp(labels, fmap.grid.x, fmap.positions)
     assert np.max(np.abs(back - xs)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=60, unique=True),
+       st.floats(0.1, 100.0))
+def test_invert_positions_gives_nodes_bitwise(positions, half_width):
+    positions = np.sort(positions)
+    fmap = FlowMap(Grid(half_width, positions.size), positions, t=0.0)
+    labels, inside = invert_many(fmap, fmap.positions)
+    assert np.all(inside)
+    assert labels.tobytes() == fmap.grid.x.tobytes()
 
 
 def test_invert_out_of_image():

@@ -122,6 +122,14 @@ def test_convected_zero_data():
     assert np.all(odd.values == 0.0) and np.all(even.values == 0.0)
 
 
+def test_convected_pair_requires_same_grid():
+    # same node count, different spacing: only the grid check can catch it
+    w = gf(1.0, 11, np.cos)
+    q = GridFunction(Grid(2.0, 11), np.ones(11))
+    with pytest.raises(ValueError, match="different grids"):
+        convected_pair(w, q)
+
+
 def test_convected_exponential_at_unit_stretch():
     w = gf(30.0, 3001, lambda x: np.exp(-np.abs(x)))
     x = w.grid.x

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, sup_norm
 from fwsolver.kernels import DEFAULT_Q_FLOOR, green_derivative
 from fwsolver.lagrangian import (GuardBreach, InitialDataError, LagrangianState,
-                                 SolverConfig, _rk4_arrays, ball_geometry, chain_rule_defect,
-                                 initial_state, integrate, rhs, state_norm, step)
+                                 SolverConfig, _pack, _rhs_arrays, _rk4_arrays, ball_geometry,
+                                 chain_rule_defect, initial_state, integrate, state_norm, step)
 from fwsolver.profiles import gaussian, peakon_profile, sech2
 
 
@@ -24,6 +26,11 @@ def make_state(grid, w=None, v=None, q=None):
         q=q if q is not None else GridFunction(grid, np.ones(n)),
         displacement=zeros(grid),
     )
+
+
+def tendency(state):
+    """Packed ``(w, v, q, displacement)`` time derivative of a state."""
+    return _rhs_arrays(_pack(state), state.grid.h, DEFAULT_Q_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +106,42 @@ def test_initial_state_rejects_nondecaying():
         initial_state(GridFunction(grid, 0.05 * np.ones(501)), cfg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40), st.floats(0.5, 50.0),
+       st.floats(1e-3, 0.11))
+def test_state_norm_of_initial_state_is_ball_state_norm(values, half_width, r0):
+    grid = Grid(half_width, len(values))
+    u0 = GridFunction(grid, np.asarray(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rough or non-decaying data only warns
+        state = initial_state(u0, SolverConfig(grid=grid, r0=r0, guard_mode="warn"))
+    assert state_norm(state) == ball_geometry(u0, r0).state_norm
+
+
 # ---------------------------------------------------------------------------
 # right-hand side
 # ---------------------------------------------------------------------------
 
 def test_rest_state_is_equilibrium():
-    ten = rhs(make_state(Grid(10.0, 301)))
-    for part in (ten.w, ten.v, ten.q, ten.displacement):
-        assert np.all(part.values == 0.0)
+    assert np.all(tendency(make_state(Grid(10.0, 301))) == 0.0)
 
 
 def test_rhs_flat_profile_decouples():
     grid = Grid(10.0, 301)
     v = GridFunction(grid, 0.3 * np.ones(301))
-    ten = rhs(make_state(grid, v=v))
-    assert np.all(ten.w.values == 0.0)
-    assert np.allclose(ten.v.values, -1.5 * 0.09, rtol=0, atol=1e-15)
-    assert np.allclose(ten.q.values, 1.5 * 0.3, rtol=0, atol=1e-15)
+    ten_w, ten_v, ten_q, _ = tendency(make_state(grid, v=v))
+    assert np.all(ten_w == 0.0)
+    assert np.allclose(ten_v, -1.5 * 0.09, rtol=0, atol=1e-15)
+    assert np.allclose(ten_q, 1.5 * 0.3, rtol=0, atol=1e-15)
 
 
 def test_rhs_initial_wave_tendency_is_kernel_derivative():
     grid = Grid(10.0, 1001)
     cfg = SolverConfig(grid=grid)
     st = initial_state(gaussian(grid, a=0.1), cfg)
-    ten = rhs(st)
-    assert np.array_equal(ten.w.values, green_derivative(st.w).values)
-    assert np.allclose(ten.displacement.values, 1.5 * st.w.values, atol=0)
+    ten = tendency(st)
+    assert np.array_equal(ten[0], green_derivative(st.w).values)
+    assert np.allclose(ten[3], 1.5 * st.w.values, atol=0)
 
 
 def test_rhs_guards_stretch_floor():
@@ -132,7 +149,7 @@ def test_rhs_guards_stretch_floor():
     qv = np.ones(301)
     qv[5] = 0.05
     with pytest.raises(Exception, match="q\\[5\\]"):
-        rhs(make_state(grid, q=GridFunction(grid, qv)))
+        tendency(make_state(grid, q=GridFunction(grid, qv)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +315,11 @@ def test_initial_tendency_matches_physical_space_identity():
     cfg = SolverConfig(grid=grid)
     u0 = gaussian(grid, a=0.1)
     st = initial_state(u0, cfg)
-    ten = rhs(st)
+    ten = tendency(st)
     from fwsolver.diagnostics import eulerian_oracle
     oracle_cfg = SolverConfig(grid=grid, dt=1e-5, t_end=2e-5, store_every=1)
-    snaps = eulerian_oracle(u0, oracle_cfg).snapshots
+    snaps = eulerian_oracle(u0, oracle_cfg)
     u_t = (snaps[2].u.values - snaps[0].u.values) / 2e-5
-    lhs = ten.w.values
+    lhs = ten[0]
     rhs_vals = u_t + 1.5 * u0.values * st.v.values
     assert np.max(np.abs(lhs - rhs_vals)) <= 1e-4  # O(h^2) between schemes
