@@ -77,10 +77,12 @@ def pde_residual(traj: Trajectory, t: float) -> float:
     snapshots one stored level either side of ``t``, the slope comes from
     the snapshot itself, and the nonlocal term is evaluated on the
     physical grid, so the check shares nothing with the characteristic
-    right-hand side.  Snapshots are composed with a C2 spline here:
-    time-differencing the shape-preserving interpolant would instead pick
-    up the motion of its derivative kinks through the grid, an O(h) noise
-    floor that has nothing to do with the solution.
+    right-hand side.  Snapshots are composed with the smooth route of
+    :func:`~fwsolver.flowmap.reconstruct` here (cubic Hermite with
+    fourth-order difference slopes, no limiter): time-differencing the
+    shape-preserving interpolant would instead pick up the motion of its
+    limiter's kinks through the grid, an O(h) noise floor that has nothing
+    to do with the solution.
 
     ``t`` must have stored neighbors on both sides; the sup runs over
     nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
@@ -94,8 +96,8 @@ def pde_residual(traj: Trajectory, t: float) -> float:
 
 
 def _residual(window, times) -> float:
-    """:func:`pde_residual` at the middle of three consecutive C2 snapshots
-    stored at ``times``; raises ``ValueError`` unless they are equispaced."""
+    """:func:`pde_residual` at the middle of three consecutive smooth-route
+    snapshots stored at ``times``; raises ``ValueError`` unless they are equispaced."""
     sm, s0, sp = window
     dt_m = times[1] - times[0]
     dt_p = times[2] - times[1]
@@ -127,9 +129,7 @@ def _upwind_flux_derivative(u: NDArray[np.float64], h: float) -> NDArray[np.floa
     return np.where(u >= 0.0, backward, forward)
 
 
-def eulerian_oracle(u0: GridFunction, config: SolverConfig,
-                    with_nonlocal_term: bool = True,
-                    frozen_speed: float | None = None) -> list:
+def eulerian_oracle(u0: GridFunction, config: SolverConfig) -> list:
     """Method-of-lines solve of the physical-space equation, for cross-checks;
     returns the stored :class:`EulerianSnapshot` of every ``store_every``-th
     step, the first at ``t = 0`` and the last at ``t_end``.
@@ -138,15 +138,12 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig,
     upwind-biased flux differences plus the fixed-grid kernel operator.
     Only the RK4 step formula is shared with the solver (and checked on
     its own against the slope ODE's closed form).  Agreement with the
-    characteristic route is then evidence of correctness.
-
-    ``frozen_speed`` replaces the quadratic flux with linear advection at
-    that speed (sanity mode); ``with_nonlocal_term=False`` drops the
-    kernel term.  Rejects time steps that violate the advective CFL limit.
+    characteristic route is then evidence of correctness.  Rejects time
+    steps that violate the advective CFL limit.
     """
     h = config.grid.h
     t_end, dt, n_steps = _time_steps(config, ball_geometry(u0, config.r0))
-    speed_scale = abs(frozen_speed) if frozen_speed is not None else 1.5 * sup_norm(u0)
+    speed_scale = 1.5 * sup_norm(u0)
     if speed_scale > 0 and dt > h / speed_scale:
         raise ValueError(
             f"dt = {dt:.4g} violates the CFL limit {h / speed_scale:.4g} "
@@ -155,14 +152,8 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig,
     dt = t_end / n_steps
 
     def rhs_arrays(u, _stage):
-        if frozen_speed is not None:
-            du = np.gradient(u, h, edge_order=2)
-            out = -frozen_speed * du
-        else:
-            out = -_upwind_flux_derivative(u, h)
-        if with_nonlocal_term:
-            out = out + green_derivative(GridFunction(config.grid, u)).values
-        return out
+        kernel_term = green_derivative(GridFunction(config.grid, u)).values
+        return -_upwind_flux_derivative(u, h) + kernel_term
 
     def snapshot(t, vals):
         uf = GridFunction(config.grid, vals.copy())
@@ -367,16 +358,17 @@ def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
 
     Each state's map is inverted once, and it gets one interpolant per route:
     the shape-preserving snapshot behind its row, stored as ``snapshots[i]``
-    for each state index ``i`` already a key of ``snapshots``, and the C2
-    one, kept in a window of three for the residual.
+    for each state index ``i`` already a key of ``snapshots``, and the smooth
+    one (fourth-order Hermite slopes, no limiter), kept in a window of three
+    for the residual.
     """
     states = traj.states
     out = {k: [] for k in SERIES_KEYS}
     residuals = [math.nan] * len(states)
     window = [None, None, None]
     routes = (False, True) if len(states) > 2 else (False,)
-    for i, (state, (snap, *c2)) in enumerate(zip(states, _pull_back(states, routes))):
-        window = window[1:] + c2
+    for i, (state, (snap, *smooth)) in enumerate(zip(states, _pull_back(states, routes))):
+        window = window[1:] + smooth
         if i >= 2:
             with suppress(ValueError):
                 residuals[i - 1] = _residual(window, traj.times[i - 2:i + 1])

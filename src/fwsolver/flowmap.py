@@ -129,10 +129,6 @@ def inverse_slope_bounds(fmap: FlowMap, geometry: BallGeometry, tol: float = 1e-
     return lo_meas, hi_meas
 
 
-#: states whose C2 slopes a :func:`_pull_back` batch solves at once
-_BATCH_STATES = 64
-
-
 def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapshot:
     """Physical-space solution ``u`` and slope ``ux`` on the grid.
 
@@ -141,33 +137,27 @@ def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapsho
     along trajectories, so no division by the stretch is needed).  Grid
     nodes outside the image take 0 and are counted.
 
-    ``smooth=True`` swaps the shape-preserving interpolant for a C2 cubic
-    spline; diagnostics that time-difference snapshots use this to avoid
-    differentiating the interpolant's kinks (it may overshoot slightly,
-    so it is off by default).
+    ``smooth=True`` swaps the shape-preserving interpolant for the cubic
+    Hermite one with fourth-order difference slopes and no limiter (see
+    :func:`fwsolver.grid._slopes`); diagnostics that time-difference
+    snapshots use it to avoid differentiating the limiter's kinks, which
+    move with the data (it may overshoot slightly, so it is off by default).
     """
     return next(_pull_back([state], (smooth,)))[0]
 
 
 def _pull_back(states, routes=(False,)):
     """Yield per state a tuple of its :func:`reconstruct` snapshots, one per
-    ``smooth`` flag in ``routes``, inverting each map once for all routes.
-    Up to ``_BATCH_STATES`` states share one C2 slope solve, and with it the
-    cost of its Python row loop, at every ``n``; the rest goes state by state."""
+    ``smooth`` flag in ``routes``, inverting each map once for all routes."""
     x = states[0].grid.x
-    for lo in range(0, len(states), _BATCH_STATES):
-        batch, c2 = states[lo:lo + _BATCH_STATES], None  # free the last batch's slopes first
-        if True in routes:
-            c2 = _slopes(x, np.column_stack([f.values for s in batch for f in (s.w, s.v)]), True)
-        for k, state in enumerate(batch):
-            labels, inside = invert_many(flow_map(state), x)
-            y, cols = np.column_stack((state.w.values, state.v.values)), slice(2 * k, 2 * k + 2)
-            # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
-            values = [np.where(inside[:, None] & ~np.isnan(v), v, 0.0).T.copy() for v in (
-                _hermite(x, y, c2[:, cols] if smooth else _slopes(x, y), labels[:, None], smooth)
-                for smooth in routes)]
-            yield tuple(EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
-                                         int(np.sum(~inside))) for uux in values)
+    for state in states:
+        labels, inside = invert_many(flow_map(state), x)
+        y = np.column_stack((state.w.values, state.v.values))
+        # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
+        values = [np.where(inside[:, None] & ~np.isnan(v), v, 0.0).T.copy() for v in (
+            _hermite(x, y, _slopes(x, y, smooth), labels[:, None], smooth) for smooth in routes)]
+        yield tuple(EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
+                                     int(np.sum(~inside))) for uux in values)
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:

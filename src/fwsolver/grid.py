@@ -151,49 +151,35 @@ def _trapezoid(v: NDArray[np.float64], h: float) -> float:
 
 def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False):
     """Node slopes of the cubic through each column of ``y`` ``(n, k)`` on
-    the nodes ``x``: PCHIP (Fritsch-Carlson, Moler's three-point ends) or,
-    if ``smooth``, not-a-knot C2.  scipy's steps in scipy's order, so its
-    bits, except C2 at ``n = 3``: the parabola's closed form, equal to rounding."""
-    hk = x[1:] - x[:-1]
-    h = hk[:, None]
+    the uniform nodes ``x``: PCHIP (Fritsch-Carlson, Moler's three-point
+    ends; scipy's steps in scipy's order, so its bits) or, if ``smooth``,
+    fourth-order differences with no limiter, so linear in ``y``: 5-point
+    centred inside, 5-point one-sided at the two nodes nearest each end,
+    and :func:`derivative_values` below 5 nodes (exact for parabolas)."""
+    if smooth:
+        h = (x[-1] - x[0]) / (x.size - 1)
+        if x.size < 5:
+            return derivative_values(y, h)
+        d = np.empty_like(y)
+        d[2:-2] = (y[:-4] - y[4:] + 8 * (y[3:-1] - y[1:-3])) / (12 * h)
+        # the right end is the left one mirrored, x -> -x, which flips a slope's sign
+        e = np.stack([y[:5], -y[:-6:-1]], axis=1)  # e[j]: the nodes j in from each end
+        d[[0, -1]] = (-25 * e[0] + 48 * e[1] - 36 * e[2] + 16 * e[3] - 3 * e[4]) / (12 * h)
+        d[[1, -2]] = (-3 * e[0] - 10 * e[1] + 18 * e[2] - 6 * e[3] + e[4]) / (12 * h)
+        return d
+    h = (x[1:] - x[:-1])[:, None]
     mk = (y[1:] - y[:-1]) / h
-    if not smooth:
-        flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
-        # Moler's one-sided three-point slopes at both ends, limited to keep the shape
-        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], mk[[0, -1]], mk[[1, -2]]
-        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        flip = np.sign(end) != np.sign(m0)
-        big = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3. * np.abs(m0))
-        end = np.where(flip, 0.0, np.where(big, 3. * m0, end))
-        return np.concatenate([end[:1], inner, end[1:]])
-    if x.size == 3:
-        h0, h1 = hk
-        return np.stack([(2 * h0 + h1) * mk[0] - h0 * mk[1], h1 * mk[0] + h0 * mk[1],
-                         (2 * h1 + h0) * mk[1] - h1 * mk[0]]) / (h0 + h1)
-    # CubicSpline's rows (sub dl, diagonal d, super du; widths squared as arrays, since a
-    # scalar's ** is pow()) in dgtsv order, no row swapped: row 0 ties, the rest dominate
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b = np.empty_like(y)
-    b[0] = ((h[0] + 2 * d0) * h[1] * mk[0] + h[0] ** 2 * mk[1]) / d0
-    b[-1] = (h[-1] ** 2 * mk[-2] + (2 * d1 + h[-1]) * h[-2] * mk[-1]) / d1
-    np.multiply(h[1:], mk[:-1], out=b[1:-1])  # 3 * (h[1:] * mk[:-1] + h[:-1] * mk[1:])
-    b[1:-1] += np.multiply(h[:-1], mk[1:], out=mk[1:])
-    b[1:-1] *= 3
-    dl = hk[1:].tolist() + [float(d1)]
-    d = [float(hk[1])] + (2 * (hk[:-1] + hk[1:])).tolist() + [float(hk[-2])]
-    du = [float(d0)] + hk[:-1].tolist()
-    for i in range(x.size - 1):
-        fact = dl[i] / d[i]
-        d[i + 1] -= fact * du[i]
-        b[i + 1] -= fact * b[i]
-    b[-1] /= d[-1]
-    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(x.size - 3, -1, -1):  # dgtsv keeps the eliminated dl = 0 term
-        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
-    return b
+    flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
+    # Moler's one-sided three-point slopes at both ends, limited to keep the shape
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], mk[[0, -1]], mk[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(end) != np.sign(m0)
+    big = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3. * np.abs(m0))
+    end = np.where(flip, 0.0, np.where(big, 3. * m0, end))
+    return np.concatenate([end[:1], inner, end[1:]])
 
 
 def _hermite(x, y, dydx, xs, extrapolate: bool):

@@ -285,11 +285,11 @@ class VerificationSuite:
         """Characteristic route against the physical-space oracle at half
         the lifespan, with the empirical convergence order of the gap.
 
-        The comparison composes through the C2 spline for the same reason
-        the residual does: the gap being measured is between the two
-        semidiscretizations, and the shape-preserving interpolant's
-        derivative kinks at the crest would otherwise wander with the
-        in-cell phase and spoil the order fit.
+        The comparison composes through the smooth route (fourth-order
+        Hermite slopes, no limiter) for the same reason the residual does:
+        the gap being measured is between the two semidiscretizations, and
+        the shape-preserving interpolant's limiter kinks at the crest would
+        otherwise wander with the in-cell phase and spoil the order fit.
         """
         half, n, double = self._resolutions()
         dists, hs = [], []

@@ -54,10 +54,10 @@ def solve_counting_reconstructions(tmp_path, monkeypatch):
     trajectory, counts)."""
     real_slopes = fwsolver.flowmap._slopes
     real_invert = fwsolver.flowmap.invert_many
-    counts = {"pchip": 0, "c2": 0, "inversions": 0}
+    counts = {"pchip": 0, "smooth": 0, "inversions": 0}
 
     def slopes(x, y, smooth=False):
-        counts["c2" if smooth else "pchip"] += y.shape[1] // 2
+        counts["smooth" if smooth else "pchip"] += y.shape[1] // 2
         return real_slopes(x, y, smooth)
 
     def invert_many(fmap, xs):
@@ -78,7 +78,7 @@ def solve_counting_reconstructions(tmp_path, monkeypatch):
 def test_solve_reconstructs_each_state_once_per_route(tmp_path, monkeypatch):
     _, traj, counts = solve_counting_reconstructions(tmp_path, monkeypatch)
     n = len(traj.states)
-    assert counts == {"pchip": n, "c2": n, "inversions": n}
+    assert counts == {"pchip": n, "smooth": n, "inversions": n}
 
 
 def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):

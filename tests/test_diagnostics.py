@@ -126,18 +126,6 @@ def test_oracle_cfl_guard():
                                          guard_mode="warn"))
 
 
-def test_oracle_translation_sanity_mode():
-    # frozen advection speed, kernel off: pure translation to O(h^2)
-    grid = Grid(20.0, 2001)
-    u0 = gaussian(grid, a=1.0)
-    c, t_end = 1.0, 1.0
-    cfg = SolverConfig(grid=grid, dt=5e-3, t_end=t_end, guard_mode="warn",
-                       store_every=10 ** 6)
-    final = eulerian_oracle(u0, cfg, with_nonlocal_term=False, frozen_speed=c)[-1]
-    exact = np.exp(-((grid.x - c * t_end) ** 2))
-    assert np.max(np.abs(final.u.values - exact)) <= 5e-4
-
-
 def test_oracle_agrees_with_characteristic_route():
     grid = Grid(10.0, 1001)
     u0 = gaussian(grid, a=0.1)
@@ -271,23 +259,8 @@ def test_series_residual_is_pde_residual_bitwise():
         assert residual[i] == pde_residual(traj, traj.times[i])
 
 
-def test_series_independent_of_batching(monkeypatch):
-    # batches of 1 and 2 states put the residual's three-state window
-    # across batch boundaries; rows and stored snapshots keep their bits
-    grid = Grid(10.0, 401)
-    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
-    runs = []
-    for states_per_batch in (1000, 1, 2):
-        monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", states_per_batch)
-        snapshots = dict.fromkeys(range(0, len(traj.states), 3))
-        series = diagnostics_series(traj, snapshots)
-        runs.append((np.array([series[k] for k in series]).tobytes(),
-                     [(s.u.values.tobytes(), s.ux.values.tobytes()) for s in snapshots.values()]))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
-
-
 def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
-    # the residual, the only user of the C2 route, needs an interior state
+    # the residual, the only user of the smooth route, needs an interior state
     grid = Grid(10.0, 201)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=10 ** 6))
     assert len(traj.states) == 2

@@ -3,10 +3,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import CubicSpline
 
-import fwsolver.flowmap
-from fwsolver.grid import Grid, GridFunction, derivative, interpolate_many
+from fwsolver.grid import Grid, GridFunction, _hermite, _slopes, derivative, interpolate_many
 from fwsolver.lagrangian import (LagrangianState, SolverConfig, ball_geometry,
                                  initial_state, integrate)
 from fwsolver.flowmap import (FlowMap, FlowMapError, _pull_back, flow_map,
@@ -182,7 +180,8 @@ def test_reconstruct_matches_per_column_interpolants_bitwise():
         snap = reconstruct(st, smooth=smooth)
         for got, column in ((snap.u, st.w), (snap.ux, st.v)):
             if smooth:
-                expected = CubicSpline(x, column.values)(labels)
+                y = column.values[:, None]
+                expected = _hermite(x, y, _slopes(x, y, True), labels[:, None], True)[:, 0]
             else:
                 expected, _ = interpolate_many(column, labels)
             assert np.array_equal(got.values, expected)
@@ -235,25 +234,11 @@ def test_reconstruct_smooth_variant_close_to_monotone():
     assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-4
 
 
-def test_pull_back_batch_width_does_not_shrink_with_n(monkeypatch):
-    # the C2 row loop has a fixed Python cost per row, so a fine grid must
-    # still share each row among _BATCH_STATES states
-    grid, per = Grid(10.0, 32001), 4
-    monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", per)
-    states = [rest_state(grid, t=0.01 * k) for k in range(per + 3)]
-    widths, real = [], fwsolver.flowmap._slopes
-    monkeypatch.setattr(fwsolver.flowmap, "_slopes", lambda x, y, smooth=False: (
-        widths.append(y.shape[1]) if smooth else None) or real(x, y, smooth))
-    assert len(list(_pull_back(states, (False, True)))) == len(states)
-    assert widths == [2 * per, 6]
-
-
-@pytest.mark.parametrize("states_per_batch", [1, 2, 3, 1000])
-def test_pull_back_in_batches_equals_reconstruct_bitwise(monkeypatch, states_per_batch):
+def test_pull_back_equals_reconstruct_bitwise():
+    # both routes from one inversion per state, each equal to its own reconstruct
     traj, _ = gaussian_run(n=401, store_every=40)
     states = traj.states
     assert len(states) >= 5
-    monkeypatch.setattr(fwsolver.flowmap, "_BATCH_STATES", states_per_batch)
     pulled = list(_pull_back(states, (False, True)))
     assert len(pulled) == len(states)
     for state, snaps in zip(states, pulled):

@@ -260,47 +260,140 @@ def spline_data(draw):
     return x, y, xs
 
 
-# subnormal secants underflow to signed zeros: dgtsv's eliminated
-# ``0 * b[i+2]`` term then decides the sign of a zero C2 slope
-SIGNED_ZERO_SLOPES = (Grid(10.0, 4).x, np.array([[5e-324], [0.0], [-0.0], [-5e-324]]),
-                      Grid(10.0, 4).x)
-# the C2 end rows square a cell width: as a numpy scalar, 11.535252043926022 ** 2
-# is pow() and rounds one ulp away from the array square scipy takes
-SQUARED_WIDTH = (Grid(40.37338215374106, 8).x,
-                 np.array([[-1.0], [-1], [-1], [-1], [-1], [56.75], [-1], [0.5]]),
-                 Grid(40.37338215374106, 8).x)
-# three nodes: the C2 route's closed-form parabola, off the nodes and past the ends
+@settings(max_examples=200, deadline=None)
+@given(spline_data())
+def test_splines_match_scipy_bitwise(data):
+    # the PCHIP route (nan outside) against scipy, bit for bit, slopes and values
+    from scipy.interpolate import PchipInterpolator
+    x, y, xs = data
+    spline = PchipInterpolator(x, y, extrapolate=False)
+    slopes = _slopes(x, y)
+    # scipy keeps each cell's left-node slope as its linear coefficient
+    assert slopes[:-1].tobytes() == spline.c[2].tobytes()
+    assert _hermite(x, y, slopes, xs[:, None], False).tobytes() == spline(xs).tobytes()
+
+
+U = 2.0 ** -53  # unit roundoff
+TINY = 2.0 ** -1060  # absolute floor: products that underflow lose up to 2^-1075 each
+#: largest coefficient sum sum|a_j| of the smooth route's stencils, times 12 h:
+#: (25 + 48 + 36 + 16 + 3) at the end nodes; 18 and 38 elsewhere, 48 below 5 nodes
+STENCIL_ABS = 128.0
+
+
+@st.composite
+def cubic_data(draw):
+    """A uniform grid of at least 5 nodes, the coefficients ``c`` ``(4, k)``
+    of ``k`` cubics and query points in ``[-X, X]`` (nodes included)."""
+    n = draw(st.integers(5, 40))
+    k = draw(st.sampled_from([1, 3]))
+    half_width = draw(st.floats(0.5, 50.0))
+    c = np.asarray(draw(st.lists(st.floats(-10, 10), min_size=4 * k, max_size=4 * k)))
+    frac = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    x = Grid(half_width, n).x
+    return x, c.reshape(4, k), np.concatenate([x, half_width * (2 * np.asarray(frac) - 1)])
+
+
+def horner(c, x):
+    return ((c[3] * x[:, None] + c[2]) * x[:, None] + c[1]) * x[:, None] + c[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubic_data())
+def test_smooth_route_is_exact_for_cubics(data):
+    # The 5-point stencils are exact for degree <= 4, so only rounding is
+    # left.  Per column, with M = sum|c_j| X^j >= |p| and P = sum j|c_j| X^(j-1)
+    # >= |p'| on [-X, X], a node value is off the cubic at the ideal node by
+    # at most 7uM (Horner) + 4uX P (linspace's node positions); the stencil
+    # adds 5u of sum|a_j y_j| and divides by 12 h, and the reference p' is
+    # off by 8uP.  The Hermite cubic weighs slope errors by at most h/3 and
+    # value errors by 1, and its power sum rounds within 32u(M + X P).
+    # Underflowed products add TINY (over h for slopes).
+    x, c, xs = data
+    X, h = x[-1], (x[-1] - x[0]) / (x.size - 1)
+    M = sum(np.abs(c[j]) * X ** j for j in range(4))
+    P = sum(j * np.abs(c[j]) * X ** (j - 1) for j in range(1, 4))
+    slope_bound = STENCIL_ABS / (12 * h) * U * (12 * M + 4 * X * P) + 8 * U * P + TINY / h
+    value_bound = h / 3 * slope_bound + 32 * U * (M + X * P) + TINY
+    y = horner(c, x)
+    slopes = _slopes(x, y, True)
+    exact = (3 * c[3] * x[:, None] + 2 * c[2]) * x[:, None] + c[1]
+    assert np.all(np.abs(slopes - exact) <= slope_bound)
+    values = _hermite(x, y, slopes, xs[:, None], True)
+    assert np.all(np.abs(values - horner(c, xs)) <= value_bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.floats(0.5, 50.0), st.data())
+def test_smooth_slopes_are_linear(n, half_width, data):
+    # no limiter: slopes of a*y1 + b*y2 are a*slopes(y1) + b*slopes(y2). With
+    # S = |a| sup|y1| + |b| sup|y2|, forming the combination costs 2uS per
+    # value, each stencil 5u of sum|a_j y_j| <= STENCIL_ABS S, and the right
+    # side's scaling and sum 3u of the same, over 12 h; underflow adds TINY / h
+    x = Grid(half_width, n).x
+    y1, y2 = (np.asarray(data.draw(st.lists(st.floats(-100, 100), min_size=2 * n,
+                                            max_size=2 * n))).reshape(n, 2) for _ in "12")
+    a, b = data.draw(st.floats(-10, 10)), data.draw(st.floats(-10, 10))
+    S = abs(a) * np.max(np.abs(y1)) + abs(b) * np.max(np.abs(y2))
+    h = (x[-1] - x[0]) / (n - 1)
+    bound = 16 * U * STENCIL_ABS * S / (12 * h) + TINY / h
+    got = _slopes(x, a * y1 + b * y2, True)
+    assert np.all(np.abs(got - (a * _slopes(x, y1, True) + b * _slopes(x, y2, True))) <= bound)
+
+
+@st.composite
+def parabola_data(draw):
+    """3 or 4 uniform nodes, ``(n, k)`` samples of ``k`` parabolas and query
+    points in and up to two cells past either end."""
+    n = draw(st.sampled_from([3, 4]))
+    k = draw(st.sampled_from([1, 2]))
+    x = Grid(draw(st.floats(0.5, 50.0)), n).x
+    c = np.asarray(draw(st.lists(st.floats(-10, 10), min_size=3 * k, max_size=3 * k)))
+    c = c.reshape(3, k)
+    inner = draw(st.lists(st.floats(-2.0, float(n + 1)), min_size=1, max_size=20))
+    xs = x[0] + (x[1] - x[0]) * np.asarray(inner)
+    return x, (c[2] * x[:, None] + c[1]) * x[:, None] + c[0], xs
+
+
+# three nodes: any three values lie on a parabola; queried off the nodes and past the ends
 PARABOLA = (Grid(2.0, 3).x, np.array([[0.3, 2.0], [1.0, 2.0], [-0.5, -1.0]]),
             np.array([-2.5, -1.7, -0.3, 0.4, 1.9, 2.2]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(spline_data())
-@example(data=SIGNED_ZERO_SLOPES)
+@given(parabola_data())
 @example(data=PARABOLA)
-@example(data=SQUARED_WIDTH)
-def test_splines_match_scipy_bitwise(data):
-    # the PCHIP route (nan outside) and the not-a-knot C2 route
-    # (extrapolated) against scipy, bit for bit, slopes and values; the C2
-    # route at n = 3 is a closed-form parabola where scipy takes a dense
-    # solve, so there the values agree to rounding
-    from scipy.interpolate import CubicSpline, PchipInterpolator
+def test_smooth_route_reproduces_parabolas_on_3_and_4_nodes(data):
+    # below 5 nodes the slopes are derivative_values', exact for parabolas;
+    # the reference is the Newton form through the first three nodes.  Its
+    # Lagrange weights sum to at most 31 within two cells of the ends, so
+    # both sides round within a few hundred ulps of 31 sup|y| (over h for slopes)
     x, y, xs = data
-    for smooth, spline in ((False, PchipInterpolator(x, y, extrapolate=False)),
-                           (True, CubicSpline(x, y))):
-        slopes = _slopes(x, y, smooth)
-        got, ref = _hermite(x, y, slopes, xs[:, None], smooth), spline(xs)
-        if smooth and x.size == 3:
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        else:
-            # scipy keeps each cell's left-node slope as its linear coefficient
-            assert slopes[:-1].tobytes() == spline.c[2].tobytes()
-            assert got.tobytes() == ref.tobytes()
+    h = x[1] - x[0]
+    d1, d2 = (y[1] - y[0]) / h, (y[2] - 2 * y[1] + y[0]) / (2 * h * h)
+    scale = 2.0 ** -40 * np.max(np.abs(y), axis=0)
+    slopes = _slopes(x, y, True)
+    assert np.all(np.abs(slopes - (d1 + (2 * x[:, None] - x[0] - x[1]) * d2)) <= scale / h)
+    reference = y[0] + (xs[:, None] - x[0]) * (d1 + (xs[:, None] - x[1]) * d2)
+    assert np.all(np.abs(_hermite(x, y, slopes, xs[:, None], True) - reference) <= scale)
+
+
+def test_smooth_route_is_fourth_order_on_sin():
+    # slopes at the nodes and values at the cell midpoints, for h = 0.15, 0.075, 0.0375
+    errors = []
+    for n in (41, 81, 161):
+        x = Grid(3.0, n).x
+        y, mid = np.sin(x)[:, None], 0.5 * (x[1:] + x[:-1])
+        slopes = _slopes(x, y, True)
+        values = _hermite(x, y, slopes, mid[:, None], True)[:, 0]
+        errors.append((np.max(np.abs(slopes[:, 0] - np.cos(x))),
+                       np.max(np.abs(values - np.sin(mid)))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert all(c >= 2 ** 3.8 * f for c, f in zip(coarse, fine))
 
 
 def test_c2_slopes_of_a_batch_equal_each_column_alone():
-    # five states, w and v each: one batched solve, column for column the
-    # same bits as ten solves of one column
+    # five states, w and v each: the smooth route's slopes of all ten
+    # columns at once are, column for column, the bits of each column alone
     x = Grid(20.0, 2001).x
     rng = np.random.default_rng(5)
     y = np.exp(-x[:, None] ** 2 / rng.uniform(1, 9, 10)) * rng.uniform(-1, 1, 10)
