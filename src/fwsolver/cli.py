@@ -9,6 +9,7 @@ plotting never loses bits.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -30,6 +31,14 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
 
+# glibc mallopt parameters and the values main() pins them to.  Left dynamic,
+# both thresholds follow what the process freed before, so the temporaries of
+# the RK4 loop, up to (4, n) doubles (1 MiB at n = 32001), could fault fresh
+# pages on every step.  32 MiB is glibc's ceiling for its dynamic mmap
+# threshold, so no block that rule would keep on the heap is mmapped instead.
+_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES = -1, 64 << 20
+_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES = -3, 32 << 20
+
 
 def time_or_auto(val: str) -> float | None:
     """A time, or ``None`` (the guaranteed lifespan) for ``auto``."""
@@ -38,23 +47,28 @@ def time_or_auto(val: str) -> float | None:
 
 def _guard_mode(val: str) -> str:
     if val not in GUARD_MODES:
-        raise ValueError("must be enforce or warn")
+        raise argparse.ArgumentTypeError("must be enforce or warn")
     return val
 
 
-# config-file key -> (setting name, value parser); the setting names are the
-# flag dests, and all but half_width, n_points and profile are SolverConfig fields
-_CONFIG_KEYS = {
-    "X": ("half_width", float),
-    "n_points": ("n_points", int),
-    "dt": ("dt", float),
-    "t_end": ("t_end", time_or_auto),
-    "r0": ("r0", float),
-    "q_floor": ("q_floor", float),
-    "boundary_tolerance": ("boundary_tol", float),
-    "guard_mode": ("guard_mode", _guard_mode),
-    "initial_data": ("profile", str),
-}
+# (config key, flag, setting name, value parser, help) per setting; the
+# setting name is the flag's dest, and all but half_width, n_points and
+# profile are SolverConfig fields
+_SETTINGS = (
+    ("X", "--X", "half_width", float, "domain half-width"),
+    ("n_points", "--n", "n_points", int, "number of grid points"),
+    ("dt", "--dt", "dt", float, "time step (default: min(h, T/200))"),
+    ("t_end", "--t-end", "t_end", time_or_auto,
+     "final time, or 'auto' for the guaranteed lifespan"),
+    ("r0", "--r0", "r0", float, "contraction ball radius (< 1/9)"),
+    ("q_floor", "--q-floor", "q_floor", float, "stretch-factor guard floor"),
+    ("boundary_tolerance", "--boundary-tol", "boundary_tol", float,
+     "max |u0| allowed at the domain ends"),
+    ("guard_mode", "--guard", "guard_mode", _guard_mode,
+     "lifespan/regularity guards: hard errors (enforce) or warnings (warn)"),
+    ("initial_data", "--profile", "profile", str, "initial data, e.g. gaussian:a=0.1,sigma=1"),
+)
+_CONFIG_KEYS = {key: (name, parse) for key, _, name, parse, _ in _SETTINGS}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -77,7 +91,7 @@ def _parse_config_file(path: str) -> dict:
         name, parse = _CONFIG_KEYS[key]
         try:
             out[name] = parse(val)
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {err}") from None
     return out
 
@@ -94,6 +108,17 @@ def _run_description(args) -> tuple[SolverConfig, str, Path]:
                        **{k: v for k, v in settings.items() if k in solver_fields})
     out = os.environ.get("FW_OUTPUT_DIR") or settings.get("output", "fw_out")
     return cfg, settings["profile"], Path(out)
+
+
+def _pin_allocator() -> None:
+    """Fix glibc's mmap and trim thresholds; a no-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _warning_line(message, category, filename, lineno, line=None) -> str:
@@ -210,23 +235,15 @@ def _common_flags() -> argparse.ArgumentParser:
     config file."""
     p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--profile", help="initial data, e.g. gaussian:a=0.1,sigma=1")
-    p.add_argument("--X", dest="half_width", type=float, help="domain half-width")
-    p.add_argument("--n", dest="n_points", type=int, help="number of grid points")
-    p.add_argument("--dt", type=float, help="time step (default: min(h, T/200))")
-    p.add_argument("--t-end", type=time_or_auto,
-                   help="final time, or 'auto' for the guaranteed lifespan")
-    p.add_argument("--r0", type=float, help="contraction ball radius (< 1/9)")
-    p.add_argument("--q-floor", type=float, help="stretch-factor guard floor")
-    p.add_argument("--boundary-tol", type=float, help="max |u0| allowed at the domain ends")
-    p.add_argument("--guard", dest="guard_mode", choices=GUARD_MODES,
-                   help="lifespan/regularity guards: hard errors or warnings")
+    for _, flag, name, parse, about in _SETTINGS:
+        p.add_argument(flag, dest=name, type=parse, help=about)
     p.add_argument("--store-every", type=int, help="keep every k-th time level")
     p.add_argument("--output", help="output directory (env FW_OUTPUT_DIR overrides)")
     return p
 
 
 def main(argv=None) -> int:
+    _pin_allocator()
     parser = argparse.ArgumentParser(
         prog="fw",
         description="Characteristic-coordinate solver for a nonlocal breaking-wave "

@@ -155,13 +155,12 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig) -> list:
         kernel_term = green_derivative(GridFunction(config.grid, u)).values
         return -_upwind_flux_derivative(u, h) + kernel_term
 
-    def snapshot(t, vals):
-        uf = GridFunction(config.grid, vals.copy())
-        return EulerianSnapshot(t=t, u=uf,
+    def snapshot(t, u):  # _rk4 returns a new array and never writes its input
+        return EulerianSnapshot(t=t, u=GridFunction(config.grid, u),
                                 ux=GridFunction(config.grid,
-                                                derivative_values(vals, h)))
+                                                derivative_values(u, h)))
 
-    u = u0.values.copy()
+    u = u0.values
     snapshots = [snapshot(0.0, u)]
     for s in range(n_steps):
         u = _rk4(rhs_arrays, u, dt)
@@ -338,7 +337,7 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig,
     if config.guard_mode != "warn":
         raise ValueError("breaking probe needs guard_mode='warn'")
     traj = integrate(u0, replace(config, t_end=t_max))
-    min_q = float(np.min(traj.final.q.values))
+    min_q = float(np.min(traj.final.y[2]))
     if traj.breach is None:
         return BreakingReport(None, None, t_max, min_q)
     return BreakingReport(traj.breach.t, traj.breach.x, t_max, min_q)
@@ -362,7 +361,7 @@ def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
     one (fourth-order Hermite slopes, no limiter), kept in a window of three
     for the residual.
     """
-    states = traj.states
+    states, times = traj.states, traj.times
     out = {k: [] for k in SERIES_KEYS}
     residuals = [math.nan] * len(states)
     window = [None, None, None]
@@ -371,12 +370,12 @@ def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
         window = window[1:] + smooth
         if i >= 2:
             with suppress(ValueError):
-                residuals[i - 1] = _residual(window, traj.times[i - 2:i + 1])
+                residuals[i - 1] = _residual(window, times[i - 2:i + 1])
         if snapshots is not None and i in snapshots:
             snapshots[i] = snap
         tri = conserved(snap.u)
         for key, value in zip(SERIES_KEYS, (state.t, tri.e1, tri.e2, tri.e3,
-                                            float(np.min(state.q.values)), sup_norm(snap.u),
+                                            float(np.min(state.y[2])), sup_norm(snap.u),
                                             sup_norm(snap.ux))):
             out[key].append(value)
     out["residual"] = residuals

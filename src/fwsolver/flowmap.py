@@ -70,7 +70,7 @@ class EulerianSnapshot:
 
 def flow_map(state: LagrangianState) -> FlowMap:
     """Assemble the map from a state; raises if monotonicity already failed."""
-    return FlowMap(state.grid, state.grid.x + state.displacement.values, state.t)
+    return FlowMap(state.grid, state.grid.x + state.y[3], state.t)
 
 
 def map_slopes(fmap: FlowMap) -> NDArray[np.float64]:
@@ -152,7 +152,7 @@ def _pull_back(states, routes=(False,)):
     x = states[0].grid.x
     for state in states:
         labels, inside = invert_many(flow_map(state), x)
-        y = np.column_stack((state.w.values, state.v.values))
+        y = np.column_stack(state.y[:2])  # (w, v)
         # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
         values = [np.where(inside[:, None] & ~np.isnan(v), v, 0.0).T.copy() for v in (
             _hermite(x, y, _slopes(x, y, smooth), labels[:, None], smooth) for smooth in routes)]

@@ -82,11 +82,6 @@ class GridFunction:
                 f"sup={np.max(np.abs(self.values)):.3g})")
 
 
-def _check_same_grid(f: GridFunction, g: GridFunction):
-    if f.grid != g.grid:
-        raise ValueError("grid functions live on different grids")
-
-
 def sup_norm(f: GridFunction) -> float:
     """max over the grid of ``|f|``."""
     return float(np.max(np.abs(f.values)))

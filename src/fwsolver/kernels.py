@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridFunction, _check_same_grid
+from .grid import GridFunction
 
 __all__ = [
     "MonotonicityError",
@@ -214,7 +214,8 @@ def convected_pair(w: GridFunction, q: GridFunction, q_floor: float = DEFAULT_Q_
     solver hot path.  Returns ``(odd, even)`` as grid functions;
     :func:`kernel_pair_direct` is the O(N^2) oracle they are tested against.
     """
-    _check_same_grid(w, q)
+    if w.grid != q.grid:
+        raise ValueError("grid functions live on different grids")
     lam = cumulative_flow_values(q.values, q.grid.h, q_floor)
     odd, even = kernel_pair_arrays(w.values, lam)
     return GridFunction(w.grid, odd), GridFunction(w.grid, even)

@@ -2,8 +2,8 @@
 wave profile, its slope and the coordinate stretch along trajectories,
 its guaranteed-lifespan arithmetic, and the fixed-step RK4 integrator.
 
-State components, all sampled on one grid and indexed by the trajectory
-label ``x``:
+State components, the rows of one ``(4, n)`` array sampled on one grid
+and indexed by the trajectory label ``x``:
 
 * ``w``            wave height carried along the characteristic,
 * ``v``            spatial slope carried along the characteristic,
@@ -81,25 +81,28 @@ class GuardBreach(RuntimeError):
                          if math.isfinite(value) else f"non-finite state {where}: value {value}")
 
 
-@dataclass(frozen=True)
+def _row(i: int) -> property:
+    """Read-only view of row ``i`` of a state's ``y`` as a :class:`GridFunction`."""
+    return property(lambda state: GridFunction(state.grid, state.y[i]))
+
+
+@dataclass(frozen=True, eq=False)
 class LagrangianState:
-    """Solver state at one time level; all four fields share one grid."""
+    """Solver state at one time level: the rows ``(w, v, q, displacement)``
+    of ``y``, sampled on ``grid``."""
 
     t: float
-    w: GridFunction
-    v: GridFunction
-    q: GridFunction
-    displacement: GridFunction
+    grid: Grid
+    y: NDArray[np.float64]
 
     def __post_init__(self):
-        g = self.w.grid
-        for name in ("v", "q", "displacement"):
-            if getattr(self, name).grid != g:
-                raise ValueError(f"state component {name} lives on a different grid")
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
+        if self.y.shape != (4, self.grid.n_points):
+            raise ValueError(f"state shape {self.y.shape} is not (4, {self.grid.n_points})")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("state values must be finite")
 
-    @property
-    def grid(self) -> Grid:
-        return self.w.grid
+    w, v, q, displacement = (_row(i) for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -209,51 +212,30 @@ def initial_state(u0: GridFunction, config: SolverConfig) -> LagrangianState:
             raise InitialDataError(msg)
         warnings.warn(msg, stacklevel=2)
     n = config.grid.n_points
-    return LagrangianState(
-        t=0.0,
-        w=u0,
-        v=v0,
-        q=GridFunction(config.grid, np.ones(n)),
-        displacement=GridFunction(config.grid, np.zeros(n)),
-    )
+    y = np.stack([u0.values, v0.values, np.ones(n), np.zeros(n)])
+    return LagrangianState(0.0, config.grid, y)
 
 
 def state_norm(state: LagrangianState) -> float:
     """Product-space norm ``|w|_C1 + sup|v| + sup|q|`` (ball monitor)."""
-    return _norm(_pack(state), state.grid.h)
+    return _norm(state.y, state.grid.h)
 
 
 def chain_rule_defect(state: LagrangianState) -> float:
     """sup of ``|d/dx w - v q|``, zero in the continuum by the chain rule."""
-    return float(np.max(np.abs(
-        derivative_values(state.w.values, state.grid.h) - state.v.values * state.q.values
-    )))
+    w, v, q = state.y[:3]
+    return float(np.max(np.abs(derivative_values(w, state.grid.h) - v * q)))
 
 
 # ---------------------------------------------------------------------------
 # packed-array core used by the integrator
 # ---------------------------------------------------------------------------
 
-def _pack(state: LagrangianState) -> NDArray[np.float64]:
-    return np.stack([state.w.values, state.v.values, state.q.values,
-                     state.displacement.values])
-
-
 def _norm(y: NDArray[np.float64], h: float) -> float:
     """``|w|_C1 + sup|v| + sup|q|`` of the packed rows ``(w, v, q, ...)``,
     summed left to right; later rows are ignored."""
     return float(np.max(np.abs(y[0])) + np.max(np.abs(derivative_values(y[0], h)))
                  + np.max(np.abs(y[1])) + np.max(np.abs(y[2])))
-
-
-def _unpack(y: NDArray[np.float64], grid: Grid, t: float) -> LagrangianState:
-    return LagrangianState(
-        t=t,
-        w=GridFunction(grid, y[0].copy()),
-        v=GridFunction(grid, y[1].copy()),
-        q=GridFunction(grid, y[2].copy()),
-        displacement=GridFunction(grid, y[3].copy()),
-    )
 
 
 def _rhs_arrays(y: NDArray[np.float64], h: float, q_floor: float) -> NDArray[np.float64]:
@@ -325,8 +307,8 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
 
 def step(state: LagrangianState, dt: float, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
     """Advance one RK4 step of size ``dt`` (may be negative)."""
-    y = _rk4_arrays(_pack(state), state.t, dt, state.grid, q_floor)
-    return _unpack(y, state.grid, state.t + dt)
+    y = _rk4_arrays(state.y, state.t, dt, state.grid, q_floor)
+    return LagrangianState(state.t + dt, state.grid, y)
 
 
 @dataclass
@@ -337,10 +319,14 @@ class Trajectory:
     stopped it, with the last valid state retained as ``states[-1]``.
     """
 
-    times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     geometry: BallGeometry | None = None
     breach: GuardBreach | None = None
+
+    @property
+    def times(self) -> list:
+        """Time of each stored state, read off the states."""
+        return [s.t for s in self.states]
 
     def state_at(self, t: float) -> LagrangianState:
         """Stored state nearest to ``t`` (must match within half a stride)."""
@@ -376,8 +362,8 @@ def integrate(u0: GridFunction, config: SolverConfig,
     dt_signed = t_end / n_steps
 
     state0 = initial_state(u0, config)
-    traj = Trajectory(times=[0.0], states=[state0], geometry=geometry)
-    y = _pack(state0)
+    traj = Trajectory(states=[state0], geometry=geometry)
+    y = state0.y
     grid = config.grid
     for s in range(n_steps):
         t = s * dt_signed
@@ -385,12 +371,9 @@ def integrate(u0: GridFunction, config: SolverConfig,
             y = _rk4_arrays(y, t, dt_signed, grid, config.q_floor)
         except GuardBreach as gb:
             traj.breach = gb
-            if traj.times[-1] != t:  # retain the last valid state
-                traj.times.append(t)
-                traj.states.append(_unpack(y, grid, t))
+            if traj.final.t != t:  # retain the last valid state
+                traj.states.append(LagrangianState(t, grid, y))
             break
-        t_new = (s + 1) * dt_signed
         if (s + 1) % config.store_every == 0 or s + 1 == n_steps:
-            traj.times.append(t_new)
-            traj.states.append(_unpack(y, grid, t_new))
+            traj.states.append(LagrangianState((s + 1) * dt_signed, grid, y))
     return traj

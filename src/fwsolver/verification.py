@@ -331,22 +331,17 @@ class VerificationSuite:
         confirming fourth-order time accuracy."""
         grid = Grid(5.0, 101)
         v0, t_end = 0.3, 0.4
+        y0 = np.stack([np.zeros(101), np.full(101, v0), np.ones(101), np.zeros(101)])
         errs = []
         for n_steps in (8, 16, 32):
-            state = LagrangianState(
-                t=0.0,
-                w=GridFunction(grid, np.zeros(101)),
-                v=GridFunction(grid, np.full(101, v0)),
-                q=GridFunction(grid, np.ones(101)),
-                displacement=GridFunction(grid, np.zeros(101)),
-            )
+            state = LagrangianState(0.0, grid, y0)
             dt = t_end / n_steps
             for _ in range(n_steps):
                 state = step(state, dt)
             v_exact = v0 / (1.0 + 1.5 * v0 * t_end)
             q_exact = 1.0 + 1.5 * v0 * t_end
-            errs.append(max(float(np.max(np.abs(state.v.values - v_exact))),
-                            float(np.max(np.abs(state.q.values - q_exact)))))
+            errs.append(max(float(np.max(np.abs(state.y[1] - v_exact))),
+                            float(np.max(np.abs(state.y[2] - q_exact)))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         return min(orders) >= 3.8, {"errors": tuple(f"{e:.2e}" for e in errs),
                                     "min_order": min(orders)}

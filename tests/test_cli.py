@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,10 +195,14 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
     (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
       "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3", "--q-floor", "0.999"],
      EXIT_GUARD, "guard breach: "),
-    # the slope tendency overflows in the first stage; the last finite state is written
+    # the slope tendency overflows in the first stage; the last finite state is
+    # written, after the warning about the data not decaying
     (["solve", "--X", "40", "--n", "4001", "--guard", "warn",
       "--profile", "gaussian:a=1e160,sigma=4"],
-     EXIT_GUARD, "guard breach: non-finite state at RK stage k1"),
+     EXIT_GUARD, "warning: initial data does not decay at the left boundary: "
+                 "|u0| = 3.72e+116 > 1e-06; initial data does not decay at the right "
+                 "boundary: |u0| = 3.72e+116 > 1e-06\n"
+                 "guard breach: non-finite state at RK stage k1"),
     # verify validates the common flags like the other subcommands
     (["verify", "--X", "10", "--n", "201", "--dt", "inf"],
      EXIT_CONFIG, "error: dt must be positive and finite"),
@@ -212,9 +217,18 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS]])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert run(argv, tmp_path, monkeypatch)[0] == code
+    with warnings.catch_warnings():
+        # print every warning as a shell sees it, whether or not pytest records them
+        warnings.simplefilter("always")
+        warnings.showwarning = print_warning
+        assert run(argv, tmp_path, monkeypatch)[0] == code
     err = capsys.readouterr().err
-    assert err.startswith(prefix) and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1 + prefix.count("\n")
+
+
+def print_warning(message, category, filename, lineno, file=None, line=None):
+    """What the ``warnings`` module does when nothing has replaced its printing."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def test_warnings_print_one_line_each_ahead_of_the_verdict(tmp_path):
@@ -234,6 +248,49 @@ def test_warnings_print_one_line_each_ahead_of_the_verdict(tmp_path):
     assert lines[0].startswith("warning: initial data does not decay")
     assert lines[1].startswith("guard breach: non-finite state at RK stage k1")
     assert "RuntimeWarning" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# allocator pin
+# ---------------------------------------------------------------------------
+
+class FakeLibc:
+    """A C library whose ``mallopt`` appends its calls to ``log``."""
+
+    def __init__(self, log):
+        self.mallopt = lambda param, value: log.append(("mallopt", param, value)) or 1
+
+
+def stub_command(monkeypatch, command, log):
+    monkeypatch.setattr(fwsolver.cli, f"_cmd_{command}",
+                        lambda args: log.append(command) or EXIT_OK)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "continuity", "breaking"])
+def test_main_pins_the_allocator_before_the_subcommand(command, monkeypatch):
+    log = []
+    monkeypatch.setattr(fwsolver.cli.ctypes, "CDLL", lambda name: FakeLibc(log))
+    stub_command(monkeypatch, command, log)
+    assert main([command]) == EXIT_OK
+    # glibc's M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to 64 MiB
+    assert log == [("mallopt", -3, 32 * 2 ** 20), ("mallopt", -1, 64 * 2 ** 20), command]
+
+
+def no_mallopt(name):
+    return object()  # a C library that has no mallopt
+
+
+def no_library(name):
+    raise OSError("no C library handle")
+
+
+@pytest.mark.parametrize("cdll", [no_mallopt, no_library])
+def test_main_runs_unpinned_without_mallopt(cdll, monkeypatch):
+    log = []
+    monkeypatch.setattr(fwsolver.cli.ctypes, "CDLL", cdll)
+    stub_command(monkeypatch, "solve", log)
+    assert main(["solve"]) == EXIT_OK
+    assert log == ["solve"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ def zeros(grid):
 
 
 def rest_state(grid, t=0.0):
-    return LagrangianState(t=t, w=zeros(grid), v=zeros(grid),
-                           q=GridFunction(grid, np.ones(grid.n_points)),
-                           displacement=zeros(grid))
+    n = grid.n_points
+    return LagrangianState(t, grid, np.stack([np.zeros(n), np.zeros(n), np.ones(n),
+                                              np.zeros(n)]))
 
 
 def gaussian_run(n=801, a=0.1, store_every=20):
@@ -47,9 +47,8 @@ def test_flow_map_rejects_nonmonotone():
     grid = Grid(1.0, 11)
     disp = np.zeros(11)
     disp[5] = -0.5  # forces a decreasing pair of samples
-    st = LagrangianState(t=0.1, w=zeros(grid), v=zeros(grid),
-                         q=GridFunction(grid, np.ones(11)),
-                         displacement=GridFunction(grid, disp))
+    st = LagrangianState(0.1, grid, np.stack([np.zeros(11), np.zeros(11), np.ones(11),
+                                              disp]))
     with pytest.raises(FlowMapError, match="increasing"):
         flow_map(st)
 
@@ -152,9 +151,8 @@ def test_run_slopes_stay_in_band():
 def test_reconstruct_time_zero_is_data():
     grid = Grid(10.0, 501)
     u0 = gaussian(grid, a=0.1)
-    st = LagrangianState(t=0.0, w=u0, v=derivative(u0),
-                         q=GridFunction(grid, np.ones(501)),
-                         displacement=zeros(grid))
+    st = LagrangianState(0.0, grid, np.stack([u0.values, derivative(u0).values,
+                                              np.ones(501), np.zeros(501)]))
     snap = reconstruct(st)
     assert np.max(np.abs(snap.u.values - u0.values)) <= 1e-30
     assert np.max(np.abs(snap.ux.values - derivative(u0).values)) <= 1e-30
@@ -170,10 +168,8 @@ def test_reconstruct_matches_per_column_interpolants_bitwise():
     bump = np.exp(-x ** 2)
     displacement = 0.05 * bump
     displacement[-1] = 1e-15
-    st = LagrangianState(t=0.1, w=GridFunction(grid, bump),
-                         v=GridFunction(grid, -2.0 * x * bump),
-                         q=GridFunction(grid, np.ones(401)),
-                         displacement=GridFunction(grid, displacement))
+    st = LagrangianState(0.1, grid, np.stack([bump, -2.0 * x * bump, np.ones(401),
+                                              displacement]))
     labels, inside = invert_many(flow_map(st), x)
     assert labels[-1] > grid.half_width and inside.all()
     for smooth in (False, True):

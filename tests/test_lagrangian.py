@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, sup_norm
 from fwsolver.kernels import DEFAULT_Q_FLOOR, green_derivative
 from fwsolver.lagrangian import (GuardBreach, InitialDataError, LagrangianState,
-                                 SolverConfig, _pack, _rhs_arrays, _rk4_arrays, ball_geometry,
+                                 SolverConfig, _rhs_arrays, _rk4_arrays, ball_geometry,
                                  chain_rule_defect, initial_state, integrate, state_norm, step)
 from fwsolver.profiles import gaussian, peakon_profile, sech2
 
@@ -19,18 +19,17 @@ def zeros(grid):
 
 def make_state(grid, w=None, v=None, q=None):
     n = grid.n_points
-    return LagrangianState(
-        t=0.0,
-        w=w if w is not None else zeros(grid),
-        v=v if v is not None else zeros(grid),
-        q=q if q is not None else GridFunction(grid, np.ones(n)),
-        displacement=zeros(grid),
-    )
+    return LagrangianState(0.0, grid, np.stack([
+        w.values if w is not None else np.zeros(n),
+        v.values if v is not None else np.zeros(n),
+        q.values if q is not None else np.ones(n),
+        np.zeros(n),
+    ]))
 
 
 def tendency(state):
     """Packed ``(w, v, q, displacement)`` time derivative of a state."""
-    return _rhs_arrays(_pack(state), state.grid.h, DEFAULT_Q_FLOOR)
+    return _rhs_arrays(state.y, state.grid.h, DEFAULT_Q_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +115,125 @@ def test_state_norm_of_initial_state_is_ball_state_norm(values, half_width, r0):
         warnings.simplefilter("ignore")  # rough or non-decaying data only warns
         state = initial_state(u0, SolverConfig(grid=grid, r0=r0, guard_mode="warn"))
     assert state_norm(state) == ball_geometry(u0, r0).state_norm
+
+
+# ---------------------------------------------------------------------------
+# packed state
+# ---------------------------------------------------------------------------
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 30).flatmap(lambda n: st.lists(finite, min_size=4 * n, max_size=4 * n)),
+       st.floats(0.5, 50.0))
+def test_state_properties_are_the_rows_of_y_bitwise(values, half_width):
+    y = np.asarray(values).reshape(4, -1)
+    grid = Grid(half_width, y.shape[1])
+    state = LagrangianState(0.25, grid, y)
+    for i, row in enumerate((state.w, state.v, state.q, state.displacement)):
+        assert row.grid == grid and row.values.tobytes() == y[i].tobytes()
+    with pytest.raises(AttributeError):
+        state.q = state.w
+
+
+@pytest.mark.parametrize("shape", [(3, 11), (5, 11), (4, 10), (4, 12), (44,), (11, 4),
+                                   (4, 11, 1)])
+def test_state_rejects_wrong_shape_or_length(shape):
+    with pytest.raises(ValueError, match="shape"):
+        LagrangianState(0.0, Grid(5.0, 11), np.zeros(shape))
+
+
+@pytest.mark.parametrize("as_input", [lambda y: y.astype(np.int64),
+                                      lambda y: y.astype(np.float32), np.ndarray.tolist],
+                         ids=["int64", "float32", "list"])
+def test_state_stores_y_as_float64(as_input):
+    # integer, single-precision and list rows are stored as float64 (float64
+    # input is kept as it is), so a step from them matches, bit for bit, a
+    # step from the float64 array with the same small-integer values
+    grid = Grid(5.0, 11)
+    y = np.stack([np.arange(11) % 3, np.zeros(11), np.full(11, 2), np.zeros(11)]).astype(float)
+    state = LagrangianState(0.0, grid, as_input(y))
+    assert state.y.dtype == np.float64 and LagrangianState(0.0, grid, y).y is y
+    assert step(state, 0.01).y.tobytes() == step(LagrangianState(0.0, grid, y), 0.01).y.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 10), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_state_rejects_any_non_finite_entry(row, node, bad):
+    y = np.ones((4, 11))
+    y[row, node] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LagrangianState(0.0, Grid(5.0, 11), y)
+
+
+def test_trajectory_times_are_the_state_times():
+    grid = Grid(10.0, 201)
+    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=7))
+    assert traj.breach is None and len(traj.states) > 3
+    assert traj.times == [s.t for s in traj.states]
+    assert np.all(np.diff(traj.times) > 0)
+
+
+@pytest.mark.parametrize("store_every", [1, 1000])
+def test_breach_retains_the_last_valid_state_exactly_once(store_every):
+    # with store_every=1 the last valid level is already stored when the
+    # breach comes; with 1000 it lies off the stride and is appended
+    grid = Grid(20.0, 401)
+    cfg = SolverConfig(grid=grid, dt=2e-3, t_end=1.0, guard_mode="warn",
+                       store_every=store_every)
+    traj = integrate(sech2(grid, a=2.0, k=1.0), cfg)
+    assert traj.breach is not None
+    assert traj.times == [s.t for s in traj.states]
+    assert len(set(traj.times)) == len(traj.times)
+    assert sum(s is traj.final for s in traj.states) == 1
+    if store_every == 1000:
+        assert traj.times == [0.0, traj.final.t] and traj.final.t > 0
+
+
+def panel_switch_jump(y_a, y_b, h):
+    """Bound on the jump of the kernel tendency along a step from ``y_a`` to ``y_b``.
+
+    A cell whose endpoint values of ``w`` change from one sign to mixed signs
+    (or 0), or back, switches its panel between the exponential fit and the
+    linear rule, a jump of at most ``dlam (|w0| + |w1|)`` with
+    ``dlam <= h max q``; every node of the tendency weighs a panel by at most 1.
+    """
+    wa, wb = y_a[0], y_b[0]
+    switch = (wa[:-1] * wa[1:] > 0.0) != (wb[:-1] * wb[1:] > 0.0)
+    size = np.maximum(np.abs(wa[:-1]) + np.abs(wa[1:]), np.abs(wb[:-1]) + np.abs(wb[1:]))
+    return h * max(np.max(y_a[2]), np.max(y_b[2])) * float(np.sum(size[switch]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.1), st.floats(0.8, 2.0), st.integers(1, 50), st.floats(0.05, 1.0))
+@example(a=0.01, sigma=0.8, n_steps=11, fraction=0.17116235821574635)  # w changes sign
+def test_step_forward_then_back_returns_to_start(a, sigma, n_steps, fraction):
+    # RK4 is not symmetric, so N steps of dt and N of -dt undo each other only
+    # up to the local errors of the 2N steps.  Each step contributes
+    # - truncation (L dt)^5 / 120 times the distance from the rest state (the
+    #   linear-problem constant; f(rest) = 0, and L = (50/9) r is the
+    #   Lipschitz constant on the ball),
+    # - a few ulps of |y| of rounding,
+    # - |dt| times its panel_switch_jump: the discrete tendency is only
+    #   piecewise smooth where w changes sign, as its tails do.
+    # An error made at one step grows by at most exp(L |dt|) per later step.
+    grid = Grid(10.0, 201)
+    u0 = gaussian(grid, a=a, sigma=sigma)
+    geo = ball_geometry(u0)
+    state0 = initial_state(u0, SolverConfig(grid=grid))
+    dt = fraction * geo.lifespan / n_steps
+    lip_dt = geo.lipschitz_const * dt
+    smooth = (lip_dt ** 5 / 120 * np.max(np.abs(state0.y - make_state(grid).y))
+              + 8 * np.finfo(float).eps * np.max(np.abs(state0.y)))
+    state, local = state0, 0.0
+    for sign in (1.0, -1.0):
+        for _ in range(n_steps):
+            new = step(state, sign * dt)
+            local += smooth + dt * panel_switch_jump(state.y, new.y, grid.h)
+            state = new
+    assert state.t == pytest.approx(0.0, abs=1e-15)
+    assert np.max(np.abs(state.y - state0.y)) <= local * math.exp(2 * n_steps * lip_dt)
 
 
 # ---------------------------------------------------------------------------
