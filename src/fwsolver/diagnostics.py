@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import (Grid, GridFunction, _trapezoid, derivative_values, holder_seminorm,
-                   quadrature, sup_norm, write_columns)
+from .grid import (Grid, GridFunction, _holder, _trapezoid, derivative_values, quadrature,
+                   sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
 from .lagrangian import (SolverConfig, Trajectory, _norm, _rk4, _time_steps, ball_geometry,
                          integrate)
@@ -287,8 +287,8 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
         c0_data.append(abs(eps) * sup_norm(perturbation))
         c0_sol.append(max(sup_norm(du) for du, _ in diffs))
         c1_sol.append(max(sup_norm(du) + dux for du, dux in diffs))
-        for a in alphas:
-            holder[a].append(max(holder_seminorm(du, a) for du, _ in diffs))
+        for a, value in zip(alphas, _holder([du.values for du, _ in diffs], grid.h, alphas)):
+            holder[a].append(value)
 
     ratios = [s / d for s, d in zip(c0_sol, c0_data) if d > 0]
     fitted = {}

@@ -33,10 +33,12 @@ large argument, so arbitrarily coarse grids stay stable.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridFunction
+from .grid import Grid, GridFunction
 
 __all__ = [
     "MonotonicityError",
@@ -91,7 +93,25 @@ def _phi1(z: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def _panels(w: NDArray[np.float64], dlam: NDArray[np.float64]):
+def _geometry(lam: NDArray[np.float64]):
+    """Everything of a kernel pass that depends on ``lam`` alone: the cell
+    widths, the linear panel weights and the block factors of :func:`_sweeps`,
+    as ``(dlam, A, B, up, down, link)``."""
+    dlam = np.diff(lam)
+    E = -np.expm1(-dlam)  # 1 - e^-d
+    B = (E - dlam * (1.0 - E)) / dlam  # linear weight of the far endpoint
+    blocks = -(-dlam.size // max(1, int(_SPAN / float(np.max(dlam)))))
+    block_len = -(-dlam.size // blocks)
+    edges = np.full((2, blocks * block_len), lam[-1])  # padding cells have zero width
+    edges[:, :dlam.size] = lam[:-1], lam[1:]
+    lo, hi = edges.reshape(2, blocks, block_len)
+    head, tail = lo[:, :1], hi[:, -1:]
+    up = np.exp(lo - head)  # in [1, e^span)
+    down = np.exp(hi - tail)  # in (e^-span, 1]
+    return dlam, E - B, B, up, down, tuple(np.exp(head - tail).ravel().tolist())
+
+
+def _panels(w: NDArray[np.float64], geometry):
     """Per-cell weighted integrals for both sweeps, in one masked pass.
 
     Returns ``decaying = int_0^d e^{-s} w ds`` (right sweep) and
@@ -100,10 +120,8 @@ def _panels(w: NDArray[np.float64], dlam: NDArray[np.float64]):
     they share a sign, else the linear interpolant.  ``growing`` is
     ``decaying`` with the endpoints swapped, so both share the weights.
     """
+    dlam, A, B = geometry[:3]
     w0, w1 = w[:-1], w[1:]
-    E = -np.expm1(-dlam)  # 1 - e^-d
-    B = (E - dlam * (1.0 - E)) / dlam  # linear weight of the far endpoint
-    A = E - B
     fit = (w0 * w1) > 0.0
     ratio = np.log(np.divide(w1, w0, out=np.ones_like(dlam), where=fit))
     fit &= np.abs(ratio) < 500.0  # keep expm1 in range for freak ratios
@@ -117,14 +135,9 @@ def _panels(w: NDArray[np.float64], dlam: NDArray[np.float64]):
 # O(N) sweeps
 # ---------------------------------------------------------------------------
 
-def _block_shape(dlam: NDArray[np.float64]) -> tuple[int, int]:
-    """``(blocks, block_len)`` with ``block_len * max(dlam) <= _SPAN`` (or 1)."""
-    blocks = -(-dlam.size // max(1, int(_SPAN / float(np.max(dlam)))))
-    return blocks, -(-dlam.size // blocks)
-
-
-def _sweeps(lam, dlam, decaying, growing):
-    """Right and left sweeps as blocked whole-array recurrences.
+def _sweeps(w, geometry):
+    """Odd and even kernel integrals ``(R - L, R + L)`` of the node values
+    ``w`` on a :func:`_geometry`, by blocked whole-array recurrences:
 
         R_i = 0.5 * sum_{j >= i}    e^{lam_i - lam_j}     decaying_j
         L_i = 0.5 * sum_{j+1 <= i}  e^{lam_{j+1} - lam_i} growing_j
@@ -140,18 +153,13 @@ def _sweeps(lam, dlam, decaying, growing):
     one scalar per block scaled by ``e^{-block span}``, crosses blocks in
     a Python loop.
     """
-    m = dlam.size
-    blocks, block_len = _block_shape(dlam)
-    cells = np.zeros((4, blocks * block_len))
-    cells[:2] = lam[-1]  # padding cells have zero width and zero weight
-    cells[:, :m] = lam[:-1], lam[1:], decaying, growing
-    lo, hi, dec, gro = cells.reshape(4, blocks, block_len)
-    head, tail = lo[:, :1], hi[:, -1:]
-    up = np.exp(lo - head)  # in [1, e^span)
-    down = np.exp(hi - tail)  # in (e^-span, 1]
+    dlam, _, _, up, down, link = geometry
+    m, blocks = dlam.size, up.shape[0]
+    cells = np.zeros((2, up.size))  # padding cells have zero weight
+    cells[:, :m] = _panels(w, geometry)
+    dec, gro = cells.reshape(2, *up.shape)
     Sr = np.cumsum((0.5 * dec / up)[:, ::-1], axis=1)[:, ::-1]
     Sl = np.cumsum(0.5 * gro * down, axis=1)
-    link = np.exp(head - tail).ravel().tolist()
     right_sums, left_sums = Sr[:, 0].tolist(), Sl[:, -1].tolist()
     # carry into each block: R from the next block, L from the previous one
     cr, cl = [0.0] * blocks, [0.0] * blocks
@@ -162,20 +170,24 @@ def _sweeps(lam, dlam, decaying, growing):
         R_next += right_sums[c]
         cl[b] = L_prev = link[b] * L_prev
         L_prev += left_sums[b]
-    R = (up * (Sr + np.array(cr)[:, None])).ravel()[:m]
-    L = ((Sl + np.array(cl)[:, None]) / down).ravel()[:m]
-    return np.concatenate((R, [0.0])), np.concatenate(([0.0], L))
+    R = np.concatenate(((up * (Sr + np.array(cr)[:, None])).ravel()[:m], [0.0]))
+    L = np.concatenate(([0.0], ((Sl + np.array(cl)[:, None]) / down).ravel()[:m]))
+    return R - L, R + L
 
 
 def kernel_pair_arrays(w, lam):
-    """Fast-path core: odd and even kernel integrals from one sweep pair.
+    """Fast-path core: ``(odd, even) = (R - L, R + L)`` for the node values
+    ``w`` and cumulative flow samples ``lam``, from one sweep pair."""
+    return _sweeps(w, _geometry(lam))
 
-    Returns ``(odd, even) = (R - L, R + L)`` for the node values ``w`` and
-    cumulative flow samples ``lam``.
-    """
-    dlam = np.diff(lam)
-    R, L = _sweeps(lam, dlam, *_panels(w, dlam))
-    return R - L, R + L
+
+@functools.lru_cache(maxsize=8)
+def _unit_geometry(grid: Grid):
+    """:func:`_geometry` at unit stretch, once per grid; read-only, as callers share it."""
+    geometry = _geometry(cumulative_flow_values(np.ones(grid.n_points), grid.h))
+    for a in geometry[:5]:  # link is a tuple
+        a.flags.writeable = False
+    return geometry
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +202,7 @@ def kernel_pair_direct(w, lam):
     recurrence, so this route shares no summation structure with the
     fast path.
     """
-    dlam = np.diff(lam)
-    pr, kl = _panels(w, dlam)
+    pr, kl = _panels(w, _geometry(lam))
     n = lam.size
     i = np.arange(n)
     # right contributions: cells j >= i, weight normalized at the cell's left edge
@@ -224,10 +235,10 @@ def convected_pair(w: GridFunction, q: GridFunction, q_floor: float = DEFAULT_Q_
 def helmholtz_inverse(f: GridFunction) -> GridFunction:
     """Smoothing inverse of ``1 - d^2/dx^2``: convolution with ``0.5 e^{-|x|}``,
     the even kernel integral at unit stretch."""
-    return convected_pair(f, GridFunction(f.grid, np.ones(f.grid.n_points)))[1]
+    return GridFunction(f.grid, _sweeps(f.values, _unit_geometry(f.grid))[1])
 
 
 def green_derivative(f: GridFunction) -> GridFunction:
     """Spatial derivative of :func:`helmholtz_inverse`, via the sign-split
     (odd) kernel integral at unit stretch."""
-    return convected_pair(f, GridFunction(f.grid, np.ones(f.grid.n_points)))[0]
+    return GridFunction(f.grid, _sweeps(f.values, _unit_geometry(f.grid))[0])

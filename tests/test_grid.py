@@ -1,12 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fwsolver.grid
-from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _slopes, c1_norm,
-                           derivative, holder_seminorm, interpolate_many, quadrature,
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _holder, _slopes,
+                           c1_norm, derivative, holder_seminorm, interpolate_many, quadrature,
                            read_csv, sup_norm, write_columns, write_csv)
 
 
@@ -153,7 +154,7 @@ def test_holder_kink_profile():
 
 def test_holder_rejects_bad_alpha():
     f = gf(1.0, 11, np.cos)
-    for alpha in (-0.1, 1.0, 1.5):
+    for alpha in (-0.1, 1.0, 1.5, math.nan):
         with pytest.raises(ValueError):
             holder_seminorm(f, alpha)
 
@@ -166,6 +167,55 @@ def test_holder_subsampled_close_to_exact(monkeypatch):
     exact = holder_seminorm(f, 0.5)
     assert sub <= exact * (1 + 1e-12)
     assert sub >= 0.9 * exact
+
+
+def holder_loop(v, h, alpha, offsets):
+    """The seminorm as one ``np.max`` per offset, the reference for _holder."""
+    best = 0.0
+    for d in offsets:
+        best = max(best, float(np.max(np.abs(v[d:] - v[:-d]))) / (d * h) ** alpha)
+    return best
+
+
+@st.composite
+def holder_data(draw):
+    """1 to 25 differences on one grid, mixing random, zero, constant and
+    subnormal-scaled ones, and a list of alphas that includes 0."""
+    n = draw(st.integers(3, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "zero", "constant", "subnormal"]),
+                          min_size=1, max_size=25))
+    scale = {"random": 10.0 ** draw(st.integers(-300, 300)), "zero": 0.0,
+             "subnormal": 2.0 ** -1070}
+    vs = [np.full(n, draw(st.floats(-1e6, 1e6))) if kind == "constant"
+          else scale[kind] * rng.normal(size=n) for kind in kinds]
+    alphas = [0.0] + draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+    return Grid(draw(st.floats(0.5, 50.0)), n), vs, alphas
+
+
+# v_i = (i h)^(1/4) makes the quotient of every offset 1 up to rounding, so a
+# denominator 1 ulp off (numpy's ** in place of Python's) changes the max;
+# 401 nodes take three blocks of offsets, and a ladder at 8193 nodes two
+ROOT_GRID = Grid(10.0, 401)
+ROOT_DATA = (ROOT_GRID, [np.array([(i * ROOT_GRID.h) ** 0.25 for i in range(401)])], [0.0, 0.25])
+LONG_DATA = (Grid(10.0, 8193), list(np.random.default_rng(3).normal(size=(2, 8193))), [0.5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(holder_data(), st.booleans())
+@example(data=ROOT_DATA, ladder=False)
+@example(data=LONG_DATA, ladder=True)
+def test_holder_of_many_is_each_seminorm_bitwise(data, ladder):
+    # the budget 0 sends every n down the ladder of offsets
+    grid, vs, alphas = data
+    n = grid.n_points
+    offsets = (sorted({1} | {2 ** k for k in range(1, int(math.log2(n - 1)) + 1)} | {n - 1})
+               if ladder else range(1, n))
+    with mock.patch.object(fwsolver.grid, "PAIR_BUDGET", 0 if ladder else 10 ** 9):
+        got = _holder(vs, grid.h, alphas)
+        each = [max(holder_seminorm(GridFunction(grid, v), a) for v in vs) for a in alphas]
+    loop = [max(holder_loop(v, grid.h, a, offsets) for v in vs) for a in alphas]
+    assert np.array(got).tobytes() == np.array(each).tobytes() == np.array(loop).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +409,31 @@ PARABOLA = (Grid(2.0, 3).x, np.array([[0.3, 2.0], [1.0, 2.0], [-0.5, -1.0]]),
             np.array([-2.5, -1.7, -0.3, 0.4, 1.9, 2.2]))
 
 
+# subnormal coefficients: the end slopes differ from the reference by 1e-323
+SUBNORMAL_PARABOLA = (Grid(1.5, 3).x, np.array([[0.0, 1.5e-323], [0.0, 0.0], [0.0, 1.5e-323]]),
+                      np.array([-1.5]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(parabola_data())
 @example(data=PARABOLA)
+@example(data=SUBNORMAL_PARABOLA)
 def test_smooth_route_reproduces_parabolas_on_3_and_4_nodes(data):
     # below 5 nodes the slopes are derivative_values', exact for parabolas;
     # the reference is the Newton form through the first three nodes.  Its
     # Lagrange weights sum to at most 31 within two cells of the ends, so
-    # both sides round within a few hundred ulps of 31 sup|y| (over h for slopes)
+    # both sides round within a few hundred ulps of 31 sup|y| (over h for
+    # slopes), plus TINY where products underflow
     x, y, xs = data
     h = x[1] - x[0]
     d1, d2 = (y[1] - y[0]) / h, (y[2] - 2 * y[1] + y[0]) / (2 * h * h)
     scale = 2.0 ** -40 * np.max(np.abs(y), axis=0)
     slopes = _slopes(x, y, True)
-    assert np.all(np.abs(slopes - (d1 + (2 * x[:, None] - x[0] - x[1]) * d2)) <= scale / h)
+    assert np.all(np.abs(slopes - (d1 + (2 * x[:, None] - x[0] - x[1]) * d2))
+                  <= scale / h + TINY / h)
     reference = y[0] + (xs[:, None] - x[0]) * (d1 + (xs[:, None] - x[1]) * d2)
-    assert np.all(np.abs(_hermite(x, y, slopes, xs[:, None], True) - reference) <= scale)
+    assert np.all(np.abs(_hermite(x, y, slopes, xs[:, None], True) - reference)
+                  <= scale + TINY)
 
 
 def test_smooth_route_is_fourth_order_on_sin():

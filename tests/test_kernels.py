@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, derivative
-from fwsolver.kernels import (DEFAULT_Q_FLOOR, MonotonicityError, _block_shape,
+from fwsolver.kernels import (DEFAULT_Q_FLOOR, MonotonicityError, _geometry, _unit_geometry,
                               convected_pair, cumulative_flow_values, green_derivative,
                               helmholtz_inverse, kernel_pair_direct)
 
@@ -114,6 +114,23 @@ def test_collapse_is_bitwise():
     assert np.array_equal(even.values, helmholtz_inverse(f).values)
 
 
+@pytest.mark.parametrize("grid", [Grid(1.0, 3), Grid(20.0, 2001), Grid(200.0, 101)],
+                         ids=["n=3", "defaults", "dlam=4"])
+def test_unit_stretch_operators_are_convected_pair_bitwise(grid):
+    # Grid(200, 101) has cells of width 4 in Lambda, so its sweeps run in 15 blocks
+    f = GridFunction(grid, np.exp(-0.01 * grid.x ** 2) * np.cos(grid.x))
+    odd, even = convected_pair(f, ones_like(f))
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        assert green_derivative(f).values.tobytes() == odd.values.tobytes()
+        assert helmholtz_inverse(f).values.tobytes() == even.values.tobytes()
+    geometry = _unit_geometry(grid)
+    for part in geometry:  # five read-only arrays and a tuple
+        with pytest.raises((ValueError, TypeError)):
+            part[0] = 1.0
+    assert _unit_geometry(Grid(grid.half_width, grid.n_points)) is geometry
+    assert _unit_geometry(Grid(2.0 * grid.half_width, grid.n_points)) is not geometry
+
+
 def test_convected_zero_data():
     g = Grid(10.0, 301)
     w = GridFunction(g, np.zeros(301))
@@ -172,7 +189,7 @@ def random_pair(n, half_width, seed):
 
 def sweep_layout(n, half_width, seed):
     _, q = random_pair(n, half_width, seed)
-    blocks, block_len = _block_shape(np.diff(cumulative_flow_values(q.values, q.grid.h)))
+    blocks, block_len = _geometry(cumulative_flow_values(q.values, q.grid.h))[3].shape
     return {"single block": blocks == 1, "many blocks": blocks >= 3,
             "padded last block": blocks * block_len > n - 1, "block length 1": block_len == 1}
 
