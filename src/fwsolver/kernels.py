@@ -86,58 +86,70 @@ def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDA
 # panel integrals
 # ---------------------------------------------------------------------------
 
-def _phi1(z: NDArray[np.float64]) -> NDArray[np.float64]:
-    """(e^z - 1)/z with the removable singularity filled in."""
-    out = np.ones_like(z)
-    np.divide(np.expm1(z), z, out=out, where=z != 0.0)
-    return out
-
-
 def _geometry(lam: NDArray[np.float64]):
     """Everything of a kernel pass that depends on ``lam`` alone: the cell
     widths, the linear panel weights and the block factors of :func:`_sweeps`,
     as ``(dlam, A, B, up, down, link)``."""
-    dlam = np.diff(lam)
-    E = -np.expm1(-dlam)  # 1 - e^-d
-    B = (E - dlam * (1.0 - E)) / dlam  # linear weight of the far endpoint
-    blocks = -(-dlam.size // max(1, int(_SPAN / float(np.max(dlam)))))
-    block_len = -(-dlam.size // blocks)
-    edges = np.full((2, blocks * block_len), lam[-1])  # padding cells have zero width
-    edges[:, :dlam.size] = lam[:-1], lam[1:]
-    lo, hi = edges.reshape(2, blocks, block_len)
-    head, tail = lo[:, :1], hi[:, -1:]
-    up = np.exp(lo - head)  # in [1, e^span)
-    down = np.exp(hi - tail)  # in (e^-span, 1]
-    return dlam, E - B, B, up, down, tuple(np.exp(head - tail).ravel().tolist())
+    dlam, m = np.diff(lam), lam.size - 1
+    E = np.negative(dlam)
+    np.negative(np.expm1(E, out=E), out=E)  # 1 - e^-d
+    B = np.multiply(np.subtract(1.0, E), dlam)
+    np.subtract(E, B, out=B)
+    B /= dlam  # linear weight of the far endpoint, (E - d (1 - E)) / d
+    E -= B  # A, the weight of the near endpoint
+    blocks = -(-m // max(1, int(_SPAN / float(np.max(dlam)))))
+    edges = np.empty((2, blocks, -(-m // blocks)))
+    flat = edges.reshape(2, -1)
+    flat[0, :m], flat[1, :m], flat[:, m:] = lam[:-1], lam[1:], lam[-1]  # padding has zero width
+    ends = np.stack((edges[0, :, :1], edges[1, :, -1:]))  # block heads and tails
+    link = tuple(np.exp(ends[0] - ends[1]).ravel().tolist())
+    edges -= ends
+    np.exp(edges, out=edges)  # up in [1, e^span), down in (e^-span, 1]
+    return dlam, E, B, edges[0], edges[1], link
 
 
-def _panels(w: NDArray[np.float64], geometry):
-    """Per-cell weighted integrals for both sweeps, in one masked pass.
+def _panels(w: NDArray[np.float64], geometry, out):
+    """Per-cell weighted integrals for both sweeps, written into the pair
+    ``out = (decaying, growing)`` and returned.
 
-    Returns ``decaying = int_0^d e^{-s} w ds`` (right sweep) and
+    ``decaying = int_0^d e^{-s} w ds`` (right sweep) and
     ``growing = int_0^d e^{s-d} w ds`` (left sweep) on each cell of width
     ``d``, with ``w`` the exponential fit through the endpoint values when
     they share a sign, else the linear interpolant.  ``growing`` is
     ``decaying`` with the endpoints swapped, so both share the weights.
     """
     dlam, A, B = geometry[:3]
+    decaying, growing = out
     w0, w1 = w[:-1], w[1:]
-    fit = (w0 * w1) > 0.0
-    ratio = np.log(np.divide(w1, w0, out=np.ones_like(dlam), where=fit))
+    fit = np.multiply(w0, w1, out=decaying) > 0.0
+    ratio = np.divide(w1, w0, out=np.ones_like(dlam), where=fit)
+    np.log(ratio, out=ratio)
     fit &= np.abs(ratio) < 500.0  # keep expm1 in range for freak ratios
-    ratio = np.where(fit, ratio, 0.0)
-    decaying = np.where(fit, dlam * w0 * _phi1(ratio - dlam), A * w0 + B * w1)
-    growing = np.where(fit, dlam * w1 * _phi1(-ratio - dlam), B * w0 + A * w1)
-    return decaying, growing
+    linear = np.flatnonzero(~fit)
+    ratio[linear] = 0.0
+    z_dec, z_gro = ratio - dlam, np.negative(ratio, out=ratio)
+    z_gro -= dlam
+    # fitted rule d * w_near * (e^z - 1)/z, with the removable singularity filled in
+    for cell, z, near in ((decaying, z_dec, w0), (growing, z_gro, w1)):
+        np.expm1(z, out=cell)
+        with np.errstate(invalid="ignore"):
+            cell /= z
+        cell[z == 0.0] = 1.0
+        cell *= np.multiply(dlam, near, out=z)
+    a, b, u0, u1 = A[linear], B[linear], w0[linear], w1[linear]
+    decaying[linear] = a * u0 + b * u1
+    growing[linear] = b * u0 + a * u1
+    return out
 
 
 # ---------------------------------------------------------------------------
 # O(N) sweeps
 # ---------------------------------------------------------------------------
 
-def _sweeps(w, geometry):
+def _sweeps(w, geometry, out=None):
     """Odd and even kernel integrals ``(R - L, R + L)`` of the node values
-    ``w`` on a :func:`_geometry`, by blocked whole-array recurrences:
+    ``w`` on a :func:`_geometry`, by blocked whole-array recurrences, as the
+    rows of ``out`` (a new ``(2, n)`` array when not given):
 
         R_i = 0.5 * sum_{j >= i}    e^{lam_i - lam_j}     decaying_j
         L_i = 0.5 * sum_{j+1 <= i}  e^{lam_{j+1} - lam_i} growing_j
@@ -155,12 +167,20 @@ def _sweeps(w, geometry):
     """
     dlam, _, _, up, down, link = geometry
     m, blocks = dlam.size, up.shape[0]
-    cells = np.zeros((2, up.size))  # padding cells have zero weight
-    cells[:, :m] = _panels(w, geometry)
-    dec, gro = cells.reshape(2, *up.shape)
-    Sr = np.cumsum((0.5 * dec / up)[:, ::-1], axis=1)[:, ::-1]
-    Sl = np.cumsum(0.5 * gro * down, axis=1)
-    right_sums, left_sums = Sr[:, 0].tolist(), Sl[:, -1].tolist()
+    # row 0 holds the right-sweep cells from slot 0, row 1 the left-sweep
+    # cells from slot 1, so R and L are the first m + 1 slots of the rows
+    # (R_m and L_0 are zero: their slots are padding or spare)
+    cells = np.empty((2, up.size + 1))
+    cells[0, m:] = 0.0  # padding cells have zero weight
+    cells[1, :1] = cells[1, m + 1:] = 0.0
+    _panels(w, geometry, (cells[0, :m], cells[1, 1:m + 1]))
+    cells *= 0.5
+    dec, gro = cells[0, :-1].reshape(up.shape), cells[1, 1:].reshape(up.shape)
+    dec /= up
+    gro *= down
+    np.cumsum(dec[:, ::-1], axis=1, out=dec[:, ::-1])
+    np.cumsum(gro, axis=1, out=gro)
+    right_sums, left_sums = dec[:, 0].tolist(), gro[:, -1].tolist()
     # carry into each block: R from the next block, L from the previous one
     cr, cl = [0.0] * blocks, [0.0] * blocks
     R_next = L_prev = 0.0
@@ -170,15 +190,22 @@ def _sweeps(w, geometry):
         R_next += right_sums[c]
         cl[b] = L_prev = link[b] * L_prev
         L_prev += left_sums[b]
-    R = np.concatenate(((up * (Sr + np.array(cr)[:, None])).ravel()[:m], [0.0]))
-    L = np.concatenate(([0.0], ((Sl + np.array(cl)[:, None]) / down).ravel()[:m]))
-    return R - L, R + L
+    dec += np.array(cr)[:, None]
+    dec *= up
+    gro += np.array(cl)[:, None]
+    gro /= down
+    R, L = cells[:, :m + 1]
+    out = np.empty((2, m + 1)) if out is None else out
+    np.subtract(R, L, out=out[0])
+    np.add(R, L, out=out[1])
+    return out
 
 
-def kernel_pair_arrays(w, lam):
+def kernel_pair_arrays(w, lam, out=None):
     """Fast-path core: ``(odd, even) = (R - L, R + L)`` for the node values
-    ``w`` and cumulative flow samples ``lam``, from one sweep pair."""
-    return _sweeps(w, _geometry(lam))
+    ``w`` and cumulative flow samples ``lam``, from one sweep pair, as the
+    rows of ``out`` (a new ``(2, n)`` array when not given)."""
+    return _sweeps(w, _geometry(lam), out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -202,7 +229,7 @@ def kernel_pair_direct(w, lam):
     recurrence, so this route shares no summation structure with the
     fast path.
     """
-    pr, kl = _panels(w, _geometry(lam))
+    pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
     n = lam.size
     i = np.arange(n)
     # right contributions: cells j >= i, weight normalized at the cell's left edge

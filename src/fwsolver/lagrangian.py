@@ -240,23 +240,34 @@ def _norm(y: NDArray[np.float64], h: float) -> float:
 
 def _rhs_arrays(y: NDArray[np.float64], h: float, q_floor: float) -> NDArray[np.float64]:
     w, v, q = y[0], y[1], y[2]
-    odd, even = kernel_pair_arrays(w, cumulative_flow_values(q, h, q_floor))
     out = np.empty_like(y)
-    out[0] = odd
-    out[1] = even - w - 1.5 * v * v
-    out[2] = 1.5 * v * q
-    out[3] = 1.5 * w
+    kernel_pair_arrays(w, cumulative_flow_values(q, h, q_floor), out[:2])
+    dv, dq, dx = out[1:]
+    dv -= w  # dv = even - w - 1.5 v^2, with dq and dx as scratch first
+    dv -= np.multiply(np.multiply(v, 1.5, out=dq), v, out=dx)
+    dq *= q
+    np.multiply(w, 1.5, out=dx)
     return out
 
 
 def _rk4(f, y, dt):
     """One classical RK4 step for ``y' = f(y)``; ``f(y, stage)`` is told
-    which stage (``"k1"`` to ``"k4"``) it evaluates, so it can name it."""
-    k1 = f(y, "k1")
-    k2 = f(y + 0.5 * dt * k1, "k2")
-    k3 = f(y + 0.5 * dt * k2, "k3")
-    k4 = f(y + dt * k3, "k4")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    which stage (``"k1"`` to ``"k4"``) it evaluates, so it can name it.
+    ``f`` must return a new array: the step sums the stages into ``k1`` in
+    place and returns it.  ``y`` is never written."""
+    k = acc = f(y, "k1")
+    z = np.empty_like(y)
+    for stage, c in (("k2", 0.5 * dt), ("k3", 0.5 * dt), ("k4", dt)):
+        np.multiply(k, c, out=z)
+        if k is not acc:  # k1 + 2 k2 + 2 k3, summed left to right
+            k *= 2.0
+            acc += k
+        z += y
+        k = f(z, stage)
+    acc += k
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def _time_steps(config: SolverConfig, geometry: BallGeometry) -> tuple[float, float, int]:
@@ -291,7 +302,8 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
         except MonotonicityError as err:
             raise GuardBreach(stage, err.index, float(grid.x[err.index]), t,
                               err.value, err.floor) from err
-        _guard_nodes(np.isfinite(k).all(axis=0), k, stage, grid, t, q_floor)
+        if not math.isfinite(np.sum(k)):  # a screen: finite tendencies may overflow the sum
+            _guard_nodes(np.isfinite(k).all(axis=0), k, stage, grid, t, q_floor)
         return k
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,7 +16,7 @@ from fwsolver.grid import read_csv, write_csv
 from fwsolver.lagrangian import SolverConfig
 from fwsolver.profiles import gaussian, sech2
 from fwsolver.grid import Grid
-from fwsolver.verification import VerificationSuite
+from fwsolver.verification import STEPS, VerificationSuite
 
 
 SOLVE_ARGS = ["solve", "--profile", "gaussian:a=0.1,sigma=1",
@@ -408,6 +408,22 @@ def test_verify_suite_runs_on_the_given_profile():
     suite = VerificationSuite(SolverConfig(grid=grid), "sech2:a=0.05,k=1")
     traj = suite.run(201, 10)
     assert np.array_equal(traj.states[0].w.values, sech2(grid, a=0.05, k=1).values)
+
+
+def test_verify_double_resolution_runs_keep_three_levels():
+    # chain_rule and oracle_agreement read only t = T/2 and T of these runs
+    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+    suite.check_chain_rule()
+    suite.check_oracle_agreement()
+    double = suite._resolutions()[2]
+    kept = {key: traj for key, traj in suite._runs.items() if key[0] == double}
+    assert sorted(kept) == [(double, STEPS, STEPS // 2), (double, 2 * STEPS, STEPS)]
+    for (n, steps, _), traj in kept.items():
+        full = suite.run(n, steps)
+        t_half = traj.geometry.lifespan / 2
+        assert len(traj.states) == 3 and len(full.states) == steps + 1
+        for a, b in ((traj.final, full.final), (traj.state_at(t_half), full.state_at(t_half))):
+            assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
 
 
 def test_verify_zero_data_passes_trivially(tmp_path, monkeypatch):

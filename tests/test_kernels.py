@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, derivative
-from fwsolver.kernels import (DEFAULT_Q_FLOOR, MonotonicityError, _geometry, _unit_geometry,
-                              convected_pair, cumulative_flow_values, green_derivative,
-                              helmholtz_inverse, kernel_pair_direct)
+from fwsolver.kernels import (_SPAN, DEFAULT_Q_FLOOR, MonotonicityError, _geometry,
+                              _unit_geometry, convected_pair, cumulative_flow_values,
+                              green_derivative, helmholtz_inverse, kernel_pair_arrays,
+                              kernel_pair_direct)
+from fwsolver.lagrangian import _rhs_arrays, _rk4
 
 
 def gf(half_width, n, fn):
@@ -293,3 +295,122 @@ def test_floor_guard_propagates():
         convected_pair(w, GridFunction(g, qv))
 
 
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernel pass against the allocating one it replaced
+# ---------------------------------------------------------------------------
+
+def ref_phi1(z):
+    out = np.ones_like(z)
+    np.divide(np.expm1(z), z, out=out, where=z != 0.0)
+    return out
+
+
+def ref_geometry(lam):
+    dlam = np.diff(lam)
+    E = -np.expm1(-dlam)
+    B = (E - dlam * (1.0 - E)) / dlam
+    blocks = -(-dlam.size // max(1, int(_SPAN / float(np.max(dlam)))))
+    block_len = -(-dlam.size // blocks)
+    edges = np.full((2, blocks * block_len), lam[-1])
+    edges[:, :dlam.size] = lam[:-1], lam[1:]
+    lo, hi = edges.reshape(2, blocks, block_len)
+    head, tail = lo[:, :1], hi[:, -1:]
+    return (dlam, E - B, B, np.exp(lo - head), np.exp(hi - tail),
+            tuple(np.exp(head - tail).ravel().tolist()))
+
+
+def ref_panels(w, geometry):
+    dlam, A, B = geometry[:3]
+    w0, w1 = w[:-1], w[1:]
+    fit = (w0 * w1) > 0.0
+    ratio = np.log(np.divide(w1, w0, out=np.ones_like(dlam), where=fit))
+    fit &= np.abs(ratio) < 500.0
+    ratio = np.where(fit, ratio, 0.0)
+    decaying = np.where(fit, dlam * w0 * ref_phi1(ratio - dlam), A * w0 + B * w1)
+    growing = np.where(fit, dlam * w1 * ref_phi1(-ratio - dlam), B * w0 + A * w1)
+    return decaying, growing
+
+
+def ref_sweeps(w, geometry):
+    dlam, _, _, up, down, link = geometry
+    m, blocks = dlam.size, up.shape[0]
+    cells = np.zeros((2, up.size))
+    cells[:, :m] = ref_panels(w, geometry)
+    dec, gro = cells.reshape(2, *up.shape)
+    Sr = np.cumsum((0.5 * dec / up)[:, ::-1], axis=1)[:, ::-1]
+    Sl = np.cumsum(0.5 * gro * down, axis=1)
+    right_sums, left_sums = Sr[:, 0].tolist(), Sl[:, -1].tolist()
+    cr, cl = [0.0] * blocks, [0.0] * blocks
+    R_next = L_prev = 0.0
+    for b in range(blocks):
+        c = blocks - 1 - b
+        cr[c] = R_next = link[c] * R_next
+        R_next += right_sums[c]
+        cl[b] = L_prev = link[b] * L_prev
+        L_prev += left_sums[b]
+    R = np.concatenate(((up * (Sr + np.array(cr)[:, None])).ravel()[:m], [0.0]))
+    L = np.concatenate(([0.0], ((Sl + np.array(cl)[:, None]) / down).ravel()[:m]))
+    return R - L, R + L
+
+
+def ref_rhs(y, h, q_floor):
+    w, v, q = y[0], y[1], y[2]
+    odd, even = ref_sweeps(w, ref_geometry(cumulative_flow_values(q, h, q_floor)))
+    return np.stack([odd, even - w - 1.5 * v * v, 1.5 * v * q, 1.5 * w])
+
+
+def ref_rk4(f, y, dt):
+    k1 = f(y, "k1")
+    k2 = f(y + 0.5 * dt * k1, "k2")
+    k3 = f(y + 0.5 * dt * k2, "k3")
+    k4 = f(y + dt * k3, "k4")
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def packed_state(n, half_width, seed):
+    """``(y, h)``: a packed state whose ``w`` has exact zeros, sign changes,
+    subnormals and neighbours whose ratio has ``|log| >= 500``."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n)
+    w[rng.random(n) < 0.1] = 0.0
+    w[rng.random(n) < 0.1] *= 1e-310
+    w *= np.exp(-rng.uniform(500.0, 700.0, n) * (rng.random(n) < 0.1))
+    y = np.stack([w, 0.3 * rng.normal(size=n), rng.uniform(0.2, 1.3, n), rng.normal(size=n)])
+    return y, 2.0 * half_width / (n - 1)
+
+
+LONG_DOMAIN = packed_state(401, 100.0, 5)  # nine sweep blocks, the last one padded
+# one cell with z = log(w1/w0) - dlam == 0 exactly: lam = [0, log(w1/w0)]
+Z_ZERO_CELL = (np.array([[1.0, 3.0], [0.1, -0.2], [1.0, 1.0], [0.0, 0.0]]), float(np.log(3.0)))
+
+
+def test_bitwise_examples_cover_padded_blocks_and_the_removable_singularity():
+    y, h = LONG_DOMAIN
+    blocks, block_len = _geometry(cumulative_flow_values(y[2], h))[3].shape
+    assert blocks > 2 and blocks * block_len > y.shape[1] - 1
+    y, h = Z_ZERO_CELL
+    assert np.log(y[0, 1] / y[0, 0]) - np.diff(cumulative_flow_values(y[2], h))[0] == 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=st.builds(packed_state, st.integers(2, 3000), st.floats(0.5, 5000.0),
+                      st.integers(0, 2**32 - 1)))
+@example(case=LONG_DOMAIN)
+@example(case=Z_ZERO_CELL)
+def test_kernel_rhs_and_rk4_are_bitwise_the_allocating_pass(case):
+    y, h = case
+    lam = cumulative_flow_values(y[2], h)
+    with np.errstate(all="ignore"):
+        assert bits(kernel_pair_arrays(y[0], lam)) == bits(ref_sweeps(y[0], ref_geometry(lam)))
+        assert bits(_rhs_arrays(y, h, DEFAULT_Q_FLOOR)) == bits(ref_rhs(y, h, DEFAULT_Q_FLOOR))
+        new = old = y
+        for _ in range(30):
+            new = _rk4(lambda z, stage: _rhs_arrays(z, h, DEFAULT_Q_FLOOR), new, 1e-3)
+            old = ref_rk4(lambda z, stage: ref_rhs(z, h, DEFAULT_Q_FLOOR), old, 1e-3)
+        assert bits(new) == bits(old)

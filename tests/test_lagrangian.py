@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fwsolver.lagrangian
 from fwsolver.grid import Grid, GridFunction, sup_norm
 from fwsolver.kernels import DEFAULT_Q_FLOOR, green_derivative
 from fwsolver.lagrangian import (GuardBreach, InitialDataError, LagrangianState,
-                                 SolverConfig, _rhs_arrays, _rk4_arrays, ball_geometry,
+                                 SolverConfig, _rhs_arrays, _rk4, _rk4_arrays, ball_geometry,
                                  chain_rule_defect, initial_state, integrate, state_norm, step)
 from fwsolver.profiles import gaussian, peakon_profile, sech2
 
@@ -334,6 +335,47 @@ def test_non_finite_state_breaches_naming_node_and_x(component, bad, stage, t, v
     gb = exc.value
     assert (gb.stage, gb.node, gb.x, gb.t) == (stage, 7, grid.x[7], t)
     assert str(gb.value) == value
+
+
+def test_rk4_leaves_y_unwritten_and_returns_a_new_array():
+    y = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+    y.flags.writeable = False  # any write into y raises
+    seen = []
+
+    def f(z, stage):
+        seen.append(stage)
+        return np.sin(z) - 0.5 * z
+
+    dt = 0.3
+    y_new = _rk4(f, y, dt)
+    assert seen == ["k1", "k2", "k3", "k4"]
+    assert y_new.flags.writeable and not np.shares_memory(y_new, y)
+    k1 = f(y, "k1")
+    k2 = f(y + 0.5 * dt * k1, "k2")
+    k3 = f(y + 0.5 * dt * k2, "k3")
+    k4 = f(y + dt * k3, "k4")
+    assert np.array_equal(y_new, y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def test_stage_screen_passes_finite_tendencies_whose_sum_overflows(monkeypatch):
+    # k1 is finite, but its two entries of 1e308 overflow np.sum; the exact
+    # per-node check must then find nothing, and later stages are zero
+    grid = Grid(5.0, 11)
+    y = np.stack([np.zeros(11), np.zeros(11), np.ones(11), np.zeros(11)])
+    calls = []
+
+    def rhs(z, h, q_floor):
+        k = np.zeros_like(z)
+        if not calls:
+            k[3, [2, 5]] = 1e308
+        calls.append(z)
+        return k
+
+    monkeypatch.setattr(fwsolver.lagrangian, "_rhs_arrays", rhs)
+    y_new = _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
+    assert len(calls) == 4
+    assert y_new[3, 2] == y_new[3, 5] == 1e308 * (0.25 / 6.0)
+    assert np.count_nonzero(y_new[3]) == 2
 
 
 # ---------------------------------------------------------------------------
