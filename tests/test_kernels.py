@@ -295,8 +295,6 @@ def test_floor_guard_propagates():
         convected_pair(w, GridFunction(g, qv))
 
 
-
-
 # ---------------------------------------------------------------------------
 # the in-place kernel pass against the allocating one it replaced
 # ---------------------------------------------------------------------------
