@@ -20,7 +20,7 @@ from pathlib import Path
 from .grid import Grid, write_columns, write_csv
 from .lagrangian import (GUARD_MODES, GuardBreach, SolverConfig, _time_steps, ball_geometry,
                          integrate)
-from .flowmap import flow_map, write_flowmap_csv, write_snapshot_csv
+from .flowmap import FlowMapError, flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
 from .profiles import make_profile
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     except ValueError as err:  # bad settings or data, InitialDataError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except GuardBreach as err:
+    except (GuardBreach, FlowMapError) as err:  # a step guard, or a non-monotone flow map
         print(f"guard breach: {err}", file=sys.stderr)
         return EXIT_GUARD
     finally:

@@ -144,12 +144,11 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig) -> list:
     h = config.grid.h
     t_end, dt, n_steps = _time_steps(config, ball_geometry(u0, config.r0))
     speed_scale = 1.5 * sup_norm(u0)
-    if speed_scale > 0 and dt > h / speed_scale:
+    if speed_scale > 0 and abs(dt) > h / speed_scale:
         raise ValueError(
-            f"dt = {dt:.4g} violates the CFL limit {h / speed_scale:.4g} "
+            f"dt = {abs(dt):.4g} violates the CFL limit {h / speed_scale:.4g} "
             f"for wave speed {speed_scale:.4g}"
         )
-    dt = t_end / n_steps
 
     def rhs_arrays(u, _stage):
         kernel_term = green_derivative(GridFunction(config.grid, u)).values

@@ -91,12 +91,9 @@ def _geometry(lam: NDArray[np.float64]):
     widths, the linear panel weights and the block factors of :func:`_sweeps`,
     as ``(dlam, A, B, up, down, link)``."""
     dlam, m = np.diff(lam), lam.size - 1
-    E = np.negative(dlam)
-    np.negative(np.expm1(E, out=E), out=E)  # 1 - e^-d
-    B = np.multiply(np.subtract(1.0, E), dlam)
-    np.subtract(E, B, out=B)
-    B /= dlam  # linear weight of the far endpoint, (E - d (1 - E)) / d
-    E -= B  # A, the weight of the near endpoint
+    E = -np.expm1(-dlam)  # 1 - e^-d
+    B = (E - dlam * (1.0 - E)) / dlam  # linear weight of the far endpoint
+    A = E - B  # and of the near endpoint
     blocks = -(-m // max(1, int(_SPAN / float(np.max(dlam)))))
     edges = np.empty((2, blocks, -(-m // blocks)))
     flat = edges.reshape(2, -1)
@@ -105,7 +102,7 @@ def _geometry(lam: NDArray[np.float64]):
     link = tuple(np.exp(ends[0] - ends[1]).ravel().tolist())
     edges -= ends
     np.exp(edges, out=edges)  # up in [1, e^span), down in (e^-span, 1]
-    return dlam, E, B, edges[0], edges[1], link
+    return dlam, A, B, edges[0], edges[1], link
 
 
 def _panels(w: NDArray[np.float64], geometry, out):

@@ -272,12 +272,13 @@ def _rk4(f, y, dt):
 
 def _time_steps(config: SolverConfig, geometry: BallGeometry) -> tuple[float, float, int]:
     """``(t_end, dt, n_steps)``: the horizon (default the guaranteed
-    lifespan), the requested step (default ``min(h, lifespan/200)``) and
-    the number of equal steps, of size ``t_end / n_steps``, that land
-    exactly on ``t_end``."""
+    lifespan), and the signed step ``dt = t_end / n_steps`` actually taken
+    by the number of equal steps nearest the requested step (default
+    ``min(h, lifespan/200)``), so they land exactly on ``t_end``."""
     t_end = config.t_end if config.t_end is not None else geometry.lifespan
     dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
-    return t_end, dt, max(1, int(round(abs(t_end) / dt)))
+    n_steps = max(1, int(round(abs(t_end) / dt)))
+    return t_end, t_end / n_steps, n_steps
 
 
 def _guard_nodes(ok, y, stage, grid, t, q_floor):
@@ -365,27 +366,26 @@ def integrate(u0: GridFunction, config: SolverConfig,
     """
     if geometry is None:
         geometry = ball_geometry(u0, config.r0)
-    t_end, _, n_steps = _time_steps(config, geometry)
+    t_end, dt, n_steps = _time_steps(config, geometry)
     if config.guard_mode == "enforce" and abs(t_end) > geometry.lifespan * (1 + 1e-12):
         raise InitialDataError(
             f"t_end = {t_end:.6g} exceeds the guaranteed lifespan {geometry.lifespan:.6g}; "
             "pass guard_mode='warn' to integrate beyond it"
         )
-    dt_signed = t_end / n_steps
 
     state0 = initial_state(u0, config)
     traj = Trajectory(states=[state0], geometry=geometry)
     y = state0.y
     grid = config.grid
     for s in range(n_steps):
-        t = s * dt_signed
+        t = s * dt
         try:
-            y = _rk4_arrays(y, t, dt_signed, grid, config.q_floor)
+            y = _rk4_arrays(y, t, dt, grid, config.q_floor)
         except GuardBreach as gb:
             traj.breach = gb
             if traj.final.t != t:  # retain the last valid state
                 traj.states.append(LagrangianState(t, grid, y))
             break
         if (s + 1) % config.store_every == 0 or s + 1 == n_steps:
-            traj.states.append(LagrangianState((s + 1) * dt_signed, grid, y))
+            traj.states.append(LagrangianState((s + 1) * dt, grid, y))
     return traj

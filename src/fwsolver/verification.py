@@ -4,8 +4,9 @@ construction to a measurable number with a fixed tolerance.
 A suite runs on one run description, ``(SolverConfig, profile spec)``, of
 which only the grid, ``r0`` and the data shape the canonical runs: the
 battery's tolerances rest on its own time steps and guards, so a config that
-sets any other field is rejected.  Expensive runs are cached on the suite
-object and shared between checks.
+sets any other field is rejected.  The refinement checks share one cached run
+per resolution: half, the configured and double ``n``, in ``STEPS // 2``,
+``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h.
 """
 
 from __future__ import annotations
@@ -133,22 +134,24 @@ class VerificationSuite:
     def _data(self, n: int) -> GridFunction:
         return make_profile(self.profile, Grid(self.config.grid.half_width, n))
 
-    def run(self, n: int, steps: int, store_every: int = 1):
-        """Lagrangian run of the canonical data to its guaranteed lifespan,
-        keeping every ``store_every``-th level."""
-        key = (n, steps, store_every)
-        if key not in self._runs:
+    def run(self, n: int):
+        """The one Lagrangian run at resolution ``n``, a key of :meth:`_resolutions`,
+        to the guaranteed lifespan.  The double-resolution run keeps t = 0, T/2
+        and T, all that its readers need; the others keep every level."""
+        if n not in self._runs:
+            steps = self._resolutions()[n]
             u0 = self._data(n)
             geo = ball_geometry(u0, self.config.r0)
             cfg = SolverConfig(grid=u0.grid, dt=geo.lifespan / steps, t_end=geo.lifespan,
-                               r0=self.config.r0, store_every=store_every)
-            self._runs[key] = integrate(u0, cfg, geo)
-        return self._runs[key]
+                               r0=self.config.r0,
+                               store_every=steps // 2 if steps == 2 * STEPS else 1)
+            self._runs[n] = integrate(u0, cfg, geo)
+        return self._runs[n]
 
-    def _resolutions(self):
-        half = (self.n - 1) // 2 + 1
-        double = 2 * (self.n - 1) + 1
-        return half, self.n, double
+    def _resolutions(self) -> dict:
+        """RK4 steps of the run at half, the configured and double n, in that order."""
+        return {(self.n - 1) // 2 + 1: STEPS // 2, self.n: STEPS,
+                2 * (self.n - 1) + 1: 2 * STEPS}
 
     # -- individual checks, run in this order ----------------------------
 
@@ -217,7 +220,7 @@ class VerificationSuite:
     def check_flow_map_bounds(self):
         """Forward and inverse slope bands for the canonical run, plus the
         synthetically saturated extreme map."""
-        traj = self.run(self.n, STEPS)
+        traj = self.run(self.n)
         geo = traj.geometry
         ok_run = True
         try:
@@ -242,7 +245,7 @@ class VerificationSuite:
     @_check("sup_t (sup|u| + sup|ux|) <= 2 |u0|_C1 (1 + 1e-2)")
     def check_size_estimate(self):
         """The solution never exceeds twice the size of the data."""
-        traj = self.run(self.n, STEPS)
+        traj = self.run(self.n)
         u0_c1 = c1_norm(self._data(self.n))
         worst = 0.0
         for snap, in _pull_back(traj.states):
@@ -255,8 +258,8 @@ class VerificationSuite:
         """Compatibility of the carried slope with the spatial derivative,
         and its second-order decay under grid refinement."""
         _, n, double = self._resolutions()
-        d_n = chain_rule_defect(self.run(n, STEPS).final)
-        d_2n = chain_rule_defect(self.run(double, STEPS, STEPS // 2).final)
+        d_n = chain_rule_defect(self.run(n).final)
+        d_2n = chain_rule_defect(self.run(double).final)
         ratio = math.inf if d_n <= _CONVERGED else d_n / max(d_2n, 1e-300)
         passed = d_n <= 1e-3 and ratio >= 3.5
         return passed, {"defect": d_n, "halving_ratio": ratio}
@@ -267,14 +270,13 @@ class VerificationSuite:
         refinement (or already at the convergence floor)."""
         half, n, _ = self._resolutions()
 
-        def drifts(nn, steps):
-            traj = self.run(nn, steps)
+        def drifts(nn):
+            traj = self.run(nn)
             e0 = np.array(conserved(reconstruct(traj.states[0]).u))
             eT = np.array(conserved(reconstruct(traj.final).u))
             return np.abs(eT - e0) / np.maximum(np.abs(e0), 1e-3)
 
-        d_coarse = drifts(half, STEPS // 2)
-        d_fine = drifts(n, STEPS)
+        d_coarse, d_fine = drifts(half), drifts(n)
         small = bool(np.all(d_fine <= 1e-5))
         shrinking = bool(np.all((d_fine <= d_coarse) | (d_fine <= 1e-6)))
         return small and shrinking, {
@@ -292,11 +294,9 @@ class VerificationSuite:
         the shape-preserving interpolant's limiter kinks at the crest would
         otherwise wander with the in-cell phase and spoil the order fit.
         """
-        half, n, double = self._resolutions()
         dists, hs = [], []
-        for nn, steps in ((half, STEPS // 2), (n, STEPS), (double, 2 * STEPS)):
-            # the double-resolution run keeps only t = 0, T/2 and T
-            traj = self.run(nn, steps, steps // 2 if nn == double else 1)
+        for nn, steps in self._resolutions().items():
+            traj = self.run(nn)
             t_half = traj.geometry.lifespan / 2
             u_lag = reconstruct(traj.state_at(t_half), smooth=True).u
             cfg = SolverConfig(grid=u_lag.grid, dt=t_half / steps, t_end=t_half,
@@ -314,12 +314,11 @@ class VerificationSuite:
         order, and the corner-profile residual that isolates the kernel."""
         half, n, _ = self._resolutions()
 
-        def mid_residual(nn, steps):
-            traj = self.run(nn, steps)
+        def mid_residual(nn):
+            traj = self.run(nn)
             return pde_residual(traj, traj.geometry.lifespan / 2)
 
-        r_coarse = mid_residual(half, STEPS // 2)
-        r_fine = mid_residual(n, STEPS)
+        r_coarse, r_fine = mid_residual(half), mid_residual(n)
         order = (math.inf if r_coarse <= _CONVERGED
                  else math.log2(r_coarse / max(r_fine, 1e-300)))
         corner = peakon_residual(0.0, Grid(40.0, 4001))

@@ -13,7 +13,7 @@ import fwsolver.flowmap
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, main)
 from fwsolver.grid import read_csv, write_csv
-from fwsolver.lagrangian import SolverConfig
+from fwsolver.lagrangian import SolverConfig, ball_geometry, integrate
 from fwsolver.profiles import gaussian, sech2
 from fwsolver.grid import Grid
 from fwsolver.verification import STEPS, VerificationSuite
@@ -178,6 +178,10 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     assert "breach" in capsys.readouterr().err
 
 
+FLOW_MAP_DATA = ["--profile", "sech2:a=2,k=3", "--X", "20", "--n", "81", "--guard", "warn"]
+FLOW_MAP_BREACH = ("warning: initial data is not smooth enough: slope jumps by 1.98 between "
+                   "nodes 39 and 40 (x=-0.5), tolerance 1.48\n"
+                   "guard breach: flow map is not strictly increasing near node 40 (x=0, ")
 VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                   ("--boundary-tol", "1e-5"), ("--guard", "warn"), ("--store-every", "5")]
 
@@ -203,6 +207,12 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                  "|u0| = 3.72e+116 > 1e-06; initial data does not decay at the right "
                  "boundary: |u0| = 3.72e+116 > 1e-06\n"
                  "guard breach: non-finite state at RK stage k1"),
+    # coarse steep data: the map stops increasing before q reaches its floor
+    (["solve", *FLOW_MAP_DATA, "--t-end", "1.2"],
+     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200446)"),
+    (["continuity", *FLOW_MAP_DATA, "--t-end", "0.25",
+      "--perturbation", "gaussian:a=0.01,sigma=1", "--eps", "1e-2,1e-3"],
+     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200739)"),
     # verify validates the common flags like the other subcommands
     (["verify", "--X", "10", "--n", "201", "--dt", "inf"],
      EXIT_CONFIG, "error: dt must be positive and finite"),
@@ -213,7 +223,7 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
        EXIT_CONFIG, "error: verify uses only X, n_points, r0 and the profile")
       for flag, value in VERIFY_REJECTS],
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
-        "non-finite", "verify-dt-inf", "verify-r0",
+        "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS]])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -406,24 +416,35 @@ def test_verify_csv_error_names_the_resolutions_it_runs(tmp_path, monkeypatch, c
 def test_verify_suite_runs_on_the_given_profile():
     grid = Grid(20.0, 201)
     suite = VerificationSuite(SolverConfig(grid=grid), "sech2:a=0.05,k=1")
-    traj = suite.run(201, 10)
+    traj = suite.run(201)
     assert np.array_equal(traj.states[0].w.values, sech2(grid, a=0.05, k=1).values)
 
 
 def test_verify_double_resolution_runs_keep_three_levels():
-    # chain_rule and oracle_agreement read only t = T/2 and T of these runs
+    # chain_rule and oracle_agreement share one double run and read only t = T/2 and T
     suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
     suite.check_chain_rule()
     suite.check_oracle_agreement()
-    double = suite._resolutions()[2]
-    kept = {key: traj for key, traj in suite._runs.items() if key[0] == double}
-    assert sorted(kept) == [(double, STEPS, STEPS // 2), (double, 2 * STEPS, STEPS)]
-    for (n, steps, _), traj in kept.items():
-        full = suite.run(n, steps)
-        t_half = traj.geometry.lifespan / 2
-        assert len(traj.states) == 3 and len(full.states) == steps + 1
-        for a, b in ((traj.final, full.final), (traj.state_at(t_half), full.state_at(t_half))):
-            assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
+    half, n, double = suite._resolutions()
+    assert sorted(suite._runs) == [half, n, double] == [26, 51, 101]
+    traj = suite._runs[double]
+    u0 = suite._data(double)
+    geo = ball_geometry(u0, suite.config.r0)
+    full = integrate(u0, SolverConfig(grid=u0.grid, dt=geo.lifespan / (2 * STEPS),
+                                      t_end=geo.lifespan, r0=suite.config.r0), geo)
+    t_half = geo.lifespan / 2
+    assert len(traj.states) == 3 and len(full.states) == 2 * STEPS + 1
+    for a, b in ((traj.final, full.final), (traj.state_at(t_half), full.state_at(t_half))):
+        assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
+
+
+def test_verify_run_all_integrates_each_resolution_once():
+    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+    suite.run_all()
+    assert sorted(suite._runs) == [26, 51, 101]
+    assert [len(suite._runs[n].states) for n in (26, 51, 101)] == [STEPS // 2 + 1, STEPS + 1, 3]
+    with pytest.raises(KeyError):  # no run at any other n
+        suite.run(201)
 
 
 def test_verify_zero_data_passes_trivially(tmp_path, monkeypatch):

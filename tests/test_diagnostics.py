@@ -126,6 +126,14 @@ def test_oracle_cfl_guard():
                                          guard_mode="warn"))
 
 
+def test_oracle_cfl_guard_checks_the_step_it_takes():
+    # dt = 0.033 is inside the limit 0.0333, but t_end = 0.045 takes one step of 0.045
+    grid = Grid(10.0, 201)
+    u0 = gaussian(grid, a=2.0)
+    with pytest.raises(ValueError, match="dt = 0.045 violates the CFL limit 0.03333"):
+        eulerian_oracle(u0, SolverConfig(grid=grid, dt=0.033, t_end=0.045, guard_mode="warn"))
+
+
 def test_oracle_agrees_with_characteristic_route():
     grid = Grid(10.0, 1001)
     u0 = gaussian(grid, a=0.1)
