@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .grid import Grid, write_columns, write_csv
@@ -200,7 +200,6 @@ def _cmd_continuity(args) -> int:
     eps_values = [float(e) for e in args.eps.split(",")]
     u0 = make_profile(profile, cfg.grid)
     pert = make_profile(args.perturbation, cfg.grid)
-    cfg = replace(cfg, store_every=max(cfg.store_every, 10))
     report = continuity_experiment(u0, pert, eps_values, alphas, cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "continuity.json").write_text(report.to_json())
@@ -249,15 +248,16 @@ def main(argv=None) -> int:
         description="Characteristic-coordinate solver for a nonlocal breaking-wave "
                     "equation, with quantitative verification of its guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
     cmd = {}
     for name, run, about in (
             ("solve", _cmd_solve, "integrate and write snapshots/diagnostics"),
             ("verify", _cmd_verify, "run the verification checks"),
             ("continuity", _cmd_continuity, "data-to-solution continuity experiment"),
             ("breaking", _cmd_breaking, "probe for stretch-factor collapse")):
-        cmd[name] = sub.add_parser(name, parents=[common], help=about)
+        # each subcommand gets its own flag actions, so a default set on one stays there
+        cmd[name] = sub.add_parser(name, parents=[_common_flags()], help=about)
         cmd[name].set_defaults(run=run)
+    cmd["continuity"].set_defaults(store_every=10)
     cmd["continuity"].add_argument("--perturbation", default="gaussian:a=0.1,sigma=1",
                                    help="perturbation profile spec")
     cmd["continuity"].add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4",

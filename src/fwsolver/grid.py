@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 __all__ = [
@@ -119,31 +118,24 @@ def holder_seminorm(f: GridFunction, alpha: float) -> float:
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return _holder([f.values], f.grid.h, [alpha])[0]
+    return _holder(f.values[None], f.grid.h, [alpha])[0]
 
 
-def _holder(values_list, h: float, alphas) -> list:
+def _holder(values, h: float, alphas) -> list:
     """For each alpha in ``[0, 1)``, the max of :func:`holder_seminorm` over
-    the arrays ``values_list`` on one grid of spacing ``h``, bit for bit, from
-    one pass per array, in blocks of offsets, for the numerators of all alphas."""
-    n = values_list[0].size
+    the rows of ``values`` (``(k, n)``, on one grid of spacing ``h``), bit for
+    bit: one numerator ``max |v_{i+d} - v_i|`` per offset ``d`` over all rows,
+    shared by every alpha."""
+    values = np.asarray(values)
+    n = values.shape[1]
     if n * (n - 1) // 2 <= PAIR_BUDGET:
-        offsets = np.arange(1, n)
+        offsets = range(1, n)
     else:
         # adjacent pairs plus separations 2, 4, 8, ... cover all scales
-        offsets = np.unique([n - 1] + [2 ** k for k in range(int(math.log2(n - 1)) + 1)])
-    padded, nums = np.full(2 * n - 1, np.nan), np.zeros(offsets.size)
-    windows = sliding_window_view(padded, n)  # windows[d, i] = v_{i+d}, nan past the end
-    rows = max(1, 2 ** 16 // n)  # offsets per block: 512 KiB of differences stays in cache
-    for v in values_list:
-        padded[:n] = v
-        for lo in range(0, offsets.size, rows):
-            diff = windows[offsets[lo:lo + rows]]  # a copy: padded is never written
-            np.abs(np.subtract(diff, v, out=diff), out=diff)
-            np.maximum(nums[lo:lo + rows], np.fmax.reduce(diff, axis=1), out=nums[lo:lo + rows])
+        offsets = sorted({n - 1, *(2 ** k for k in range(int(math.log2(n - 1)) + 1))})
+    nums = [(d, float(np.max(np.abs(values[:, d:] - values[:, :-d])))) for d in offsets]
     # max commutes with the correctly rounded division by the same (d*h)**alpha
-    return [float(np.max(nums / np.array([(d * h) ** alpha for d in offsets.tolist()])))
-            for alpha in alphas]
+    return [max(num / (d * h) ** alpha for d, num in nums) for alpha in alphas]
 
 
 def quadrature(f: GridFunction) -> float:

@@ -74,6 +74,14 @@ def _fit_order(hs, errs) -> float:
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
+def _packet(rng, x, width: float, wavenumber: float, terms: int):
+    """Gaussian envelope of ``width`` times ``terms`` cosines, the k-th at wavenumber
+    ``(k + 1) * wavenumber``; draws amplitudes ``rng.normal``, then phases ``rng.uniform``."""
+    waves = enumerate(zip(rng.normal(size=terms), rng.uniform(0, 2 * np.pi, terms)))
+    return np.exp(-0.5 * (x / width) ** 2) * sum(c * np.cos((k + 1) * wavenumber * x + p)
+                                                 for k, (c, p) in waves)
+
+
 def _check(requirement: str):
     """Make a check body that returns ``(passed, measured)`` into a suite
     method that returns its timed :class:`CheckResult`, named after the
@@ -183,10 +191,7 @@ class VerificationSuite:
         worst = 0.0
         h = grid.h
         for _ in range(DIRECT_PAIRS):
-            envelope = np.exp(-0.5 * (x / 8.0) ** 2)
-            w = envelope * sum(c * np.cos((k + 1) * 0.4 * x + p)
-                               for k, (c, p) in enumerate(zip(rng.normal(size=5),
-                                                              rng.uniform(0, 2 * np.pi, 5))))
+            w = _packet(rng, x, 8.0, 0.4, 5)
             q = 1.0 + 0.1 * np.sin(rng.uniform(0.2, 0.7) * x + rng.uniform(0, 2 * np.pi))
             lam = cumulative_flow_values(q, h)
             fo, fe = kernel_pair_arrays(w, lam)
@@ -299,9 +304,8 @@ class VerificationSuite:
             traj = self.run(nn)
             t_half = traj.geometry.lifespan / 2
             u_lag = reconstruct(traj.state_at(t_half), smooth=True).u
-            cfg = SolverConfig(grid=u_lag.grid, dt=t_half / steps, t_end=t_half,
-                               r0=self.config.r0, store_every=steps)
-            u_eul = eulerian_oracle(self._data(nn), cfg)[-1].u
+            cfg = SolverConfig(grid=u_lag.grid, dt=t_half / steps, t_end=t_half, r0=self.config.r0)
+            u_eul = eulerian_oracle(self._data(nn), cfg)
             dists.append(float(np.max(np.abs(u_lag.values - u_eul.values))))
             hs.append(u_lag.grid.h)
         order = _fit_order(hs, dists)
@@ -381,12 +385,9 @@ class VerificationSuite:
         geo = ball_geometry(u0, self.config.r0)
         bound = geo.lipschitz_const + 0.5
         rng = np.random.default_rng(SEED)
-        envelope = np.exp(-0.5 * (x / 4.0) ** 2)
 
         def wiggle(scale):
-            f = envelope * sum(c * np.cos((k + 1) * 0.35 * x + p)
-                               for k, (c, p) in enumerate(zip(rng.normal(size=4),
-                                                              rng.uniform(0, 2 * np.pi, 4))))
+            f = _packet(rng, x, 4.0, 0.35, 4)
             return scale * f / max(np.max(np.abs(f)), 1e-12)
 
         def rand_state():  # packed (w, v, q, displacement)

@@ -350,6 +350,20 @@ def test_continuity_writes_report(tmp_path, monkeypatch):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("flags, stride", [(["--store-every", "1"], 1), ([], 10)])
+def test_continuity_honours_store_every(flags, stride, tmp_path, monkeypatch):
+    seen, experiment = [], fwsolver.cli.continuity_experiment
+
+    def spy(u0, pert, eps_values, alphas, config):
+        seen.append(config.store_every)
+        return experiment(u0, pert, eps_values, alphas, config)
+
+    monkeypatch.setattr(fwsolver.cli, "continuity_experiment", spy)
+    code, _ = run(["continuity", "--X", "10", "--n", "201", "--eps", "1e-3"] + flags,
+                  tmp_path, monkeypatch)
+    assert code == EXIT_OK and seen == [stride]
+
+
 # ---------------------------------------------------------------------------
 # breaking
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import fwsolver.flowmap
-from fwsolver.grid import Grid, GridFunction
+from fwsolver.flowmap import reconstruct
+from fwsolver.grid import Grid, GridFunction, holder_seminorm, sup_norm
 from fwsolver.kernels import cumulative_flow_values, kernel_pair_direct
 from fwsolver.lagrangian import SolverConfig, ball_geometry, integrate
-from fwsolver.diagnostics import (BreakingReport, conserved, continuity_experiment,
-                                  diagnostics_series, eulerian_oracle, pde_residual,
-                                  peakon, peakon_residual, wave_breaking_probe,
+from fwsolver.diagnostics import (BreakingReport, _upwind_flux_derivative, conserved,
+                                  continuity_experiment, diagnostics_series, eulerian_oracle,
+                                  pde_residual, peakon, peakon_residual, wave_breaking_probe,
                                   write_series_csv)
 from fwsolver.profiles import gaussian, peakon_profile, sech2
 
@@ -114,8 +115,29 @@ def test_pde_residual_needs_interior_time():
 
 def test_oracle_zero_data():
     grid = Grid(10.0, 201)
-    snaps = eulerian_oracle(zeros(grid), SolverConfig(grid=grid, store_every=100))
-    assert all(np.all(s.u.values == 0.0) for s in snaps)
+    u = eulerian_oracle(zeros(grid), SolverConfig(grid=grid))
+    assert u.grid == grid and np.all(u.values == 0.0)
+
+
+def upwind_by_index(u, h):
+    """The upwind difference as index arrays into the padded flux, the
+    reference for _upwind_flux_derivative's slices."""
+    fe = np.concatenate([[0.0, 0.0], 0.75 * u * u, [0.0, 0.0]])
+    i = np.arange(u.size) + 2
+    backward = (3.0 * fe[i] - 4.0 * fe[i - 1] + fe[i - 2]) / (2.0 * h)
+    forward = (-3.0 * fe[i] + 4.0 * fe[i + 1] - fe[i + 2]) / (2.0 * h)
+    return np.where(u >= 0.0, backward, forward)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 1001])
+def test_upwind_flux_derivative_is_the_index_array_form_bitwise(n):
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=n)
+    u[rng.random(n) < 0.3] = 0.0
+    u[1], u[-1] = 0.0, -0.0  # exact zeros take the backward difference
+    h = 20.0 / (n - 1)
+    got = _upwind_flux_derivative(u, h)
+    assert got.tobytes() == upwind_by_index(u, h).tobytes()
 
 
 def test_oracle_cfl_guard():
@@ -141,9 +163,8 @@ def test_oracle_agrees_with_characteristic_route():
     t_end = geo.lifespan / 2
     cfg = SolverConfig(grid=grid, dt=t_end / 100, t_end=t_end, store_every=100)
     lag = integrate(u0, cfg, geo)
-    from fwsolver.flowmap import reconstruct
     u_lag = reconstruct(lag.final).u
-    u_eul = eulerian_oracle(u0, cfg)[-1].u
+    u_eul = eulerian_oracle(u0, cfg)
     assert np.max(np.abs(u_lag.values - u_eul.values)) <= 1e-4
 
 
@@ -158,6 +179,27 @@ def _continuity_setup(n=401):
     cfg = SolverConfig(grid=grid, dt=geo.lifespan / 50, store_every=10)
     pert = GridFunction(grid, np.exp(-((grid.x - 1.0) ** 2)))
     return u0, pert, cfg
+
+
+def test_continuity_report_is_the_level_by_level_computation_bitwise():
+    u0, pert, cfg = _continuity_setup()
+    eps, alphas = [1e-3, 2e-3], [0.0, 0.25, 0.5]
+    report = continuity_experiment(u0, pert, eps, alphas, cfg)
+    geo = ball_geometry(u0, cfg.r0)
+
+    def levels(data):
+        return [reconstruct(s) for s in integrate(data, cfg, geo).states]
+
+    base = levels(u0)
+    for j, e in enumerate(eps):
+        pairs = list(zip(levels(GridFunction(u0.grid, u0.values + e * pert.values)), base))
+        du = [GridFunction(u0.grid, sp.u.values - sb.u.values) for sp, sb in pairs]
+        dux = [GridFunction(u0.grid, sp.ux.values - sb.ux.values) for sp, sb in pairs]
+        assert len(du) == 6
+        assert report.c0_sol_dist[j] == max(sup_norm(d) for d in du)
+        assert report.c1_sol_dist[j] == max(sup_norm(d) + sup_norm(dx) for d, dx in zip(du, dux))
+        for a in alphas:
+            assert report.holder_sol_dist[a][j] == max(holder_seminorm(d, a) for d in du)
 
 
 def test_continuity_zero_perturbation():

@@ -195,27 +195,32 @@ def holder_data(draw):
 
 # v_i = (i h)^(1/4) makes the quotient of every offset 1 up to rounding, so a
 # denominator 1 ulp off (numpy's ** in place of Python's) changes the max;
-# 401 nodes take three blocks of offsets, and a ladder at 8193 nodes two
+# LONG_DATA runs the ladder above the default budget, ONE_ROW a stack of one row
 ROOT_GRID = Grid(10.0, 401)
 ROOT_DATA = (ROOT_GRID, [np.array([(i * ROOT_GRID.h) ** 0.25 for i in range(401)])], [0.0, 0.25])
 LONG_DATA = (Grid(10.0, 8193), list(np.random.default_rng(3).normal(size=(2, 8193))), [0.5])
+ONE_ROW = (Grid(1.0, 5), [np.array([0.0, 1.0, -2.0, 0.5, 3.0])], [0.0, 0.5])
 
 
 @settings(max_examples=100, deadline=None)
 @given(holder_data(), st.booleans())
 @example(data=ROOT_DATA, ladder=False)
 @example(data=LONG_DATA, ladder=True)
+@example(data=ONE_ROW, ladder=False)
 def test_holder_of_many_is_each_seminorm_bitwise(data, ladder):
-    # the budget 0 sends every n down the ladder of offsets
+    # the budget 0 sends every n down the ladder of offsets; the differences
+    # go in as a list of rows and as one (k, n) array
     grid, vs, alphas = data
     n = grid.n_points
     offsets = (sorted({1} | {2 ** k for k in range(1, int(math.log2(n - 1)) + 1)} | {n - 1})
                if ladder else range(1, n))
     with mock.patch.object(fwsolver.grid, "PAIR_BUDGET", 0 if ladder else 10 ** 9):
         got = _holder(vs, grid.h, alphas)
+        stacked = _holder(np.array(vs), grid.h, alphas)
         each = [max(holder_seminorm(GridFunction(grid, v), a) for v in vs) for a in alphas]
     loop = [max(holder_loop(v, grid.h, a, offsets) for v in vs) for a in alphas]
-    assert np.array(got).tobytes() == np.array(each).tobytes() == np.array(loop).tobytes()
+    assert (np.array(got).tobytes() == np.array(stacked).tobytes()
+            == np.array(each).tobytes() == np.array(loop).tobytes())
 
 
 # ---------------------------------------------------------------------------
