@@ -67,6 +67,9 @@ class MonotonicityError(ValueError):
             "the flow coordinate is no longer strictly increasing"
         )
 
+    def __reduce__(self):  # rebuild from the fields, not the message, across processes
+        return type(self), (self.index, self.value, self.floor)
+
 
 def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDArray[np.float64]:
     """Prefix integral ``Lambda(x_i) = int_{-X}^{x_i} q`` of the node values
@@ -224,7 +227,8 @@ def kernel_pair_direct(w, lam):
     For each target node the cell contributions are weighted by
     ``exp(lam_target - lam_cell_edge)`` computed directly, with no
     recurrence, so this route shares no summation structure with the
-    fast path.
+    fast path.  The products are einsum sums rather than BLAS gemv, whose
+    threads would spin on the core of a concurrently running process.
     """
     pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
     n = lam.size
@@ -232,11 +236,11 @@ def kernel_pair_direct(w, lam):
     # right contributions: cells j >= i, weight normalized at the cell's left edge
     Wr = np.exp(np.minimum(lam[:, None] - lam[None, :-1], 0.0))
     Wr[i[:, None] > np.arange(n - 1)[None, :]] = 0.0
-    R = 0.5 * Wr @ pr
+    R = 0.5 * np.einsum("ij,j->i", Wr, pr)
     # left contributions: cells j <= i-1, weight normalized at the cell's right edge
     Wl = np.exp(np.minimum(lam[None, 1:] - lam[:, None], 0.0))
     Wl[i[:, None] < np.arange(1, n)[None, :]] = 0.0
-    L = 0.5 * Wl @ kl
+    L = 0.5 * np.einsum("ij,j->i", Wl, kl)
     return R - L, R + L
 
 

@@ -80,6 +80,9 @@ class GuardBreach(RuntimeError):
         super().__init__(f"stretch floor breached {where}: q={value:.6g} <= {floor:.6g}"
                          if math.isfinite(value) else f"non-finite state {where}: value {value}")
 
+    def __reduce__(self):  # rebuild from the fields, not the message, across processes
+        return type(self), (self.stage, self.node, self.x, self.t, self.value, self.floor)
+
 
 def _row(i: int) -> property:
     """Read-only view of row ``i`` of a state's ``y`` as a :class:`GridFunction`."""

@@ -6,7 +6,9 @@ which only the grid, ``r0`` and the data shape the canonical runs: the
 battery's tolerances rest on its own time steps and guards, so a config that
 sets any other field is rejected.  The refinement checks share one cached run
 per resolution: half, the configured and double ``n``, in ``STEPS // 2``,
-``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h.
+``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h.  The other checks,
+:data:`SELF_CONTAINED`, read no cached run; :meth:`VerificationSuite.run_all`
+runs them in one forked worker process beside the refinement checks.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ CLOSED_FORM_GRID = (30.0, 3001)  # (X, n) of kernel_closed_form
 DIRECT_N, DIRECT_PAIRS = 1501, 20  # grid size and random pairs of fast_vs_direct
 SMALL_N = 1001  # cap on n for continuity and lipschitz_sampling
 LIPSCHITZ_PAIRS = 100
+# the checks that never call VerificationSuite.run
+SELF_CONTAINED = ("kernel_closed_form", "fast_vs_direct", "lifespan_arithmetic",
+                  "slope_ode_closed_form", "continuity", "lipschitz_sampling")
 
 
 @dataclass(frozen=True)
@@ -403,8 +408,26 @@ class VerificationSuite:
 
     # -- driver -----------------------------------------------------------
 
+    def _run_checks(self, names) -> list:
+        return [getattr(self, f"check_{name}")() for name in names]
+
     def run_all(self) -> list:
-        return [getattr(self, f"check_{name}")() for name in CHECK_NAMES]
+        """Every check's result, in :data:`CHECK_NAMES` order.
+
+        One forked worker runs the :data:`SELF_CONTAINED` checks while this
+        process runs the rest.  The task is submitted before this process
+        caches a run, so the suite it carries pickles small.  A check's
+        runtime is the wall time in the process that ran it.
+        """
+        # imported here: they would cost every fw command's start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        shared = [name for name in CHECK_NAMES if name not in SELF_CONTAINED]
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            worker = pool.submit(self._run_checks, SELF_CONTAINED)
+            results = self._run_checks(shared) + worker.result()
+        return sorted(results, key=lambda res: CHECK_NAMES.index(res.name))
 
 
 CHECK_NAMES = tuple(name.removeprefix("check_") for name in vars(VerificationSuite)

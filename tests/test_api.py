@@ -42,14 +42,25 @@ def test_traced_functions_exist(monkeypatch):
     assert missing == []
 
 
-def test_cli_imports_no_scipy():
-    # scipy is a test-only dependency: a fresh ``import fwsolver.cli``
-    # must not load any scipy module
+def fresh_cli_import_loads(*packages):
+    """The modules of ``packages`` that a fresh ``import fwsolver.cli`` loads."""
     src = str(Path(fwsolver.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, fwsolver.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test-only dependency: a fresh ``import fwsolver.cli``
+    # must not load any scipy module
+    assert fresh_cli_import_loads("scipy") == "[]"
+
+
+def test_cli_imports_no_process_pool():
+    # only fw verify forks a worker, and it imports the pool machinery itself,
+    # so no other command pays for it at start-up
+    assert fresh_cli_import_loads("multiprocessing", "concurrent") == "[]"

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,10 +14,10 @@ import fwsolver.flowmap
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, main)
 from fwsolver.grid import read_csv, write_csv
-from fwsolver.lagrangian import SolverConfig, ball_geometry, integrate
+from fwsolver.lagrangian import GuardBreach, SolverConfig, ball_geometry, integrate
 from fwsolver.profiles import gaussian, sech2
 from fwsolver.grid import Grid
-from fwsolver.verification import STEPS, VerificationSuite
+from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, VerificationSuite
 
 
 SOLVE_ARGS = ["solve", "--profile", "gaussian:a=0.1,sigma=1",
@@ -459,6 +460,46 @@ def test_verify_run_all_integrates_each_resolution_once():
     assert [len(suite._runs[n].states) for n in (26, 51, 101)] == [STEPS // 2 + 1, STEPS + 1, 3]
     with pytest.raises(KeyError):  # no run at any other n
         suite.run(201)
+
+
+def verdicts(results):
+    return [(res.name, res.passed, res.measured, res.requirement) for res in results]
+
+
+def test_verify_run_all_matches_the_checks_run_one_at_a_time():
+    results = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).run_all()
+    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+    assert verdicts(results) == verdicts(getattr(suite, f"check_{name}")()
+                                         for name in CHECK_NAMES)
+
+
+def test_verify_worker_checks_never_run_the_solver(monkeypatch):
+    parent = os.getpid()
+    real_run = VerificationSuite.run
+
+    def run_in_parent(self, n):
+        if os.getpid() != parent:
+            raise AssertionError(f"a worker-side check called run({n})")
+        return real_run(self, n)
+
+    monkeypatch.setattr(VerificationSuite, "run", run_in_parent)
+    results = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).run_all()
+    assert [res.name for res in results] == list(CHECK_NAMES)
+    assert len(SELF_CONTAINED) == 6 and set(SELF_CONTAINED) < set(CHECK_NAMES)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_worker_guard_breach_exits_3(tmp_path, monkeypatch, capsys):
+    breach = GuardBreach("k2", 7, 0.5, 0.25, 0.05, 0.1)
+
+    def check_continuity(self):
+        raise breach
+
+    # continuity runs in the worker, so the breach crosses the process boundary
+    monkeypatch.setattr(VerificationSuite, "check_continuity", check_continuity)
+    assert run(["verify", "--X", "10", "--n", "51"], tmp_path, monkeypatch)[0] == EXIT_GUARD
+    assert capsys.readouterr().err == f"guard breach: {breach}\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_zero_data_passes_trivially(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fwsolver.lagrangian
 from fwsolver.grid import Grid, GridFunction, sup_norm
-from fwsolver.kernels import DEFAULT_Q_FLOOR, green_derivative
+from fwsolver.kernels import DEFAULT_Q_FLOOR, MonotonicityError, green_derivative
 from fwsolver.lagrangian import (GuardBreach, InitialDataError, LagrangianState,
                                  SolverConfig, _rhs_arrays, _rk4, _rk4_arrays, ball_geometry,
                                  chain_rule_defect, initial_state, integrate, state_norm, step)
@@ -335,6 +336,21 @@ def test_non_finite_state_breaches_naming_node_and_x(component, bad, stage, t, v
     gb = exc.value
     assert (gb.stage, gb.node, gb.x, gb.t) == (stage, 7, grid.x[7], t)
     assert str(gb.value) == value
+
+
+@pytest.mark.parametrize("err, fields", [
+    (GuardBreach("k3", 7, 0.5, 0.25, 0.05, 0.1),
+     {"stage": "k3", "node": 7, "x": 0.5, "t": 0.25, "value": 0.05, "floor": 0.1}),
+    (GuardBreach("post-step", 2, -1.0, 0.5, math.inf, 0.1),
+     {"stage": "post-step", "node": 2, "x": -1.0, "t": 0.5, "value": math.inf, "floor": 0.1}),
+    (MonotonicityError(37, 0.05, 0.1), {"index": 37, "value": 0.05, "floor": 0.1}),
+], ids=["guard-floor", "guard-non-finite", "monotonicity"])
+def test_guard_errors_survive_pickling(err, fields):
+    # fw verify runs some checks in a worker process, which sends a breach back pickled
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert vars(back) == fields
+    assert str(back) == str(err)
 
 
 def test_rk4_leaves_y_unwritten_and_returns_a_new_array():
