@@ -41,6 +41,6 @@ print(f"peaked-wave kernel residual: {peakon_residual(0.0, Grid(40.0, 4001)):.2e
 half = SolverConfig(grid=grid, dt=(geo.lifespan / 2) / 200,
                     t_end=geo.lifespan / 2, store_every=200)
 u_lag = reconstruct(integrate(u0, half, geo).final).u
-u_eul = eulerian_oracle(u0, half)
+u_eul = eulerian_oracle(u0, geo.lifespan / 2, 200)
 print(f"characteristic vs oracle at T/2: "
       f"{np.max(np.abs(u_lag.values - u_eul.values)):.2e}")

@@ -216,13 +216,16 @@ def _cmd_continuity(args) -> int:
 
 def _cmd_breaking(args) -> int:
     cfg, profile, out = _run_description(args)
-    report = wave_breaking_probe(make_profile(profile, cfg.grid), cfg, t_max=args.t_max)
+    traj = wave_breaking_probe(make_profile(profile, cfg.grid), cfg, t_max=args.t_max)
+    t, x = (None, None) if traj.breach is None else (traj.breach.t, traj.breach.x)
+    min_q = float(traj.final.y[2].min())
     out.mkdir(parents=True, exist_ok=True)
-    (out / "breaking.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
-    if report.breach_time is None:
-        print(f"no breaking up to t = {report.t_max:.6g} (min q = {report.min_q_final:.6g})")
+    report = dict(breach_time=t, breach_x=x, min_q_final=min_q, t_max=args.t_max)
+    (out / "breaking.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    if t is None:
+        print(f"no breaking up to t = {args.t_max:.6g} (min q = {min_q:.6g})")
     else:
-        print(f"breaking at t = {report.breach_time:.6g}, x = {report.breach_x:.6g}")
+        print(f"breaking at t = {t:.6g}, x = {x:.6g}")
     return EXIT_OK
 
 

@@ -19,14 +19,12 @@ from numpy.typing import NDArray
 from .grid import (Grid, GridFunction, _holder, _trapezoid, derivative_values, quadrature,
                    sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
-from .lagrangian import (SolverConfig, Trajectory, _norm, _rk4, _time_steps, ball_geometry,
-                         integrate)
+from .lagrangian import SolverConfig, Trajectory, _norm, _rk4, ball_geometry, integrate
 from .flowmap import _pull_back
 
 __all__ = [
     "ConservedTriple",
     "ContinuityReport",
-    "BreakingReport",
     "conserved",
     "pde_residual",
     "eulerian_oracle",
@@ -128,9 +126,9 @@ def _upwind_flux_derivative(u: NDArray[np.float64], h: float) -> NDArray[np.floa
     return np.where(u >= 0.0, backward, forward)
 
 
-def eulerian_oracle(u0: GridFunction, config: SolverConfig) -> GridFunction:
+def eulerian_oracle(u0: GridFunction, t_end: float, steps: int) -> GridFunction:
     """Method-of-lines solve of the physical-space equation, for cross-checks;
-    returns the solution at ``t_end`` (``config.store_every`` is not used).
+    returns the solution after ``steps`` equal RK4 steps of ``t_end / steps``.
 
     Deliberately a different discretization family from the solver:
     upwind-biased flux differences plus the fixed-grid kernel operator.
@@ -139,8 +137,9 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig) -> GridFunction:
     characteristic route is then evidence of correctness.  Rejects time
     steps that violate the advective CFL limit.
     """
-    h = config.grid.h
-    t_end, dt, n_steps = _time_steps(config, ball_geometry(u0, config.r0))
+    if steps < 1:
+        raise ValueError(f"the oracle needs at least one step, got {steps}")
+    grid, h, dt = u0.grid, u0.grid.h, t_end / steps
     speed_scale = 1.5 * sup_norm(u0)
     if speed_scale > 0 and abs(dt) > h / speed_scale:
         raise ValueError(
@@ -149,13 +148,13 @@ def eulerian_oracle(u0: GridFunction, config: SolverConfig) -> GridFunction:
         )
 
     def rhs_arrays(u, _stage):
-        kernel_term = green_derivative(GridFunction(config.grid, u)).values
+        kernel_term = green_derivative(GridFunction(grid, u)).values
         return -_upwind_flux_derivative(u, h) + kernel_term
 
     u = u0.values  # _rk4 returns a new array and never writes its input
-    for _ in range(n_steps):
+    for _ in range(steps):
         u = _rk4(rhs_arrays, u, dt)
-    return GridFunction(config.grid, u)
+    return GridFunction(grid, u)
 
 
 # ---------------------------------------------------------------------------
@@ -304,31 +303,20 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
 # wave-breaking probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BreakingReport:
-    """Outcome of integrating until the stretch floor or ``t_max``."""
-
-    breach_time: float | None
-    breach_x: float | None
-    t_max: float
-    min_q_final: float
-
-
-def wave_breaking_probe(u0: GridFunction, config: SolverConfig,
-                        t_max: float) -> BreakingReport:
-    """Integrate past the guaranteed lifespan and report the first time the
-    stretch factor reaches the guard floor, if it does before ``t_max``.
+def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) -> Trajectory:
+    """Integrate past the guaranteed lifespan to ``t_max``, or to the first
+    time the stretch factor reaches the guard floor, which the trajectory's
+    ``breach`` then records.
 
     Requires ``guard_mode='warn'`` since the whole point is to leave the
-    proven interval; absence of a breach is a valid outcome.
+    proven interval, and an unset ``t_end``, which ``t_max`` replaces;
+    absence of a breach is a valid outcome.
     """
     if config.guard_mode != "warn":
         raise ValueError("breaking probe needs guard_mode='warn'")
-    traj = integrate(u0, replace(config, t_end=t_max))
-    min_q = float(np.min(traj.final.y[2]))
-    if traj.breach is None:
-        return BreakingReport(None, None, t_max, min_q)
-    return BreakingReport(traj.breach.t, traj.breach.x, t_max, min_q)
+    if config.t_end is not None:
+        raise ValueError(f"breaking probe runs to t_max; t_end must be unset, got {config.t_end}")
+    return integrate(u0, replace(config, t_end=t_max))
 
 
 # ---------------------------------------------------------------------------

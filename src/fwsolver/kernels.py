@@ -233,14 +233,17 @@ def kernel_pair_direct(w, lam):
     pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
     n = lam.size
     i = np.arange(n)
+    W = np.empty((n, n - 1))  # the weight matrix, built in place and reused by both sides
     # right contributions: cells j >= i, weight normalized at the cell's left edge
-    Wr = np.exp(np.minimum(lam[:, None] - lam[None, :-1], 0.0))
-    Wr[i[:, None] > np.arange(n - 1)[None, :]] = 0.0
-    R = 0.5 * np.einsum("ij,j->i", Wr, pr)
+    np.minimum(np.subtract(lam[:, None], lam[None, :-1], out=W), 0.0, out=W)
+    np.exp(W, out=W)
+    W[i[:, None] > np.arange(n - 1)[None, :]] = 0.0
+    R = 0.5 * np.einsum("ij,j->i", W, pr)
     # left contributions: cells j <= i-1, weight normalized at the cell's right edge
-    Wl = np.exp(np.minimum(lam[None, 1:] - lam[:, None], 0.0))
-    Wl[i[:, None] < np.arange(1, n)[None, :]] = 0.0
-    L = 0.5 * np.einsum("ij,j->i", Wl, kl)
+    np.minimum(np.subtract(lam[None, 1:], lam[:, None], out=W), 0.0, out=W)
+    np.exp(W, out=W)
+    W[i[:, None] < np.arange(1, n)[None, :]] = 0.0
+    L = 0.5 * np.einsum("ij,j->i", W, kl)
     return R - L, R + L
 
 

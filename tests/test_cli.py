@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -387,6 +388,20 @@ def test_breaking_reports_breach(tmp_path, monkeypatch, capsys):
     assert "breaking at" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--t-end", "0.3"], ["--config", "run.cfg"]],
+                         ids=["flag", "config-key"])
+def test_breaking_rejects_a_set_t_end(argv, tmp_path, monkeypatch, capsys):
+    # --t-max is the probe's horizon: a t_end was silently overwritten by it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("t_end = 0.3\n")
+    code, out = run(["breaking", "--profile", "sech2:a=2,k=1", "--X", "20", "--n", "201",
+                     "--guard", "warn", "--t-max", "1.5", *argv], tmp_path, monkeypatch)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: breaking probe runs to t_max; t_end must be unset, got 0.3\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -502,9 +517,77 @@ def test_verify_worker_guard_breach_exits_3(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def inverse_band_one_percent_low(monkeypatch):
+    """Move the inverse slope band's upper edge 1 % lower, a band defect that the
+    saturated map of flow_map_bounds, whose inverse slope sits on that edge, fails."""
+    check = fwsolver.flowmap._check_bounds
+
+    def defective(name, lo_meas, hi_meas, lo, hi, tol, t):
+        check(name, lo_meas, hi_meas, lo, 0.99 * hi if name == "inverse" else hi, tol, t)
+
+    monkeypatch.setattr(fwsolver.flowmap, "_check_bounds", defective)
+
+
+def test_flow_map_band_defect_fails_the_check_with_its_measurements(monkeypatch):
+    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+    sound = suite.check_flow_map_bounds()
+    inverse_band_one_percent_low(monkeypatch)
+    broken = suite.check_flow_map_bounds()
+    assert sound.passed and sound.measured["run_in_band"]
+    assert not broken.passed
+    assert broken.measured == {**sound.measured, "run_in_band": False}
+
+
+def test_flow_map_bounds_counts_a_non_monotone_run_state_out_of_band():
+    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+    traj = suite.run(51)
+    traj.states[20].y[3][10] = -5.0  # a sampled level whose map cannot be assembled
+    result = suite.check_flow_map_bounds()
+    assert not result.passed and not result.measured["run_in_band"]
+
+
+def test_verify_band_defect_is_a_failed_check_not_a_guard_breach(tmp_path, monkeypatch,
+                                                                 capsys):
+    inverse_band_one_percent_low(monkeypatch)
+    code, out = run(["verify", "--X", "10", "--n", "51"], tmp_path, monkeypatch)
+    assert code == EXIT_VERIFY
+    assert not json.loads((out / "verify.json").read_text())["flow_map_bounds"]["passed"]
+    printed = capsys.readouterr()
+    assert "guard breach:" not in printed.err
+    assert "FAIL flow_map_bounds: " in printed.out
+
+
 def test_verify_zero_data_passes_trivially(tmp_path, monkeypatch):
     code, out = run(["verify", "--X", "10", "--n", "401",
                      "--profile", "gaussian:a=0,sigma=1"], tmp_path, monkeypatch)
     assert code == EXIT_OK
     payload = json.loads((out / "verify.json").read_text())
     assert all(v["passed"] for v in payload.values())
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+COMMANDS = ("solve", "verify", "continuity", "breaking")
+
+
+def readme_commands():
+    """The arguments of every ``fw ...`` line of the README, continuations joined."""
+    text = README.read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("fw ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv, monkeypatch):
+    # a flag renamed in the parser but not in the README fails to parse here
+    log = []
+    for command in COMMANDS:
+        stub_command(monkeypatch, command, log)
+    assert main(argv) == EXIT_OK
+    assert log == [argv[0]]

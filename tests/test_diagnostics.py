@@ -6,9 +6,9 @@ import pytest
 import fwsolver.flowmap
 from fwsolver.flowmap import reconstruct
 from fwsolver.grid import Grid, GridFunction, holder_seminorm, sup_norm
-from fwsolver.kernels import cumulative_flow_values, kernel_pair_direct
-from fwsolver.lagrangian import SolverConfig, ball_geometry, integrate
-from fwsolver.diagnostics import (BreakingReport, _upwind_flux_derivative, conserved,
+from fwsolver.kernels import cumulative_flow_values, green_derivative, kernel_pair_direct
+from fwsolver.lagrangian import SolverConfig, Trajectory, _rk4, ball_geometry, integrate
+from fwsolver.diagnostics import (_upwind_flux_derivative, conserved,
                                   continuity_experiment, diagnostics_series, eulerian_oracle,
                                   pde_residual, peakon, peakon_residual, wave_breaking_probe,
                                   write_series_csv)
@@ -115,8 +115,11 @@ def test_pde_residual_needs_interior_time():
 
 def test_oracle_zero_data():
     grid = Grid(10.0, 201)
-    u = eulerian_oracle(zeros(grid), SolverConfig(grid=grid))
+    # the steps SolverConfig(grid=grid) resolves to: 200 of the lifespan 9/110
+    u = eulerian_oracle(zeros(grid), ball_geometry(zeros(grid)).lifespan, 200)
     assert u.grid == grid and np.all(u.values == 0.0)
+    with pytest.raises(ValueError, match="at least one step"):
+        eulerian_oracle(zeros(grid), 0.1, 0)
 
 
 def upwind_by_index(u, h):
@@ -144,16 +147,15 @@ def test_oracle_cfl_guard():
     grid = Grid(10.0, 201)  # h = 0.1
     u0 = gaussian(grid, a=2.0)
     with pytest.raises(ValueError, match="CFL"):
-        eulerian_oracle(u0, SolverConfig(grid=grid, dt=0.05, t_end=0.1,
-                                         guard_mode="warn"))
+        eulerian_oracle(u0, 0.1, 2)
 
 
 def test_oracle_cfl_guard_checks_the_step_it_takes():
-    # dt = 0.033 is inside the limit 0.0333, but t_end = 0.045 takes one step of 0.045
+    # one step to t_end = 0.045 is a step of 0.045, outside the limit 0.0333
     grid = Grid(10.0, 201)
     u0 = gaussian(grid, a=2.0)
     with pytest.raises(ValueError, match="dt = 0.045 violates the CFL limit 0.03333"):
-        eulerian_oracle(u0, SolverConfig(grid=grid, dt=0.033, t_end=0.045, guard_mode="warn"))
+        eulerian_oracle(u0, 0.045, 1)
 
 
 def test_oracle_agrees_with_characteristic_route():
@@ -164,8 +166,22 @@ def test_oracle_agrees_with_characteristic_route():
     cfg = SolverConfig(grid=grid, dt=t_end / 100, t_end=t_end, store_every=100)
     lag = integrate(u0, cfg, geo)
     u_lag = reconstruct(lag.final).u
-    u_eul = eulerian_oracle(u0, cfg)
+    u_eul = eulerian_oracle(u0, t_end, 100)
     assert np.max(np.abs(u_lag.values - u_eul.values)) <= 1e-4
+
+
+def test_oracle_is_a_plain_rk4_march_bitwise():
+    grid = Grid(10.0, 401)
+    u0 = gaussian(grid, a=0.3)
+    t_end, steps = 0.05, 7
+
+    def rhs(u, _stage):
+        return -upwind_by_index(u, grid.h) + green_derivative(GridFunction(grid, u)).values
+
+    u = u0.values
+    for _ in range(steps):
+        u = _rk4(rhs, u, t_end / steps)
+    assert eulerian_oracle(u0, t_end, steps).values.tobytes() == u.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +261,9 @@ def test_continuity_report_serializes(tmp_path):
 def test_breaking_zero_data_none():
     grid = Grid(10.0, 201)
     cfg = SolverConfig(grid=grid, dt=1e-2, guard_mode="warn", store_every=100)
-    report = wave_breaking_probe(zeros(grid), cfg, t_max=0.5)
-    assert report.breach_time is None
-    assert report.min_q_final == pytest.approx(1.0)
+    traj = wave_breaking_probe(zeros(grid), cfg, t_max=0.5)
+    assert traj.breach is None
+    assert float(np.min(traj.final.y[2])) == pytest.approx(1.0)
 
 
 def test_breaking_requires_warn_mode():
@@ -257,14 +273,22 @@ def test_breaking_requires_warn_mode():
         wave_breaking_probe(zeros(grid), cfg, t_max=0.5)
 
 
+def test_breaking_rejects_a_set_t_end():
+    # t_max is the probe's horizon, so a t_end would be silently overwritten
+    grid = Grid(10.0, 201)
+    cfg = SolverConfig(grid=grid, t_end=0.3, guard_mode="warn")
+    with pytest.raises(ValueError, match="t_end must be unset, got 0.3"):
+        wave_breaking_probe(zeros(grid), cfg, t_max=0.5)
+
+
 def test_breaking_small_data_survives_past_guaranteed_lifespan():
     grid = Grid(15.0, 601)
     u0 = gaussian(grid, a=0.05)
     geo = ball_geometry(u0)
     cfg = SolverConfig(grid=grid, dt=geo.lifespan / 40, guard_mode="warn",
                        store_every=10 ** 6)
-    report = wave_breaking_probe(u0, cfg, t_max=5.0 * geo.lifespan)
-    assert report.breach_time is None
+    traj = wave_breaking_probe(u0, cfg, t_max=5.0 * geo.lifespan)
+    assert traj.breach is None
 
 
 def test_breaking_time_shrinks_with_steepness():
@@ -272,10 +296,10 @@ def test_breaking_time_shrinks_with_steepness():
     cfg = SolverConfig(grid=grid, dt=2e-3, guard_mode="warn", store_every=10 ** 6)
     times = []
     for a in (1.5, 2.0):
-        report = wave_breaking_probe(sech2(grid, a=a, k=1.0), cfg, t_max=1.5)
-        assert isinstance(report, BreakingReport)
-        assert report.breach_time is not None
-        times.append(report.breach_time)
+        traj = wave_breaking_probe(sech2(grid, a=a, k=1.0), cfg, t_max=1.5)
+        assert isinstance(traj, Trajectory)
+        assert traj.breach is not None
+        times.append(traj.breach.t)
     assert times[1] < times[0]
 
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, derivative
-from fwsolver.kernels import (_SPAN, DEFAULT_Q_FLOOR, MonotonicityError, _geometry,
+from fwsolver.kernels import (_SPAN, DEFAULT_Q_FLOOR, MonotonicityError, _geometry, _panels,
                               _unit_geometry, convected_pair, cumulative_flow_values,
                               green_derivative, helmholtz_inverse, kernel_pair_arrays,
                               kernel_pair_direct)
@@ -218,6 +219,36 @@ def test_blocked_sweep_matches_direct(n, half_width, seed):
     direct = kernel_pair_direct(w.values, cumulative_flow_values(q.values, q.grid.h))
     for a, b in zip(fast, direct):
         assert np.max(np.abs(a.values - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def allocating_direct_pair(w, lam):
+    """kernel_pair_direct with a new array per operation and one matrix per
+    side, the reference for its in-place weight matrix."""
+    pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
+    n = lam.size
+    i = np.arange(n)
+    Wr = np.exp(np.minimum(lam[:, None] - lam[None, :-1], 0.0))
+    Wr[i[:, None] > np.arange(n - 1)[None, :]] = 0.0
+    R = 0.5 * np.einsum("ij,j->i", Wr, pr)
+    Wl = np.exp(np.minimum(lam[None, 1:] - lam[:, None], 0.0))
+    Wl[i[:, None] < np.arange(1, n)[None, :]] = 0.0
+    L = 0.5 * np.einsum("ij,j->i", Wl, kl)
+    return R - L, R + L
+
+
+def test_direct_pair_is_the_allocating_form_bitwise_in_one_matrix():
+    n = 801
+    w, q = random_pair(n, 30.0, 8)
+    lam = cumulative_flow_values(q.values, q.grid.h)
+    expected = allocating_direct_pair(w.values, lam)
+    tracemalloc.start()
+    try:
+        got = kernel_pair_direct(w.values, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+    assert peak < 2 * n * (n - 1) * 8  # the allocating form peaks near three matrices
 
 
 def naive_quadrature_pair(w, q):
