@@ -75,9 +75,9 @@ def pde_residual(traj: Trajectory, t: float) -> float:
     snapshots one stored level either side of ``t``, the slope comes from
     the snapshot itself, and the nonlocal term is evaluated on the
     physical grid, so the check shares nothing with the characteristic
-    right-hand side.  Snapshots are composed with the smooth route of
-    :func:`~fwsolver.flowmap.reconstruct` here (cubic Hermite with
-    fourth-order difference slopes, no limiter): time-differencing the
+    right-hand side.  Snapshots are composed by
+    :func:`~fwsolver.flowmap.reconstruct`'s cubic Hermite interpolant
+    (fourth-order difference slopes, no limiter): time-differencing a
     shape-preserving interpolant would instead pick up the motion of its
     limiter's kinks through the grid, an O(h) noise floor that has nothing
     to do with the solution.
@@ -89,13 +89,12 @@ def pde_residual(traj: Trajectory, t: float) -> float:
     i = int(np.argmin(np.abs(times - t)))
     if i == 0 or i == times.size - 1:
         raise ValueError(f"t={t} has no stored neighbors on both sides")
-    window = [snap for snap, in _pull_back(traj.states[i - 1:i + 2], (True,))]
-    return _residual(window, times[i - 1:i + 2])
+    return _residual(list(_pull_back(traj.states[i - 1:i + 2])), times[i - 1:i + 2])
 
 
 def _residual(window, times) -> float:
-    """:func:`pde_residual` at the middle of three consecutive smooth-route
-    snapshots stored at ``times``; raises ``ValueError`` unless they are equispaced."""
+    """:func:`pde_residual` at the middle of three consecutive snapshots stored
+    at ``times``; raises ``ValueError`` unless they are equispaced."""
     sm, s0, sp = window
     dt_m = times[1] - times[0]
     dt_p = times[2] - times[1]
@@ -239,8 +238,9 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     (past the lifespan only in warn mode) or, if None, the base data's
     guaranteed lifespan; so discretization bias cancels in the differences.
     Each perturbed datum must stay inside the base ball: the perturbation's
-    product-space norm times ``eps`` may not exceed the ball radius.  A
-    guard breach in any run is raised as its :class:`GuardBreach`.
+    product-space norm times ``eps`` may not exceed the ball radius, and each
+    exponent is fitted over two or more nonzero data distances.  A guard
+    breach in any run is raised as its :class:`GuardBreach`.
     """
     alphas = list(alphas)
     for a in alphas:
@@ -256,6 +256,10 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
                 f"eps={eps:g} pushes the data outside the admissible ball: "
                 f"eps * perturbation norm = {abs(eps) * pert_norm:.4g} > r0 = {config.r0}"
             )
+    c0_data = [abs(eps) * sup_norm(perturbation) for eps in eps_values]
+    if sum(d > 0 for d in c0_data) < 2:
+        raise ValueError("fitting the exponents needs two or more nonzero data distances "
+                         f"|eps| sup|perturbation|, got {', '.join(f'{d:g}' for d in c0_data)}")
 
     geometry = ball_geometry(u0, config.r0)
 
@@ -264,14 +268,13 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
         traj = integrate(GridFunction(grid, data), config, geometry)
         if traj.breach is not None:
             raise traj.breach
-        return np.array([(s.u.values, s.ux.values) for s, in _pull_back(traj.states)])
+        return np.array([(s.u.values, s.ux.values) for s in _pull_back(traj.states)])
 
     base = solve(u0.values)
-    c0_data, c0_sol, c1_sol, holder = [], [], [], {a: [] for a in alphas}
+    c0_sol, c1_sol, holder = [], [], {a: [] for a in alphas}
     for eps in eps_values:
         diff = solve(u0.values + eps * p) - base  # (level, u|ux, node)
         sup = np.max(np.abs(diff), axis=2)
-        c0_data.append(abs(eps) * sup_norm(perturbation))
         c0_sol.append(float(np.max(sup[:, 0])))
         c1_sol.append(float(np.max(sup[:, 0] + sup[:, 1])))
         for a, value in zip(alphas, _holder(diff[:, 0], grid.h, alphas)):
@@ -281,12 +284,12 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     fitted = {}
     for a in alphas:
         pairs = [(d, hv) for d, hv in zip(c0_data, holder[a]) if d > 0 and hv > 0]
-        if len(pairs) >= 2:
-            ld = np.log([p[0] for p in pairs])
-            lh = np.log([p[1] for p in pairs])
-            fitted[a] = float(np.polyfit(ld, lh, 1)[0])
-        else:
-            fitted[a] = math.nan
+        if len(pairs) < 2:
+            raise ValueError(f"fewer than two eps move the solution's alpha={a} seminorm, "
+                             "so no exponent can be fitted")
+        ld = np.log([p[0] for p in pairs])
+        lh = np.log([p[1] for p in pairs])
+        fitted[a] = float(np.polyfit(ld, lh, 1)[0])
     return ContinuityReport(
         eps_values=eps_values,
         c0_data_dist=c0_data,
@@ -294,7 +297,7 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
         c1_sol_dist=c1_sol,
         holder_sol_dist=holder,
         fitted_exponent=fitted,
-        lipschitz_ratio_max=max(ratios) if ratios else 0.0,
+        lipschitz_ratio_max=max(ratios),
         lipschitz_ratios=ratios,
     )
 
@@ -331,19 +334,16 @@ def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
     dict of lists; the residual is nan at the ends and wherever the stored
     neighbors are not equispaced (breach-shortened runs end off the stride).
 
-    Each state's map is inverted once, and it gets one interpolant per route:
-    the shape-preserving snapshot behind its row, stored as ``snapshots[i]``
-    for each state index ``i`` already a key of ``snapshots``, and the smooth
-    one (fourth-order Hermite slopes, no limiter), kept in a window of three
-    for the residual.
+    Each state's map is inverted once for its snapshot, which feeds its row,
+    is stored as ``snapshots[i]`` for each state index ``i`` already a key of
+    ``snapshots``, and is kept in a window of three for the residual.
     """
     states, times = traj.states, traj.times
     out = {k: [] for k in SERIES_KEYS}
     residuals = [math.nan] * len(states)
     window = [None, None, None]
-    routes = (False, True) if len(states) > 2 else (False,)
-    for i, (state, (snap, *smooth)) in enumerate(zip(states, _pull_back(states, routes))):
-        window = window[1:] + smooth
+    for i, (state, snap) in enumerate(zip(states, _pull_back(states))):
+        window = window[1:] + [snap]
         if i >= 2:
             with suppress(ValueError):
                 residuals[i - 1] = _residual(window, times[i - 2:i + 1])

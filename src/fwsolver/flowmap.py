@@ -129,35 +129,29 @@ def inverse_slope_bounds(fmap: FlowMap, geometry: BallGeometry, tol: float = 1e-
     return lo_meas, hi_meas
 
 
-def reconstruct(state: LagrangianState, smooth: bool = False) -> EulerianSnapshot:
+def reconstruct(state: LagrangianState) -> EulerianSnapshot:
     """Physical-space solution ``u`` and slope ``ux`` on the grid.
 
     Values are the state's ``w`` and ``v`` pulled back through the inverse
     map (the slope uses ``v`` directly, which equals the physical slope
-    along trajectories, so no division by the stretch is needed).  Grid
-    nodes outside the image take 0 and are counted.
-
-    ``smooth=True`` swaps the shape-preserving interpolant for the cubic
-    Hermite one with fourth-order difference slopes and no limiter (see
-    :func:`fwsolver.grid._slopes`); diagnostics that time-difference
-    snapshots use it to avoid differentiating the limiter's kinks, which
-    move with the data (it may overshoot slightly, so it is off by default).
+    along trajectories, so no division by the stretch is needed), by the
+    cubic Hermite interpolant with fourth-order difference slopes and no
+    limiter (see :func:`fwsolver.grid._slopes`).  Grid nodes outside the
+    image take 0 and are counted.
     """
-    return next(_pull_back([state], (smooth,)))[0]
+    return next(_pull_back([state]))
 
 
-def _pull_back(states, routes=(False,)):
-    """Yield per state a tuple of its :func:`reconstruct` snapshots, one per
-    ``smooth`` flag in ``routes``, inverting each map once for all routes."""
+def _pull_back(states):
+    """Yield the :func:`reconstruct` snapshot of each state, inverting each map once."""
     x = states[0].grid.x
     for state in states:
         labels, inside = invert_many(flow_map(state), x)
         y = np.column_stack(state.y[:2])  # (w, v)
-        # 0 off the image, and where PCHIP gives nan at a label rounded past the last node
-        values = [np.where(inside[:, None] & ~np.isnan(v), v, 0.0).T.copy() for v in (
-            _hermite(x, y, _slopes(x, y, smooth), labels[:, None], smooth) for smooth in routes)]
-        yield tuple(EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
-                                     int(np.sum(~inside))) for uux in values)
+        uux = _hermite(x, y, _slopes(x, y, True), labels[:, None], True)
+        uux = np.where(inside[:, None], uux, 0.0).T.copy()  # 0 off the image
+        yield EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
+                               int(np.sum(~inside)))
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:

@@ -66,17 +66,21 @@ def parse_profile_spec(spec: str):
     return name, params
 
 
+#: name -> (builder, the parameters it takes) of every profile but from_csv
+_PROFILES = {"gaussian": (gaussian, ("a", "sigma")), "peakon": (peakon_profile, ()),
+             "sech2": (sech2, ("a", "k"))}
+
+
 def make_profile(spec: str, grid: Grid) -> GridFunction:
     """Build the initial data named by a profile spec string."""
     name, params = parse_profile_spec(spec)
-    if name == "gaussian":
-        return gaussian(grid, **params)
-    if name == "peakon":
-        if params:
-            raise ValueError("peakon takes no parameters")
-        return peakon_profile(grid)
-    if name == "sech2":
-        return sech2(grid, **params)
+    if name in _PROFILES:
+        build, keys = _PROFILES[name]
+        unknown = [key for key in params if key not in keys]
+        if unknown:
+            raise ValueError(f"{name} takes {' and '.join(keys) or 'no parameters'}, "
+                             f"not {', '.join(unknown)}")
+        return build(grid, **params)
     if name == "from_csv":
         if set(params) != {"path"}:
             raise ValueError("from_csv needs exactly path=<file>")

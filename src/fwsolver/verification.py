@@ -228,8 +228,8 @@ class VerificationSuite:
     @_check("slopes within 1 -+ (3/2) r t; saturated map >= 173/200, "
             "inverse in [200/227, 200/173]")
     def check_flow_map_bounds(self):
-        """Forward and inverse slope bands for the canonical run, plus the
-        synthetically saturated extreme map (its slopes measured in or out of band)."""
+        """Forward and inverse slope bands at every stored level of the canonical run,
+        plus the synthetically saturated extreme map (its slopes measured in or out of band)."""
         traj = self.run(self.n)
         geo = traj.geometry
 
@@ -242,7 +242,7 @@ class VerificationSuite:
                 return False
             return True
 
-        ok_run = in_band(map(flow_map, traj.states[:: max(1, len(traj.states) // 20)]), 1e-9)
+        ok_run = in_band(map(flow_map, traj.states), 1e-9)
         # map with slope pinned at the extreme value reached when r|t| = 9/100
         grid = Grid(self.config.grid.half_width, 1001)
         sat = FlowMap(grid, (173.0 / 200.0) * grid.x, 0.09 / geo.r)
@@ -257,9 +257,7 @@ class VerificationSuite:
         """The solution never exceeds twice the size of the data."""
         traj = self.run(self.n)
         u0_c1 = c1_norm(self._data(self.n))
-        worst = 0.0
-        for snap, in _pull_back(traj.states):
-            worst = max(worst, sup_norm(snap.u) + sup_norm(snap.ux))
+        worst = max(sup_norm(snap.u) + sup_norm(snap.ux) for snap in _pull_back(traj.states))
         bound = 2.0 * u0_c1 * (1.0 + 1e-2)
         return worst <= bound, {"sup_c1_over_time": worst, "bound": bound}
 
@@ -298,17 +296,16 @@ class VerificationSuite:
         """Characteristic route against the physical-space oracle at half
         the lifespan, with the empirical convergence order of the gap.
 
-        The comparison composes through the smooth route (fourth-order
-        Hermite slopes, no limiter) for the same reason the residual does:
-        the gap being measured is between the two semidiscretizations, and
-        the shape-preserving interpolant's limiter kinks at the crest would
-        otherwise wander with the in-cell phase and spoil the order fit.
+        :func:`reconstruct`'s Hermite interpolant has no limiter, which matters
+        here as it does for the residual: the gap being measured is between
+        the two semidiscretizations, and a limiter's kinks at the crest would
+        wander with the in-cell phase and spoil the order fit.
         """
         dists, hs = [], []
         for nn, steps in self._resolutions().items():
             traj = self.run(nn)
             t_half = traj.geometry.lifespan / 2
-            u_lag = reconstruct(traj.state_at(t_half), smooth=True).u
+            u_lag = reconstruct(traj.state_at(t_half)).u
             u_eul = eulerian_oracle(self._data(nn), t_half, steps)
             dists.append(float(np.max(np.abs(u_lag.values - u_eul.values))))
             hs.append(u_lag.grid.h)

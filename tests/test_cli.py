@@ -81,7 +81,7 @@ def solve_counting_reconstructions(tmp_path, monkeypatch):
 def test_solve_reconstructs_each_state_once_per_route(tmp_path, monkeypatch):
     _, traj, counts = solve_counting_reconstructions(tmp_path, monkeypatch)
     n = len(traj.states)
-    assert counts == {"pchip": n, "smooth": n, "inversions": n}
+    assert counts == {"pchip": 0, "smooth": n, "inversions": n}
 
 
 def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
@@ -199,7 +199,7 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
      EXIT_CONFIG, "error: cannot read profile csv"),
     # zero base data never moves q; the perturbed run drops below the floor
     (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
-      "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3", "--q-floor", "0.999"],
+      "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3,0.2", "--q-floor", "0.999"],
      EXIT_GUARD, "guard breach: "),
     # the slope tendency overflows in the first stage; the last finite state is
     # written, after the warning about the data not decaying
@@ -224,9 +224,15 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
     *[(["verify", "--X", "10", "--n", "201", flag, value],
        EXIT_CONFIG, "error: verify uses only X, n_points, r0 and the profile")
       for flag, value in VERIFY_REJECTS],
+    # a profile parameter the profile does not take
+    (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:foo=1"],
+     EXIT_CONFIG, "error: gaussian takes a and sigma, not foo"),
+    (["verify", "--X", "10", "--n", "201", "--profile", "sech2:sigma=2"],
+     EXIT_CONFIG, "error: sech2 takes a and k, not sigma; verify runs the profile at n = "),
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
         "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
-        *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS]])
+        *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS],
+        "profile-key-solve", "profile-key-verify"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
@@ -309,6 +315,15 @@ def test_main_runs_unpinned_without_mallopt(cdll, monkeypatch):
 # config file parsing
 # ---------------------------------------------------------------------------
 
+def test_config_profile_with_an_unknown_key_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial_data = sech2:a=1,sigma=2\n")
+    code, _ = run(["solve", "--X", "10", "--n", "201", "--config", str(cfg)],
+                  tmp_path, monkeypatch)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: sech2 takes a and k, not sigma\n"
+
+
 def test_config_parse_errors_carry_line_numbers(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("X = 10\nwhat = 3\n")
@@ -345,11 +360,32 @@ def test_continuity_writes_report(tmp_path, monkeypatch):
                      "--perturbation", "gaussian:a=0.1,sigma=1"],
                     tmp_path, monkeypatch)
     assert code == EXIT_OK
-    payload = json.loads((out / "continuity.json").read_text())
+    payload = json.loads((out / "continuity.json").read_text(), parse_constant=reject_json)
     assert payload["eps_values"] == [1e-2, 1e-3]
     lines = (out / "continuity.csv").read_text().splitlines()
     assert lines[0].startswith("eps,c0_data_dist")
     assert len(lines) == 3
+
+
+NO_FIT = ("error: fitting the exponents needs two or more nonzero data distances "
+          "|eps| sup|perturbation|, got ")
+
+
+def reject_json(constant):
+    """``parse_constant`` of a strict JSON parser: NaN and the infinities are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "1e-2"], NO_FIT + "0.001\n"),
+    (["--eps", "0,1e-2"], NO_FIT + "0, 0.001\n"),
+    (["--perturbation", "gaussian:a=0,sigma=1"], NO_FIT + "0, 0, 0, 0\n"),
+], ids=["one-eps", "one-nonzero-eps", "zero-perturbation"])
+def test_continuity_never_writes_nan(flags, message, tmp_path, monkeypatch, capsys):
+    code, out = run(["continuity", "--X", "10", "--n", "201", *flags], tmp_path, monkeypatch)
+    for path in out.glob("continuity.json"):
+        json.loads(path.read_text(), parse_constant=reject_json)
+    assert code == EXIT_CONFIG and capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("flags, stride", [(["--store-every", "1"], 1), ([], 10)])
@@ -361,7 +397,7 @@ def test_continuity_honours_store_every(flags, stride, tmp_path, monkeypatch):
         return experiment(u0, pert, eps_values, alphas, config)
 
     monkeypatch.setattr(fwsolver.cli, "continuity_experiment", spy)
-    code, _ = run(["continuity", "--X", "10", "--n", "201", "--eps", "1e-3"] + flags,
+    code, _ = run(["continuity", "--X", "10", "--n", "201", "--eps", "1e-3,2e-3"] + flags,
                   tmp_path, monkeypatch)
     assert code == EXIT_OK and seen == [stride]
 
@@ -539,11 +575,12 @@ def test_flow_map_band_defect_fails_the_check_with_its_measurements(monkeypatch)
 
 
 def test_flow_map_bounds_counts_a_non_monotone_run_state_out_of_band():
-    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
-    traj = suite.run(51)
-    traj.states[20].y[3][10] = -5.0  # a sampled level whose map cannot be assembled
-    result = suite.check_flow_map_bounds()
-    assert not result.passed and not result.measured["run_in_band"]
+    # every stored level is judged, the 20th and those between alike
+    for level in (5, 20):
+        suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+        suite.run(51).states[level].y[3][10] = -5.0  # a map that cannot be assembled
+        result = suite.check_flow_map_bounds()
+        assert not result.passed and not result.measured["run_in_band"]
 
 
 def test_verify_band_defect_is_a_failed_check_not_a_guard_breach(tmp_path, monkeypatch,

@@ -219,10 +219,19 @@ def test_continuity_report_is_the_level_by_level_computation_bitwise():
 
 
 def test_continuity_zero_perturbation():
+    # a zero eps moves nothing and is left out of the ratios and the fits,
+    # which need two or more nonzero data distances |eps| sup|perturbation|
     u0, pert, cfg = _continuity_setup()
-    report = continuity_experiment(u0, pert, [0.0], [0.5], cfg)
-    assert report.c0_sol_dist == [0.0]
-    assert report.lipschitz_ratio_max == 0.0
+    report = continuity_experiment(u0, pert, [0.0, 1e-3, 2e-3], [0.5], cfg)
+    assert report.c0_data_dist[0] == 0.0 and report.c0_sol_dist[0] == 0.0
+    assert len(report.lipschitz_ratios) == 2
+    zero = GridFunction(u0.grid, np.zeros(u0.grid.n_points))
+    for eps, p in (([0.0], pert), ([0.0, 1e-3], pert), ([1e-3, 2e-3], zero)):
+        with pytest.raises(ValueError, match="two or more nonzero data distances"):
+            continuity_experiment(u0, p, eps, [0.5], cfg)
+    # eps * perturbation below the rounding of u0: every run is the base run
+    with pytest.raises(ValueError, match="no exponent can be fitted"):
+        continuity_experiment(u0, pert, [1e-30, 2e-30], [0.5], cfg)
 
 
 def test_continuity_linear_response_doubles():
@@ -246,11 +255,11 @@ def test_continuity_rejects_bad_alpha():
 
 def test_continuity_report_serializes(tmp_path):
     u0, pert, cfg = _continuity_setup()
-    report = continuity_experiment(u0, pert, [1e-3], [0.0, 0.5], cfg)
+    report = continuity_experiment(u0, pert, [1e-3, 2e-3], [0.0, 0.5], cfg)
     text = report.to_json()
     import json
     payload = json.loads(text)
-    assert payload["eps_values"] == [1e-3]
+    assert payload["eps_values"] == [1e-3, 2e-3]
     assert "0.5" in payload["holder_sol_dist"]
 
 
@@ -334,7 +343,7 @@ def test_series_residual_is_pde_residual_bitwise():
 
 
 def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
-    # the residual, the only user of the smooth route, needs an interior state
+    # each state gets the one Hermite interpolant; the residual needs an interior state
     grid = Grid(10.0, 201)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=10 ** 6))
     assert len(traj.states) == 2
@@ -342,7 +351,7 @@ def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
     monkeypatch.setattr(fwsolver.flowmap, "_slopes",
                         lambda x, y, smooth=False: routes.append(smooth) or real(x, y, smooth))
     residual = diagnostics_series(traj)["residual"]
-    assert routes == [False, False] and all(math.isnan(r) for r in residual)
+    assert routes == [True, True] and all(math.isnan(r) for r in residual)
 
 
 def test_series_residual_nan_where_breach_ends_off_stride():

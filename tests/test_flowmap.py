@@ -161,8 +161,8 @@ def test_reconstruct_time_zero_is_data():
 
 def test_reconstruct_matches_per_column_interpolants_bitwise():
     # a right-end displacement of 1e-15 rounds the last node's label just
-    # past X: the shape-preserving route must give 0 there, as
-    # interpolating each column on its own (the reference here) does
+    # past X: the Hermite route extrapolates there, as interpolating each
+    # column on its own (the reference here) does
     grid = Grid(10.0, 401)
     x = grid.x
     bump = np.exp(-x ** 2)
@@ -172,16 +172,11 @@ def test_reconstruct_matches_per_column_interpolants_bitwise():
                                               displacement]))
     labels, inside = invert_many(flow_map(st), x)
     assert labels[-1] > grid.half_width and inside.all()
-    for smooth in (False, True):
-        snap = reconstruct(st, smooth=smooth)
-        for got, column in ((snap.u, st.w), (snap.ux, st.v)):
-            if smooth:
-                y = column.values[:, None]
-                expected = _hermite(x, y, _slopes(x, y, True), labels[:, None], True)[:, 0]
-            else:
-                expected, _ = interpolate_many(column, labels)
-            assert np.array_equal(got.values, expected)
-    assert reconstruct(st).u.values[-1] == 0.0
+    snap = reconstruct(st)
+    for got, column in ((snap.u, st.w), (snap.ux, st.v)):
+        y = column.values[:, None]
+        expected = _hermite(x, y, _slopes(x, y, True), labels[:, None], True)[:, 0]
+        assert np.array_equal(got.values, expected)
 
 
 def test_reconstruct_zero_solution():
@@ -190,8 +185,7 @@ def test_reconstruct_zero_solution():
 
 
 def test_reconstruct_gaussian_tail_warns_nothing():
-    # the tail's secants are subnormal, so PCHIP's harmonic mean divides into
-    # an overflow; 1/inf = 0 is the right slope and no warning is due
+    # the tail's values underflow to subnormals and zeros; pulling them back warns nothing
     grid = Grid(40.0, 4001)
     state = initial_state(gaussian(grid), SolverConfig(grid=grid))
     with warnings.catch_warnings():
@@ -224,22 +218,41 @@ def test_stretch_matches_map_slope():
 
 
 def test_reconstruct_smooth_variant_close_to_monotone():
+    # reconstruct against the shape-preserving composition of the same state
     traj, _ = gaussian_run()
-    a = reconstruct(traj.final, smooth=False)
-    b = reconstruct(traj.final, smooth=True)
-    assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-4
+    snap = reconstruct(traj.final)
+    labels, _ = invert_many(flow_map(traj.final), snap.u.grid.x)
+    monotone, _ = interpolate_many(traj.final.w, labels)
+    assert np.max(np.abs(snap.u.values - monotone)) <= 1e-4
+
+
+def test_reconstruct_beats_the_monotone_composition_against_a_refined_run():
+    # u at T on n = 401 against the n = 3201 run at the shared nodes, both in
+    # the same 200 steps: PCHIP's limiter costs accuracy at the crest
+    def final(n):
+        grid = Grid(10.0, n)
+        u0 = gaussian(grid, a=0.1)
+        geo = ball_geometry(u0)
+        cfg = SolverConfig(grid=grid, dt=geo.lifespan / 200, t_end=geo.lifespan,
+                           store_every=10 ** 6)
+        return integrate(u0, cfg, geo).final
+
+    coarse, reference = final(401), reconstruct(final(3201)).u.values[::8]
+    labels, _ = invert_many(flow_map(coarse), coarse.grid.x)
+    monotone, _ = interpolate_many(coarse.w, labels)
+    error = np.max(np.abs(reconstruct(coarse).u.values - reference))
+    assert error < np.max(np.abs(monotone - reference)) / 10
 
 
 def test_pull_back_equals_reconstruct_bitwise():
-    # both routes from one inversion per state, each equal to its own reconstruct
+    # one inversion per state, each snapshot equal to its own reconstruct
     traj, _ = gaussian_run(n=401, store_every=40)
     states = traj.states
     assert len(states) >= 5
-    pulled = list(_pull_back(states, (False, True)))
+    pulled = list(_pull_back(states))
     assert len(pulled) == len(states)
-    for state, snaps in zip(states, pulled):
-        for smooth, snap in zip((False, True), snaps):
-            alone = reconstruct(state, smooth)
-            assert snap.t == alone.t and snap.out_of_image == alone.out_of_image
-            assert snap.u.values.tobytes() == alone.u.values.tobytes()
-            assert snap.ux.values.tobytes() == alone.ux.values.tobytes()
+    for state, snap in zip(states, pulled):
+        alone = reconstruct(state)
+        assert snap.t == alone.t and snap.out_of_image == alone.out_of_image
+        assert snap.u.values.tobytes() == alone.u.values.tobytes()
+        assert snap.ux.values.tobytes() == alone.ux.values.tobytes()
