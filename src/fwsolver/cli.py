@@ -72,9 +72,10 @@ _CONFIG_KEYS = {key: (name, parse) for key, _, name, parse, _ in _SETTINGS}
 
 
 def _parse_config_file(path: str) -> dict:
-    """``key = value`` lines as setting name -> value; unknown keys and bad
-    values carry line numbers."""
+    """``key = value`` lines as setting name -> value; unknown, repeated
+    keys and bad values carry line numbers."""
     out: dict = {}
+    seen: dict = {}  # key -> the line that set it
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as err:
@@ -88,6 +89,9 @@ def _parse_config_file(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         name, parse = _CONFIG_KEYS[key]
         try:
             out[name] = parse(val)

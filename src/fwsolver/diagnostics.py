@@ -243,9 +243,11 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     breach in any run is raised as its :class:`GuardBreach`.
     """
     alphas = list(alphas)
-    for a in alphas:
+    for i, a in enumerate(alphas):
         if not (0.0 <= a < 1.0):
             raise ValueError(f"alpha must lie in [0, 1), got {a}")
+        if a in alphas[:i]:
+            raise ValueError(f"alpha={a:g} is given twice")
     eps_values = [float(e) for e in eps_values]
     p, h, grid = perturbation.values, perturbation.grid.h, u0.grid
     # the norm of the initial-state difference (w, v, q) = eps (p, p', 0)

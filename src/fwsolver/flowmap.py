@@ -148,7 +148,7 @@ def _pull_back(states):
     for state in states:
         labels, inside = invert_many(flow_map(state), x)
         y = np.column_stack(state.y[:2])  # (w, v)
-        uux = _hermite(x, y, _slopes(x, y, True), labels[:, None], True)
+        uux = _hermite(x, y, _slopes(x, y), labels[:, None])
         uux = np.where(inside[:, None], uux, 0.0).T.copy()  # 0 off the image
         yield EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
                                int(np.sum(~inside)))

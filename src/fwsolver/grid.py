@@ -148,44 +148,29 @@ def _trapezoid(v: NDArray[np.float64], h: float) -> float:
     return float(h * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 
 
-def _slopes(x: NDArray[np.float64], y: NDArray[np.float64], smooth: bool = False):
+def _slopes(x: NDArray[np.float64], y: NDArray[np.float64]):
     """Node slopes of the cubic through each column of ``y`` ``(n, k)`` on
-    the uniform nodes ``x``: PCHIP (Fritsch-Carlson, Moler's three-point
-    ends; scipy's steps in scipy's order, so its bits) or, if ``smooth``,
-    fourth-order differences with no limiter, so linear in ``y``: 5-point
-    centred inside, 5-point one-sided at the two nodes nearest each end,
-    and :func:`derivative_values` below 5 nodes (exact for parabolas)."""
-    if smooth:
-        h = (x[-1] - x[0]) / (x.size - 1)
-        if x.size < 5:
-            return derivative_values(y, h)
-        d = np.empty_like(y)
-        d[2:-2] = (y[:-4] - y[4:] + 8 * (y[3:-1] - y[1:-3])) / (12 * h)
-        # the right end is the left one mirrored, x -> -x, which flips a slope's sign
-        e = np.stack([y[:5], -y[:-6:-1]], axis=1)  # e[j]: the nodes j in from each end
-        d[[0, -1]] = (-25 * e[0] + 48 * e[1] - 36 * e[2] + 16 * e[3] - 3 * e[4]) / (12 * h)
-        d[[1, -2]] = (-3 * e[0] - 10 * e[1] + 18 * e[2] - 6 * e[3] + e[4]) / (12 * h)
-        return d
-    h = (x[1:] - x[:-1])[:, None]
-    mk = (y[1:] - y[:-1]) / h
-    flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inner = np.where(flat, 0.0, 1.0 / ((w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)))
-    # Moler's one-sided three-point slopes at both ends, limited to keep the shape
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], mk[[0, -1]], mk[[1, -2]]
-    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flip = np.sign(end) != np.sign(m0)
-    big = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3. * np.abs(m0))
-    end = np.where(flip, 0.0, np.where(big, 3. * m0, end))
-    return np.concatenate([end[:1], inner, end[1:]])
+    the uniform nodes ``x``: fourth-order differences with no limiter, so
+    linear in ``y``: 5-point centred inside, 5-point one-sided at the two
+    nodes nearest each end, and :func:`derivative_values` below 5 nodes
+    (exact for parabolas)."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    if x.size < 5:
+        return derivative_values(y, h)
+    d = np.empty_like(y)
+    d[2:-2] = (y[:-4] - y[4:] + 8 * (y[3:-1] - y[1:-3])) / (12 * h)
+    # the right end is the left one mirrored, x -> -x, which flips a slope's sign
+    e = np.stack([y[:5], -y[:-6:-1]], axis=1)  # e[j]: the nodes j in from each end
+    d[[0, -1]] = (-25 * e[0] + 48 * e[1] - 36 * e[2] + 16 * e[3] - 3 * e[4]) / (12 * h)
+    d[[1, -2]] = (-3 * e[0] - 10 * e[1] + 18 * e[2] - 6 * e[3] + e[4]) / (12 * h)
+    return d
 
 
-def _hermite(x, y, dydx, xs, extrapolate: bool):
+def _hermite(x, y, dydx, xs):
     """scipy's ``CubicHermiteSpline`` through ``y`` with slopes ``dydx``
     (``(n, ...)``) at ``xs`` (``(m, ...)``, broadcast against the columns),
     bitwise: its cell coefficients, then its power sum in ``s = xs - x_i``.
-    Outside ``[x[0], x[-1]]`` the end cubics extrapolate, or give nan."""
+    Outside ``[x[0], x[-1]]`` the end cubics extrapolate."""
     dx = (x[1:] - x[:-1]).reshape(-1, *[1] * (y.ndim - 1))
     slope = (y[1:] - y[:-1]) / dx
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
@@ -194,24 +179,22 @@ def _hermite(x, y, dydx, xs, extrapolate: bool):
     at = i * y[0].size + np.arange(y[0].size).reshape(y.shape[1:])  # flat index of y[i]
     s = xs - x[i]
     z = s * s
-    out = (0.0 + np.take(y, at) + np.take(dydx, at) * s + np.take(c1, at) * z
-           + np.take(c0, at) * (z * s))
-    return out if extrapolate else np.where((xs >= x[0]) & (xs <= x[-1]), out, np.nan)
+    return (0.0 + np.take(y, at) + np.take(dydx, at) * s + np.take(c1, at) * z
+            + np.take(c0, at) * (z * s))
 
 
 def interpolate_many(f: GridFunction, xs: NDArray[np.float64]):
-    """Evaluate ``f`` at the points ``xs`` off the grid by shape-preserving
-    cubic interpolation; returns ``(values, n_outside)``.
+    """Evaluate ``f`` at the points ``xs`` off the grid by the pull-back's
+    cubic Hermite interpolant; returns ``(values, n_outside)``.
 
-    Exact at nodes, reproduces affine data, and never leaves the range
-    of the two bracketing samples (no overshoot).  Points outside
+    Exact at nodes and for cubics, but not overshoot-free.  Points outside
     ``[-X, X]`` evaluate to 0 by the decay convention and are counted.
     """
     xs = np.asarray(xs, dtype=np.float64)
     x, y = f.grid.x, f.values[:, None]
     inside = (xs >= x[0]) & (xs <= x[-1])
     out = np.zeros_like(xs)
-    out[inside] = _hermite(x, y, _slopes(x, y), xs[inside][:, None], False)[:, 0]
+    out[inside] = _hermite(x, y, _slopes(x, y), xs[inside][:, None])[:, 0]
     return out, int(np.sum(~inside))
 
 

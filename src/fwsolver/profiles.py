@@ -56,6 +56,8 @@ def parse_profile_spec(spec: str):
             if "=" not in item:
                 raise ValueError(f"profile parameter {item!r} is not key=value")
             key, val = (s.strip() for s in item.split("=", 1))
+            if key in params:
+                raise ValueError(f"profile parameter {key} is given twice in {spec!r}")
             if key == "path":
                 params[key] = val
             else:
@@ -80,7 +82,11 @@ def make_profile(spec: str, grid: Grid) -> GridFunction:
         if unknown:
             raise ValueError(f"{name} takes {' and '.join(keys) or 'no parameters'}, "
                              f"not {', '.join(unknown)}")
-        return build(grid, **params)
+        try:
+            with np.errstate(all="ignore"):  # GridFunction reports a non-finite value
+                return build(grid, **params)
+        except ValueError as err:
+            raise ValueError(f"profile {spec!r}: {err}") from None
     if name == "from_csv":
         if set(params) != {"path"}:
             raise ValueError("from_csv needs exactly path=<file>")

@@ -51,17 +51,16 @@ def test_solve_smoke(tmp_path, monkeypatch, capsys):
 
 
 def solve_counting_reconstructions(tmp_path, monkeypatch):
-    """``fw solve`` at n=201 counting, per route, the states whose
-    interpolant is built (``flowmap._slopes`` gets two columns, ``w`` and
-    ``v``, per state) and the flow-map inversions; returns (out dir,
-    trajectory, counts)."""
+    """``fw solve`` at n=201 counting the states whose interpolant is built
+    (``flowmap._slopes`` gets two columns, ``w`` and ``v``, per state) and
+    the flow-map inversions; returns (out dir, trajectory, counts)."""
     real_slopes = fwsolver.flowmap._slopes
     real_invert = fwsolver.flowmap.invert_many
-    counts = {"pchip": 0, "smooth": 0, "inversions": 0}
+    counts = {"interpolants": 0, "inversions": 0}
 
-    def slopes(x, y, smooth=False):
-        counts["smooth" if smooth else "pchip"] += y.shape[1] // 2
-        return real_slopes(x, y, smooth)
+    def slopes(x, y):
+        counts["interpolants"] += y.shape[1] // 2
+        return real_slopes(x, y)
 
     def invert_many(fmap, xs):
         counts["inversions"] += 1
@@ -81,7 +80,7 @@ def solve_counting_reconstructions(tmp_path, monkeypatch):
 def test_solve_reconstructs_each_state_once_per_route(tmp_path, monkeypatch):
     _, traj, counts = solve_counting_reconstructions(tmp_path, monkeypatch)
     n = len(traj.states)
-    assert counts == {"pchip": 0, "smooth": n, "inversions": n}
+    assert counts == {"interpolants": n, "inversions": n}
 
 
 def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
@@ -229,12 +228,22 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
      EXIT_CONFIG, "error: gaussian takes a and sigma, not foo"),
     (["verify", "--X", "10", "--n", "201", "--profile", "sech2:sigma=2"],
      EXIT_CONFIG, "error: sech2 takes a and k, not sigma; verify runs the profile at n = "),
+    # a parameter or config key given twice is ambiguous, so neither value is used
+    (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:a=0.1,a=0.2"],
+     EXIT_CONFIG, "error: profile parameter a is given twice in 'gaussian:a=0.1,a=0.2'"),
+    (["solve", "--config", "twice.cfg"],
+     EXIT_CONFIG, "error: twice.cfg:3: key 'n_points' is already set on line 1"),
+    # numpy divides by zero building the profile; only the finiteness check reports
+    (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:sigma=0"],
+     EXIT_CONFIG, "error: profile 'gaussian:sigma=0': grid function values must be finite"),
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
         "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS],
-        "profile-key-solve", "profile-key-verify"])
+        "profile-key-solve", "profile-key-verify", "profile-key-twice", "config-key-twice",
+        "profile-divides-by-zero"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "twice.cfg").write_text("n_points = 201\nX = 10\nn_points = 401\n")
     with warnings.catch_warnings():
         # print every warning as a shell sees it, whether or not pytest records them
         warnings.simplefilter("always")
@@ -352,6 +361,15 @@ def test_continuity_rejects_alpha_one(tmp_path, monkeypatch, capsys):
                   tmp_path, monkeypatch)
     assert code == EXIT_CONFIG
     assert "alpha" in capsys.readouterr().err
+
+
+def test_continuity_rejects_a_repeated_alpha_before_any_run(tmp_path, monkeypatch, capsys):
+    # the Hölder distances are kept per alpha, so a repeat would misalign them with eps
+    code, out = run(["continuity", "--X", "10", "--n", "201", "--eps", "1e-1,1e-2,1e-3",
+                     "--alpha", "0.5,0.5"], tmp_path, monkeypatch)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: alpha=0.5 is given twice\n"
+    assert not out.exists()
 
 
 def test_continuity_writes_report(tmp_path, monkeypatch):

@@ -347,11 +347,11 @@ def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
     grid = Grid(10.0, 201)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=10 ** 6))
     assert len(traj.states) == 2
-    routes, real = [], fwsolver.flowmap._slopes
+    columns, real = [], fwsolver.flowmap._slopes
     monkeypatch.setattr(fwsolver.flowmap, "_slopes",
-                        lambda x, y, smooth=False: routes.append(smooth) or real(x, y, smooth))
+                        lambda x, y: columns.append(y.shape[1]) or real(x, y))
     residual = diagnostics_series(traj)["residual"]
-    assert routes == [True, True] and all(math.isnan(r) for r in residual)
+    assert columns == [2, 2] and all(math.isnan(r) for r in residual)
 
 
 def test_series_residual_nan_where_breach_ends_off_stride():

@@ -159,24 +159,41 @@ def test_reconstruct_time_zero_is_data():
     assert snap.out_of_image == 0
 
 
-def test_reconstruct_matches_per_column_interpolants_bitwise():
-    # a right-end displacement of 1e-15 rounds the last node's label just
-    # past X: the Hermite route extrapolates there, as interpolating each
-    # column on its own (the reference here) does
+def label_past_x_state():
+    """A moved bump whose right-end displacement of 1e-15 rounds the last
+    node's label just past X."""
     grid = Grid(10.0, 401)
     x = grid.x
     bump = np.exp(-x ** 2)
     displacement = 0.05 * bump
     displacement[-1] = 1e-15
-    st = LagrangianState(0.1, grid, np.stack([bump, -2.0 * x * bump, np.ones(401),
-                                              displacement]))
+    return LagrangianState(0.1, grid, np.stack([bump, -2.0 * x * bump, np.ones(401),
+                                                displacement]))
+
+
+def test_reconstruct_matches_per_column_interpolants_bitwise():
+    # the Hermite route extrapolates at the label past X, as interpolating
+    # each column on its own (the reference here) does
+    st = label_past_x_state()
+    x = st.grid.x
     labels, inside = invert_many(flow_map(st), x)
-    assert labels[-1] > grid.half_width and inside.all()
+    assert labels[-1] > st.grid.half_width and inside.all()
     snap = reconstruct(st)
     for got, column in ((snap.u, st.w), (snap.ux, st.v)):
         y = column.values[:, None]
-        expected = _hermite(x, y, _slopes(x, y, True), labels[:, None], True)[:, 0]
+        expected = _hermite(x, y, _slopes(x, y), labels[:, None])[:, 0]
         assert np.array_equal(got.values, expected)
+
+
+def test_interpolate_many_is_the_pull_back_interpolant():
+    # w at the inverted labels equals reconstruct's u bit for bit, except at
+    # the label past X, which interpolate_many sets to 0 and counts
+    st = label_past_x_state()
+    labels, _ = invert_many(flow_map(st), st.grid.x)
+    values, n_out = interpolate_many(st.w, labels)
+    u = reconstruct(st).u.values
+    assert n_out == 1 and values[-1] == 0.0 and u[-1] != 0.0
+    assert values[:-1].tobytes() == u[:-1].tobytes()
 
 
 def test_reconstruct_zero_solution():
@@ -217,13 +234,20 @@ def test_stretch_matches_map_slope():
     assert np.max(np.abs(slopes - q_mid)) <= 5e-6  # O(dt^4 + h^2)
 
 
+def monotone_composition(state):
+    """``w`` pulled back on the grid by scipy's shape-preserving PCHIP, 0 at
+    labels past ``[-X, X]``."""
+    from scipy.interpolate import PchipInterpolator
+    x = state.grid.x
+    labels, _ = invert_many(flow_map(state), x)
+    return np.nan_to_num(PchipInterpolator(x, state.w.values, extrapolate=False)(labels))
+
+
 def test_reconstruct_smooth_variant_close_to_monotone():
     # reconstruct against the shape-preserving composition of the same state
     traj, _ = gaussian_run()
     snap = reconstruct(traj.final)
-    labels, _ = invert_many(flow_map(traj.final), snap.u.grid.x)
-    monotone, _ = interpolate_many(traj.final.w, labels)
-    assert np.max(np.abs(snap.u.values - monotone)) <= 1e-4
+    assert np.max(np.abs(snap.u.values - monotone_composition(traj.final))) <= 1e-4
 
 
 def test_reconstruct_beats_the_monotone_composition_against_a_refined_run():
@@ -238,10 +262,8 @@ def test_reconstruct_beats_the_monotone_composition_against_a_refined_run():
         return integrate(u0, cfg, geo).final
 
     coarse, reference = final(401), reconstruct(final(3201)).u.values[::8]
-    labels, _ = invert_many(flow_map(coarse), coarse.grid.x)
-    monotone, _ = interpolate_many(coarse.w, labels)
     error = np.max(np.abs(reconstruct(coarse).u.values - reference))
-    assert error < np.max(np.abs(monotone - reference)) / 10
+    assert error < np.max(np.abs(monotone_composition(coarse) - reference)) / 10
 
 
 def test_pull_back_equals_reconstruct_bitwise():

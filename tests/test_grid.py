@@ -282,19 +282,6 @@ def test_interpolate_outside_is_zero_and_counted():
     assert vals[0] == 0.0 and vals[2] == 0.0
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=5, max_size=40),
-       st.floats(0.001, 0.999))
-def test_interpolate_interlaces(vals, frac):
-    g = Grid(1.0, len(vals))
-    f = GridFunction(g, np.asarray(vals))
-    i = len(vals) // 2
-    x = g.x[i] + frac * g.h
-    (y,), _ = interpolate_many(f, np.array([x]))
-    lo, hi = min(vals[i], vals[i + 1]), max(vals[i], vals[i + 1])
-    assert lo - 1e-9 * (1 + abs(lo)) <= y <= hi + 1e-9 * (1 + abs(hi))
-
-
 # values with repeats (flat runs, zero secants), both signs and both zeros
 SPLINE_VALUES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), st.floats(-100, 100))
 
@@ -318,14 +305,29 @@ def spline_data(draw):
 @settings(max_examples=200, deadline=None)
 @given(spline_data())
 def test_splines_match_scipy_bitwise(data):
-    # the PCHIP route (nan outside) against scipy, bit for bit, slopes and values
-    from scipy.interpolate import PchipInterpolator
+    # the Hermite route (extrapolating) against scipy's spline on the same slopes
+    from scipy.interpolate import CubicHermiteSpline
     x, y, xs = data
-    spline = PchipInterpolator(x, y, extrapolate=False)
     slopes = _slopes(x, y)
+    spline = CubicHermiteSpline(x, y, slopes)
     # scipy keeps each cell's left-node slope as its linear coefficient
     assert slopes[:-1].tobytes() == spline.c[2].tobytes()
-    assert _hermite(x, y, slopes, xs[:, None], False).tobytes() == spline(xs).tobytes()
+    assert _hermite(x, y, slopes, xs[:, None]).tobytes() == spline(xs).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spline_data())
+def test_interpolate_many_is_the_hermite_spline_inside_and_zero_outside(data):
+    # scipy's spline bit for bit on [-X, X]; 0 and counted past either end
+    from scipy.interpolate import CubicHermiteSpline
+    x, y, xs = data
+    y = y[:, :1]
+    f = GridFunction(Grid(x[-1], x.size), y[:, 0])
+    inside = (xs >= x[0]) & (xs <= x[-1])
+    vals, n_out = interpolate_many(f, xs)
+    spline = CubicHermiteSpline(x, y, _slopes(x, y))
+    assert vals[inside].tobytes() == spline(xs[inside])[:, 0].tobytes()
+    assert n_out == np.sum(~inside) and np.all(vals[~inside] == 0.0)
 
 
 U = 2.0 ** -53  # unit roundoff
@@ -370,10 +372,10 @@ def test_smooth_route_is_exact_for_cubics(data):
     slope_bound = STENCIL_ABS / (12 * h) * U * (12 * M + 4 * X * P) + 8 * U * P + TINY / h
     value_bound = h / 3 * slope_bound + 32 * U * (M + X * P) + TINY
     y = horner(c, x)
-    slopes = _slopes(x, y, True)
+    slopes = _slopes(x, y)
     exact = (3 * c[3] * x[:, None] + 2 * c[2]) * x[:, None] + c[1]
     assert np.all(np.abs(slopes - exact) <= slope_bound)
-    values = _hermite(x, y, slopes, xs[:, None], True)
+    values = _hermite(x, y, slopes, xs[:, None])
     assert np.all(np.abs(values - horner(c, xs)) <= value_bound)
 
 
@@ -391,8 +393,8 @@ def test_smooth_slopes_are_linear(n, half_width, data):
     S = abs(a) * np.max(np.abs(y1)) + abs(b) * np.max(np.abs(y2))
     h = (x[-1] - x[0]) / (n - 1)
     bound = 16 * U * STENCIL_ABS * S / (12 * h) + TINY / h
-    got = _slopes(x, a * y1 + b * y2, True)
-    assert np.all(np.abs(got - (a * _slopes(x, y1, True) + b * _slopes(x, y2, True))) <= bound)
+    got = _slopes(x, a * y1 + b * y2)
+    assert np.all(np.abs(got - (a * _slopes(x, y1) + b * _slopes(x, y2))) <= bound)
 
 
 @st.composite
@@ -433,11 +435,11 @@ def test_smooth_route_reproduces_parabolas_on_3_and_4_nodes(data):
     h = x[1] - x[0]
     d1, d2 = (y[1] - y[0]) / h, (y[2] - 2 * y[1] + y[0]) / (2 * h * h)
     scale = 2.0 ** -40 * np.max(np.abs(y), axis=0)
-    slopes = _slopes(x, y, True)
+    slopes = _slopes(x, y)
     assert np.all(np.abs(slopes - (d1 + (2 * x[:, None] - x[0] - x[1]) * d2))
                   <= scale / h + TINY / h)
     reference = y[0] + (xs[:, None] - x[0]) * (d1 + (xs[:, None] - x[1]) * d2)
-    assert np.all(np.abs(_hermite(x, y, slopes, xs[:, None], True) - reference)
+    assert np.all(np.abs(_hermite(x, y, slopes, xs[:, None]) - reference)
                   <= scale + TINY)
 
 
@@ -447,8 +449,8 @@ def test_smooth_route_is_fourth_order_on_sin():
     for n in (41, 81, 161):
         x = Grid(3.0, n).x
         y, mid = np.sin(x)[:, None], 0.5 * (x[1:] + x[:-1])
-        slopes = _slopes(x, y, True)
-        values = _hermite(x, y, slopes, mid[:, None], True)[:, 0]
+        slopes = _slopes(x, y)
+        values = _hermite(x, y, slopes, mid[:, None])[:, 0]
         errors.append((np.max(np.abs(slopes[:, 0] - np.cos(x))),
                        np.max(np.abs(values - np.sin(mid)))))
     for coarse, fine in zip(errors, errors[1:]):
@@ -461,9 +463,9 @@ def test_c2_slopes_of_a_batch_equal_each_column_alone():
     x = Grid(20.0, 2001).x
     rng = np.random.default_rng(5)
     y = np.exp(-x[:, None] ** 2 / rng.uniform(1, 9, 10)) * rng.uniform(-1, 1, 10)
-    together = _slopes(x, y, smooth=True)
+    together = _slopes(x, y)
     for j in range(y.shape[1]):
-        alone = _slopes(x, y[:, j:j + 1].copy(), smooth=True)
+        alone = _slopes(x, y[:, j:j + 1].copy())
         assert together[:, j].tobytes() == alone[:, 0].tobytes()
 
 
