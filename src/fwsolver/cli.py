@@ -152,8 +152,8 @@ def _cmd_solve(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     write_csv(u0, out / "initial_data.csv")
-    stride = max(1, (len(traj.states) - 1) // 20)  # about 20 snapshot files
-    snapshots = dict.fromkeys(range(0, len(traj.states), stride))
+    last = len(traj.states) - 1  # about 20 snapshot files, and always the last level
+    snapshots = dict.fromkeys([*range(0, last, max(1, last // 20)), last])
     series = diagnostics_series(traj, snapshots)
     for i, snap in snapshots.items():
         write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")

@@ -239,7 +239,7 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     guaranteed lifespan; so discretization bias cancels in the differences.
     Each perturbed datum must stay inside the base ball: the perturbation's
     product-space norm times ``eps`` may not exceed the ball radius, and each
-    exponent is fitted over two or more nonzero data distances.  A guard
+    exponent is fitted over two or more distinct nonzero data distances.  A guard
     breach in any run is raised as its :class:`GuardBreach`.
     """
     alphas = list(alphas)
@@ -259,6 +259,11 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
                 f"eps * perturbation norm = {abs(eps) * pert_norm:.4g} > r0 = {config.r0}"
             )
     c0_data = [abs(eps) * sup_norm(perturbation) for eps in eps_values]
+    for i, d in enumerate(c0_data):
+        if d > 0 and d in c0_data[:i]:
+            raise ValueError(f"eps={eps_values[i]:g} repeats the data distance "
+                             f"|eps| sup|perturbation| = {d:g} "
+                             f"of eps={eps_values[c0_data.index(d)]:g}")
     if sum(d > 0 for d in c0_data) < 2:
         raise ValueError("fitting the exponents needs two or more nonzero data distances "
                          f"|eps| sup|perturbation|, got {', '.join(f'{d:g}' for d in c0_data)}")

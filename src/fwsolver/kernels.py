@@ -41,44 +41,21 @@ from numpy.typing import NDArray
 from .grid import Grid, GridFunction
 
 __all__ = [
-    "MonotonicityError",
     "cumulative_flow_values",
     "helmholtz_inverse",
     "green_derivative",
     "convected_pair",
 ]
 
-DEFAULT_Q_FLOOR = 0.1
-
 # Lambda span of one sweep block; e^{+-30} ~ 1e{+-13} is far from float64
 # overflow and underflow.  See _sweeps.
 _SPAN = 30.0
 
 
-class MonotonicityError(ValueError):
-    """Stretch factor dropped to or below the guard floor somewhere."""
-
-    def __init__(self, index: int, value: float, floor: float):
-        self.index = index
-        self.value = value
-        self.floor = floor
-        super().__init__(
-            f"stretch factor q[{index}] = {value:.6g} <= floor {floor:.6g}; "
-            "the flow coordinate is no longer strictly increasing"
-        )
-
-    def __reduce__(self):  # rebuild from the fields, not the message, across processes
-        return type(self), (self.index, self.value, self.floor)
-
-
-def cumulative_flow_values(q, h: float, q_floor: float = DEFAULT_Q_FLOOR) -> NDArray[np.float64]:
+def cumulative_flow_values(q, h: float) -> NDArray[np.float64]:
     """Prefix integral ``Lambda(x_i) = int_{-X}^{x_i} q`` of the node values
-    ``q`` by the trapezoid rule: strictly increasing, ``Lambda[0] == 0``.
-    Rejects ``q <= q_floor`` (or NaN) anywhere."""
-    bad = np.flatnonzero(~(q > q_floor))
-    if bad.size:
-        i = int(bad[0])
-        raise MonotonicityError(i, float(q[i]), q_floor)
+    ``q`` by the trapezoid rule, with ``Lambda[0] == 0``; strictly
+    increasing when ``q`` is positive, which the callers ensure."""
     lam = np.empty(q.size)
     lam[0] = 0.0
     np.cumsum(0.5 * h * (q[:-1] + q[1:]), out=lam[1:])
@@ -251,15 +228,18 @@ def kernel_pair_direct(w, lam):
 # public operators
 # ---------------------------------------------------------------------------
 
-def convected_pair(w: GridFunction, q: GridFunction, q_floor: float = DEFAULT_Q_FLOOR):
-    """Both kernel integrals of ``(w, q)`` at once by the O(N) sweeps; the
-    solver hot path.  Returns ``(odd, even)`` as grid functions;
-    :func:`kernel_pair_direct` is the O(N^2) oracle they are tested against.
+def convected_pair(w: GridFunction, q: GridFunction):
+    """Both kernel integrals of ``(w, q)`` at once by the O(N) sweeps of
+    :func:`kernel_pair_arrays`, which the solver calls directly.  Returns
+    ``(odd, even)`` as grid functions; :func:`kernel_pair_direct` is the
+    O(N^2) oracle they are tested against.  Raises ``ValueError`` unless
+    ``q > 0`` everywhere, so that the flow coordinate strictly increases.
     """
     if w.grid != q.grid:
         raise ValueError("grid functions live on different grids")
-    lam = cumulative_flow_values(q.values, q.grid.h, q_floor)
-    odd, even = kernel_pair_arrays(w.values, lam)
+    if not np.all(q.values > 0.0):
+        raise ValueError("stretch q must be positive everywhere, so the flow coordinate increases")
+    odd, even = kernel_pair_arrays(w.values, cumulative_flow_values(q.values, q.grid.h))
     return GridFunction(w.grid, odd), GridFunction(w.grid, even)
 
 

@@ -33,8 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import Grid, GridFunction, derivative, derivative_values, sup_norm
-from .kernels import (DEFAULT_Q_FLOOR, MonotonicityError, cumulative_flow_values,
-                      kernel_pair_arrays)
+from .kernels import cumulative_flow_values, kernel_pair_arrays
 
 __all__ = [
     "LagrangianState",
@@ -54,6 +53,8 @@ __all__ = [
 # the contraction estimate needs the ball radius strictly below 1/9
 MAX_BALL_RADIUS = 1.0 / 9.0
 DEFAULT_BALL_RADIUS = 0.1
+# the step keeps the stretch q above this floor; see _rk4_arrays
+DEFAULT_Q_FLOOR = 0.1
 
 # SolverConfig.guard_mode: violated hypotheses raise, or only warn
 GUARD_MODES = ("enforce", "warn")
@@ -67,7 +68,8 @@ class InitialDataError(ValueError):
 
 
 class GuardBreach(RuntimeError):
-    """The stretch factor hit the guard floor, or the state went non-finite, in a step."""
+    """A failed node check of a step, raised by :func:`_guard_nodes`: a floored
+    stretch in a stage input or the new state, or a non-finite tendency or new state."""
 
     def __init__(self, stage: str, node: int, x: float, t: float, value: float, floor: float):
         self.stage = stage
@@ -241,10 +243,10 @@ def _norm(y: NDArray[np.float64], h: float) -> float:
                  + np.max(np.abs(y[1])) + np.max(np.abs(y[2])))
 
 
-def _rhs_arrays(y: NDArray[np.float64], h: float, q_floor: float) -> NDArray[np.float64]:
+def _rhs_arrays(y: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     w, v, q = y[0], y[1], y[2]
     out = np.empty_like(y)
-    kernel_pair_arrays(w, cumulative_flow_values(q, h, q_floor), out[:2])
+    kernel_pair_arrays(w, cumulative_flow_values(q, h), out[:2])
     dv, dq, dx = out[1:]
     dv -= w  # dv = even - w - 1.5 v^2, with dq and dx as scratch first
     dv -= np.multiply(np.multiply(v, 1.5, out=dq), v, out=dx)
@@ -295,17 +297,14 @@ def _guard_nodes(ok, y, stage, grid, t, q_floor):
 
 def _rk4_arrays(y, t, dt, grid, q_floor):
     """One RK4 step of the packed state; breaches name the stage whose
-    tendency is non-finite or whose stretch is floored (or ``post-step``
-    for a non-finite or floored new state), the node and its x.  An
-    overflow that reaches a tendency or the state is such a breach, so
-    numpy's overflow warnings are silenced."""
+    input stretch is floored or whose tendency is non-finite (or
+    ``post-step`` for a non-finite or floored new state), the node and its
+    x.  An overflow that reaches a tendency or the state is such a breach,
+    so numpy's overflow warnings are silenced."""
 
     def tendency(z, stage):
-        try:
-            k = _rhs_arrays(z, grid.h, q_floor)
-        except MonotonicityError as err:
-            raise GuardBreach(stage, err.index, float(grid.x[err.index]), t,
-                              err.value, err.floor) from err
+        _guard_nodes(z[2] > q_floor, z, stage, grid, t, q_floor)
+        k = _rhs_arrays(z, grid.h)
         if not math.isfinite(np.sum(k)):  # a screen: finite tendencies may overflow the sum
             _guard_nodes(np.isfinite(k).all(axis=0), k, stage, grid, t, q_floor)
         return k
@@ -321,9 +320,9 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
 # public operations
 # ---------------------------------------------------------------------------
 
-def step(state: LagrangianState, dt: float, q_floor: float = DEFAULT_Q_FLOOR) -> LagrangianState:
-    """Advance one RK4 step of size ``dt`` (may be negative)."""
-    y = _rk4_arrays(state.y, state.t, dt, state.grid, q_floor)
+def step(state: LagrangianState, dt: float) -> LagrangianState:
+    """Advance one RK4 step of size ``dt`` (may be negative), guarded at DEFAULT_Q_FLOOR."""
+    y = _rk4_arrays(state.y, state.t, dt, state.grid, DEFAULT_Q_FLOOR)
     return LagrangianState(state.t + dt, state.grid, y)
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .grid import Grid, GridFunction, c1_norm, derivative_values, sup_norm
-from .kernels import (DEFAULT_Q_FLOOR, convected_pair, cumulative_flow_values,
-                      green_derivative, helmholtz_inverse, kernel_pair_arrays,
-                      kernel_pair_direct)
+from .kernels import (convected_pair, cumulative_flow_values, green_derivative,
+                      helmholtz_inverse, kernel_pair_arrays, kernel_pair_direct)
 from .lagrangian import (LagrangianState, SolverConfig, _norm, _rhs_arrays, ball_geometry,
                          integrate, chain_rule_defect, step)
 from .flowmap import (FlowMap, _pull_back, flow_map, inverse_slope_bounds, map_slopes,
@@ -398,7 +397,7 @@ class VerificationSuite:
         worst = 0.0
         for _ in range(LIPSCHITZ_PAIRS):
             y1, y2 = rand_state(), rand_state()
-            dk = _rhs_arrays(y1, h, DEFAULT_Q_FLOOR) - _rhs_arrays(y2, h, DEFAULT_Q_FLOOR)
+            dk = _rhs_arrays(y1, h) - _rhs_arrays(y2, h)
             worst = max(worst, _norm(dk, h) / _norm(y1 - y2, h))
         return worst <= bound, {"pairs": LIPSCHITZ_PAIRS, "worst_ratio": worst, "bound": bound}
 

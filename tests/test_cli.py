@@ -94,6 +94,23 @@ def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
         assert np.array_equal(u, snap.u.values) and np.array_equal(ux, snap.ux.values)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--X", "10", "--n", "201", "--store-every", "3"],  # 68 levels, stride 3
+    ["--profile", "sech2:a=2,k=1", "--X", "20", "--n", "401", "--guard", "warn",
+     "--t-end", "1.0", "--dt", "0.002"],  # a breach ends it at level 190
+], ids=["off-stride-end", "breach"])
+def test_solve_writes_the_last_stored_level(argv, tmp_path, monkeypatch):
+    runs, real_integrate = [], fwsolver.cli.integrate
+    monkeypatch.setattr(fwsolver.cli, "integrate",
+                        lambda *a: runs.append(real_integrate(*a)) or runs[-1])
+    run(["solve", *argv], tmp_path, monkeypatch)
+    last = len(runs[0].states) - 1
+    assert last % max(1, last // 20) != 0
+    for name in ("snapshot", "flowmap"):
+        assert max(out.name for out in (tmp_path / "out").glob(f"{name}_*.csv")) == \
+            f"{name}_{last:05d}.csv"
+
+
 def test_solve_initial_csv_round_trips_bitwise(tmp_path, monkeypatch):
     code, out = run(SOLVE_ARGS, tmp_path, monkeypatch)
     assert code == EXIT_OK
@@ -196,10 +213,12 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
      EXIT_CONFIG, "error: t_end must be finite"),
     (["solve", "--X", "10", "--n", "201", "--profile", "from_csv:path=missing.csv"],
      EXIT_CONFIG, "error: cannot read profile csv"),
-    # zero base data never moves q; the perturbed run drops below the floor
+    # zero base data never moves q; the perturbed run drops below the floor at a
+    # stage input, the only end-to-end run that trips that check
     (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
       "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3,0.2", "--q-floor", "0.999"],
-     EXIT_GUARD, "guard breach: "),
+     EXIT_GUARD, "guard breach: stretch floor breached at RK stage k4, node 107 (x=0.7), "
+                 "t=0.0257727: q=0.998994 <= 0.999"),
     # the slope tendency overflows in the first stage; the last finite state is
     # written, after the warning about the data not decaying
     (["solve", "--X", "40", "--n", "4001", "--guard", "warn",
@@ -236,11 +255,16 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
     # numpy divides by zero building the profile; only the finiteness check reports
     (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:sigma=0"],
      EXIT_CONFIG, "error: profile 'gaussian:sigma=0': grid function values must be finite"),
+    # an eps repeated up to sign repeats a data distance, so a fit would see one point twice
+    *[(["continuity", "--X", "10", "--n", "201", "--eps", f"1e-2,{again}"],
+       EXIT_CONFIG, f"error: eps={again:g} repeats the data distance "
+                    "|eps| sup|perturbation| = 0.001 of eps=0.01")
+      for again in (1e-2, -1e-2)],
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
         "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS],
         "profile-key-solve", "profile-key-verify", "profile-key-twice", "config-key-twice",
-        "profile-divides-by-zero"])
+        "profile-divides-by-zero", "eps-twice", "eps-twice-signed"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "twice.cfg").write_text("n_points = 201\nX = 10\nn_points = 401\n")
@@ -249,6 +273,7 @@ def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
         warnings.simplefilter("always")
         warnings.showwarning = print_warning
         assert run(argv, tmp_path, monkeypatch)[0] == code
+    assert code != EXIT_CONFIG or not (tmp_path / "out").exists()  # settings fail before any write
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1 + prefix.count("\n")
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fwsolver.grid import Grid, GridFunction, derivative
-from fwsolver.kernels import (_SPAN, DEFAULT_Q_FLOOR, MonotonicityError, _geometry, _panels,
-                              _unit_geometry, convected_pair, cumulative_flow_values,
-                              green_derivative, helmholtz_inverse, kernel_pair_arrays,
-                              kernel_pair_direct)
-from fwsolver.lagrangian import _rhs_arrays, _rk4
+from fwsolver.kernels import (_SPAN, _geometry, _panels, _unit_geometry, convected_pair,
+                              cumulative_flow_values, green_derivative, helmholtz_inverse,
+                              kernel_pair_arrays, kernel_pair_direct)
+from fwsolver.lagrangian import DEFAULT_Q_FLOOR, _rhs_arrays, _rk4
 
 
 def gf(half_width, n, fn):
@@ -48,15 +47,6 @@ def test_cumulative_flow_erf_antiderivative():
     erf = np.vectorize(math.erf)
     exact = g.x + 10.0 + (math.sqrt(math.pi) / 4.0) * (erf(g.x) + erf(10.0))
     assert np.max(np.abs(lam - exact)) <= 1e-5
-
-
-def test_cumulative_flow_floor_guard_reports_index():
-    g = Grid(5.0, 101)
-    qv = np.ones(101)
-    qv[37] = 0.05
-    with pytest.raises(MonotonicityError) as exc:
-        cumulative_flow_values(qv, g.h)
-    assert exc.value.index == 37
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +307,15 @@ def test_coarse_grid_stability():
     assert np.max(np.abs(fe.values - de)) <= 1e-10 * np.max(np.abs(de))
 
 
-def test_floor_guard_propagates():
+def test_convected_pair_rejects_a_non_positive_stretch():
+    # the kernel needs a strictly increasing flow coordinate, so q > 0 everywhere
     g = Grid(5.0, 101)
     w = GridFunction(g, np.exp(-g.x ** 2))
-    qv = np.ones(101)
-    qv[3] = 0.01
-    with pytest.raises(MonotonicityError):
-        convected_pair(w, GridFunction(g, qv))
+    for bad in (0.0, -0.5):
+        qv = np.ones(101)
+        qv[3] = bad
+        with pytest.raises(ValueError, match="^stretch q must be positive everywhere"):
+            convected_pair(w, GridFunction(g, qv))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +376,9 @@ def ref_sweeps(w, geometry):
     return R - L, R + L
 
 
-def ref_rhs(y, h, q_floor):
+def ref_rhs(y, h):
     w, v, q = y[0], y[1], y[2]
-    odd, even = ref_sweeps(w, ref_geometry(cumulative_flow_values(q, h, q_floor)))
+    odd, even = ref_sweeps(w, ref_geometry(cumulative_flow_values(q, h)))
     return np.stack([odd, even - w - 1.5 * v * v, 1.5 * v * q, 1.5 * w])
 
 
@@ -437,9 +429,9 @@ def test_kernel_rhs_and_rk4_are_bitwise_the_allocating_pass(case):
     lam = cumulative_flow_values(y[2], h)
     with np.errstate(all="ignore"):
         assert bits(kernel_pair_arrays(y[0], lam)) == bits(ref_sweeps(y[0], ref_geometry(lam)))
-        assert bits(_rhs_arrays(y, h, DEFAULT_Q_FLOOR)) == bits(ref_rhs(y, h, DEFAULT_Q_FLOOR))
+        assert bits(_rhs_arrays(y, h)) == bits(ref_rhs(y, h))
         new = old = y
         for _ in range(30):
-            new = _rk4(lambda z, stage: _rhs_arrays(z, h, DEFAULT_Q_FLOOR), new, 1e-3)
-            old = ref_rk4(lambda z, stage: ref_rhs(z, h, DEFAULT_Q_FLOOR), old, 1e-3)
+            new = _rk4(lambda z, stage: _rhs_arrays(z, h), new, 1e-3)
+            old = ref_rk4(lambda z, stage: ref_rhs(z, h), old, 1e-3)
         assert bits(new) == bits(old)

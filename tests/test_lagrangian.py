@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import fwsolver.lagrangian
 from fwsolver.grid import Grid, GridFunction, sup_norm
-from fwsolver.kernels import DEFAULT_Q_FLOOR, MonotonicityError, green_derivative
-from fwsolver.lagrangian import (GuardBreach, InitialDataError, LagrangianState,
-                                 SolverConfig, _rhs_arrays, _rk4, _rk4_arrays, ball_geometry,
-                                 chain_rule_defect, initial_state, integrate, state_norm, step)
+from fwsolver.kernels import green_derivative
+from fwsolver.lagrangian import (DEFAULT_Q_FLOOR, GuardBreach, InitialDataError,
+                                 LagrangianState, SolverConfig, _rhs_arrays, _rk4, _rk4_arrays,
+                                 ball_geometry, chain_rule_defect, initial_state, integrate,
+                                 state_norm, step)
 from fwsolver.profiles import gaussian, peakon_profile, sech2
 
 
@@ -31,7 +32,7 @@ def make_state(grid, w=None, v=None, q=None):
 
 def tendency(state):
     """Packed ``(w, v, q, displacement)`` time derivative of a state."""
-    return _rhs_arrays(state.y, state.grid.h, DEFAULT_Q_FLOOR)
+    return _rhs_arrays(state.y, state.grid.h)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +265,6 @@ def test_rhs_initial_wave_tendency_is_kernel_derivative():
     assert np.allclose(ten[3], 1.5 * st.w.values, atol=0)
 
 
-def test_rhs_guards_stretch_floor():
-    grid = Grid(10.0, 301)
-    qv = np.ones(301)
-    qv[5] = 0.05
-    with pytest.raises(Exception, match="q\\[5\\]"):
-        tendency(make_state(grid, q=GridFunction(grid, qv)))
-
-
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -338,13 +331,42 @@ def test_non_finite_state_breaches_naming_node_and_x(component, bad, stage, t, v
     assert str(gb.value) == value
 
 
+def test_rk4_guards_the_stretch_floor_at_the_stage_input():
+    # the first stage input is the state itself, so its floored node is reported at k1
+    grid = Grid(10.0, 301)
+    y = np.stack([np.zeros(301), np.zeros(301), np.ones(301), np.zeros(301)])
+    y[2, 5] = 0.05
+    with pytest.raises(GuardBreach) as exc:
+        _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
+    gb = exc.value
+    assert (gb.stage, gb.node, gb.x, gb.t, gb.value, gb.floor) == (
+        "k1", 5, grid.x[5], 0.5, 0.05, DEFAULT_Q_FLOOR)
+    assert str(gb) == ("stretch floor breached at RK stage k1, node 5 (x=-9.66667), "
+                       "t=0.5: q=0.05 <= 0.1")
+
+
+def test_rk4_step_makes_four_kernel_calls_through_the_module_binding(monkeypatch):
+    # perfbench counts rhs_evals by rebinding fwsolver.lagrangian.kernel_pair_arrays
+    calls = []
+    real = fwsolver.lagrangian.kernel_pair_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fwsolver.lagrangian, "kernel_pair_arrays", counting)
+    grid = Grid(10.0, 201)
+    y = make_state(grid, w=gaussian(grid, a=0.1)).y
+    _rk4_arrays(y, 0.0, 0.01, grid, DEFAULT_Q_FLOOR)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("err, fields", [
     (GuardBreach("k3", 7, 0.5, 0.25, 0.05, 0.1),
      {"stage": "k3", "node": 7, "x": 0.5, "t": 0.25, "value": 0.05, "floor": 0.1}),
     (GuardBreach("post-step", 2, -1.0, 0.5, math.inf, 0.1),
      {"stage": "post-step", "node": 2, "x": -1.0, "t": 0.5, "value": math.inf, "floor": 0.1}),
-    (MonotonicityError(37, 0.05, 0.1), {"index": 37, "value": 0.05, "floor": 0.1}),
-], ids=["guard-floor", "guard-non-finite", "monotonicity"])
+], ids=["guard-floor", "guard-non-finite"])
 def test_guard_errors_survive_pickling(err, fields):
     # fw verify runs some checks in a worker process, which sends a breach back pickled
     back = pickle.loads(pickle.dumps(err))
@@ -380,7 +402,7 @@ def test_stage_screen_passes_finite_tendencies_whose_sum_overflows(monkeypatch):
     y = np.stack([np.zeros(11), np.zeros(11), np.ones(11), np.zeros(11)])
     calls = []
 
-    def rhs(z, h, q_floor):
+    def rhs(z, h):
         k = np.zeros_like(z)
         if not calls:
             k[3, [2, 5]] = 1e308
