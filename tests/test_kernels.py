@@ -9,7 +9,7 @@ from fwsolver.grid import Grid, GridFunction, derivative
 from fwsolver.kernels import (_SPAN, _geometry, _panels, _unit_geometry, convected_pair,
                               cumulative_flow_values, green_derivative, helmholtz_inverse,
                               kernel_pair_arrays, kernel_pair_direct)
-from fwsolver.lagrangian import DEFAULT_Q_FLOOR, _rhs_arrays, _rk4
+from fwsolver.lagrangian import DEFAULT_Q_FLOOR, GuardBreach, _rhs_arrays, _rk4, _rk4_arrays
 
 
 def gf(half_width, n, fn):
@@ -47,6 +47,20 @@ def test_cumulative_flow_erf_antiderivative():
     erf = np.vectorize(math.erf)
     exact = g.x + 10.0 + (math.sqrt(math.pi) / 4.0) * (erf(g.x) + erf(10.0))
     assert np.max(np.abs(lam - exact)) <= 1e-5
+
+
+def test_cumulative_flow_floor_guard_reports_index():
+    # the kernel sums a floored stretch as it is; the solver's stage check in
+    # front of it reports the floored node
+    g = Grid(5.0, 101)
+    qv = np.ones(101)
+    qv[37] = 0.05
+    lam = cumulative_flow_values(qv, g.h)
+    assert np.array_equal(lam[1:], np.cumsum(0.5 * g.h * (qv[:-1] + qv[1:])))
+    y = np.stack([np.zeros(101), np.zeros(101), qv, np.zeros(101)])
+    with pytest.raises(GuardBreach) as exc:
+        _rk4_arrays(y, 0.0, 0.01, g, DEFAULT_Q_FLOOR)
+    assert (exc.value.stage, exc.value.node) == ("k1", 37)
 
 
 # ---------------------------------------------------------------------------

@@ -331,8 +331,9 @@ def test_non_finite_state_breaches_naming_node_and_x(component, bad, stage, t, v
     assert str(gb.value) == value
 
 
-def test_rk4_guards_the_stretch_floor_at_the_stage_input():
-    # the first stage input is the state itself, so its floored node is reported at k1
+def test_rhs_guards_stretch_floor():
+    # _rk4_arrays checks every RHS input; the first is the state itself, so its
+    # floored node is reported at k1
     grid = Grid(10.0, 301)
     y = np.stack([np.zeros(301), np.zeros(301), np.ones(301), np.zeros(301)])
     y[2, 5] = 0.05
