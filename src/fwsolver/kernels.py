@@ -68,12 +68,9 @@ def cumulative_flow_values(q, h: float) -> NDArray[np.float64]:
 
 def _geometry(lam: NDArray[np.float64]):
     """Everything of a kernel pass that depends on ``lam`` alone: the cell
-    widths, the linear panel weights and the block factors of :func:`_sweeps`,
-    as ``(dlam, A, B, up, down, link)``."""
+    widths and the block factors of :func:`_sweeps`, as
+    ``(dlam, up, down, link)``."""
     dlam, m = np.diff(lam), lam.size - 1
-    E = -np.expm1(-dlam)  # 1 - e^-d
-    B = (E - dlam * (1.0 - E)) / dlam  # linear weight of the far endpoint
-    A = E - B  # and of the near endpoint
     blocks = -(-m // max(1, int(_SPAN / float(np.max(dlam)))))
     edges = np.empty((2, blocks, -(-m // blocks)))
     flat = edges.reshape(2, -1)
@@ -82,7 +79,7 @@ def _geometry(lam: NDArray[np.float64]):
     link = tuple(np.exp(ends[0] - ends[1]).ravel().tolist())
     edges -= ends
     np.exp(edges, out=edges)  # up in [1, e^span), down in (e^-span, 1]
-    return dlam, A, B, edges[0], edges[1], link
+    return dlam, edges[0], edges[1], link
 
 
 def _panels(w: NDArray[np.float64], geometry, out):
@@ -93,9 +90,10 @@ def _panels(w: NDArray[np.float64], geometry, out):
     ``growing = int_0^d e^{s-d} w ds`` (left sweep) on each cell of width
     ``d``, with ``w`` the exponential fit through the endpoint values when
     they share a sign, else the linear interpolant.  ``growing`` is
-    ``decaying`` with the endpoints swapped, so both share the weights.
+    ``decaying`` with the endpoints swapped, so both share the linear rule's
+    weights, which are built on the linear cells only.
     """
-    dlam, A, B = geometry[:3]
+    dlam = geometry[0]
     decaying, growing = out
     w0, w1 = w[:-1], w[1:]
     fit = np.multiply(w0, w1, out=decaying) > 0.0
@@ -113,7 +111,10 @@ def _panels(w: NDArray[np.float64], geometry, out):
             cell /= z
         cell[z == 0.0] = 1.0
         cell *= np.multiply(dlam, near, out=z)
-    a, b, u0, u1 = A[linear], B[linear], w0[linear], w1[linear]
+    d, u0, u1 = dlam[linear], w0[linear], w1[linear]
+    E = -np.expm1(-d)  # 1 - e^-d
+    b = (E - d * (1.0 - E)) / d  # linear weight of the far endpoint
+    a = E - b  # and of the near endpoint
     decaying[linear] = a * u0 + b * u1
     growing[linear] = b * u0 + a * u1
     return out
@@ -142,7 +143,7 @@ def _sweeps(w, geometry, out=None):
     one scalar per block scaled by ``e^{-block span}``, crosses blocks in
     a Python loop.
     """
-    dlam, _, _, up, down, link = geometry
+    dlam, up, down, link = geometry
     m, blocks = dlam.size, up.shape[0]
     # row 0 holds the right-sweep cells from slot 0, row 1 the left-sweep
     # cells from slot 1, so R and L are the first m + 1 slots of the rows
@@ -189,7 +190,7 @@ def kernel_pair_arrays(w, lam, out=None):
 def _unit_geometry(grid: Grid):
     """:func:`_geometry` at unit stretch, once per grid; read-only, as callers share it."""
     geometry = _geometry(cumulative_flow_values(np.ones(grid.n_points), grid.h))
-    for a in geometry[:5]:  # link is a tuple
+    for a in geometry[:3]:  # link is a tuple
         a.flags.writeable = False
     return geometry
 

@@ -6,7 +6,8 @@ which only the grid, ``r0`` and the data shape the canonical runs: the
 battery's tolerances rest on its own time steps and guards, so a config that
 sets any other field is rejected.  The refinement checks share one cached run
 per resolution: half, the configured and double ``n``, in ``STEPS // 2``,
-``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h.  The other checks,
+``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h; the physical-space
+oracle of ``oracle_agreement`` steps at its run's dt.  The other checks,
 :data:`SELF_CONTAINED`, read no cached run; :meth:`VerificationSuite.run_all`
 runs them in one forked worker process beside the refinement checks.
 """
@@ -293,7 +294,8 @@ class VerificationSuite:
     @_check("sup distance at T/2 <= 1e-3, empirical order >= 1.8")
     def check_oracle_agreement(self):
         """Characteristic route against the physical-space oracle at half
-        the lifespan, with the empirical convergence order of the gap.
+        the lifespan, with the empirical convergence order of the gap.  The
+        oracle takes half its run's steps to T/2, so both routes share one dt.
 
         :func:`reconstruct`'s Hermite interpolant has no limiter, which matters
         here as it does for the residual: the gap being measured is between
@@ -305,7 +307,7 @@ class VerificationSuite:
             traj = self.run(nn)
             t_half = traj.geometry.lifespan / 2
             u_lag = reconstruct(traj.state_at(t_half)).u
-            u_eul = eulerian_oracle(self._data(nn), t_half, steps)
+            u_eul = eulerian_oracle(self._data(nn), t_half, steps // 2)
             dists.append(float(np.max(np.abs(u_lag.values - u_eul.values))))
             hs.append(u_lag.grid.h)
         order = _fit_order(hs, dists)

@@ -12,6 +12,7 @@ import pytest
 
 import fwsolver.cli
 import fwsolver.flowmap
+import fwsolver.verification
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, main)
 from fwsolver.grid import read_csv, write_csv
@@ -545,6 +546,25 @@ def test_verify_double_resolution_runs_keep_three_levels():
     assert len(traj.states) == 3 and len(full.states) == 2 * STEPS + 1
     for a, b in ((traj.final, full.final), (traj.state_at(t_half), full.state_at(t_half))):
         assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
+
+
+def test_verify_oracle_steps_at_its_runs_dt(monkeypatch):
+    calls = []
+    real_oracle = fwsolver.verification.eulerian_oracle
+
+    def recording_oracle(u0, t_end, steps):
+        calls.append((u0.grid.n_points, t_end, steps))
+        return real_oracle(u0, t_end, steps)
+
+    monkeypatch.setattr(fwsolver.verification, "eulerian_oracle", recording_oracle)
+    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+    suite.check_oracle_agreement()
+    resolutions = suite._resolutions()
+    assert [n for n, _, _ in calls] == list(resolutions)
+    for n, t_half, oracle_steps in calls:
+        lifespan = suite.run(n).geometry.lifespan
+        # halving both the time and the step count is exact, so the steps agree to the bit
+        assert t_half / oracle_steps == lifespan / resolutions[n]
 
 
 def test_verify_run_all_integrates_each_resolution_once():

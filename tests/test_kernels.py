@@ -131,7 +131,7 @@ def test_unit_stretch_operators_are_convected_pair_bitwise(grid):
         assert green_derivative(f).values.tobytes() == odd.values.tobytes()
         assert helmholtz_inverse(f).values.tobytes() == even.values.tobytes()
     geometry = _unit_geometry(grid)
-    for part in geometry:  # five read-only arrays and a tuple
+    for part in geometry:  # three read-only arrays and a tuple
         with pytest.raises((ValueError, TypeError)):
             part[0] = 1.0
     assert _unit_geometry(Grid(grid.half_width, grid.n_points)) is geometry
@@ -196,7 +196,7 @@ def random_pair(n, half_width, seed):
 
 def sweep_layout(n, half_width, seed):
     _, q = random_pair(n, half_width, seed)
-    blocks, block_len = _geometry(cumulative_flow_values(q.values, q.grid.h))[3].shape
+    blocks, block_len = _geometry(cumulative_flow_values(q.values, q.grid.h))[1].shape
     return {"single block": blocks == 1, "many blocks": blocks >= 3,
             "padded last block": blocks * block_len > n - 1, "block length 1": block_len == 1}
 
@@ -420,17 +420,31 @@ def packed_state(n, half_width, seed):
     return y, 2.0 * half_width / (n - 1)
 
 
+def signed_state(signs, half_width, seed):
+    """``(y, h)``: a packed state whose ``w`` has the given signs and ``|w|`` in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    n = signs.size
+    y = np.stack([signs * rng.uniform(0.5, 2.0, n), 0.3 * rng.normal(size=n),
+                  rng.uniform(0.2, 1.3, n), rng.normal(size=n)])
+    return y, 2.0 * half_width / (n - 1)
+
+
 LONG_DOMAIN = packed_state(401, 100.0, 5)  # nine sweep blocks, the last one padded
+NO_LINEAR_CELL = signed_state(np.ones(301), 50.0, 6)  # w > 0: the fit on every cell
+ALL_LINEAR_CELLS = signed_state((-1.0) ** np.arange(301), 50.0, 7)  # the linear rule on every cell
 # one cell with z = log(w1/w0) - dlam == 0 exactly: lam = [0, log(w1/w0)]
 Z_ZERO_CELL = (np.array([[1.0, 3.0], [0.1, -0.2], [1.0, 1.0], [0.0, 0.0]]), float(np.log(3.0)))
 
 
 def test_bitwise_examples_cover_padded_blocks_and_the_removable_singularity():
     y, h = LONG_DOMAIN
-    blocks, block_len = _geometry(cumulative_flow_values(y[2], h))[3].shape
+    blocks, block_len = _geometry(cumulative_flow_values(y[2], h))[1].shape
     assert blocks > 2 and blocks * block_len > y.shape[1] - 1
     y, h = Z_ZERO_CELL
     assert np.log(y[0, 1] / y[0, 0]) - np.diff(cumulative_flow_values(y[2], h))[0] == 0.0
+    # the linear rule runs where neighbouring w do not share a sign
+    for (y, _), linear_cells in ((NO_LINEAR_CELL, 0), (ALL_LINEAR_CELLS, 300)):
+        assert np.count_nonzero(y[0, :-1] * y[0, 1:] <= 0.0) == linear_cells
 
 
 @settings(deadline=None, max_examples=40)
@@ -438,6 +452,8 @@ def test_bitwise_examples_cover_padded_blocks_and_the_removable_singularity():
                       st.integers(0, 2**32 - 1)))
 @example(case=LONG_DOMAIN)
 @example(case=Z_ZERO_CELL)
+@example(case=NO_LINEAR_CELL)
+@example(case=ALL_LINEAR_CELLS)
 def test_kernel_rhs_and_rk4_are_bitwise_the_allocating_pass(case):
     y, h = case
     lam = cumulative_flow_values(y[2], h)
