@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .grid import Grid, write_columns, write_csv
 from .lagrangian import (GUARD_MODES, GuardBreach, SolverConfig, _time_steps, ball_geometry,
-                         integrate)
+                         stream_levels)
 from .flowmap import FlowMapError, flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
@@ -148,19 +148,29 @@ def _cmd_solve(args) -> int:
     u0 = make_profile(profile, grid)
     geometry = ball_geometry(u0, cfg.r0)
     _print_geometry(geometry)
-    traj = integrate(u0, cfg, geometry)
+    traj, levels = stream_levels(u0, cfg, geometry)
+    t_end, _, n_steps = _time_steps(cfg, geometry)
+    # about 20 snapshot files, evenly spaced over the planned run, and always
+    # the last stored level; of the other levels no flow map or snapshot is kept
+    stride = max(1, -(-n_steps // cfg.store_every) // 20)
+    snapshots, flowmaps = {}, {}
+
+    def keep_snapshot_levels():
+        for i, state in enumerate(levels):
+            if i and (i - 1) % stride:  # level i - 1 was neither planned nor the last
+                del snapshots[i - 1], flowmaps[i - 1]
+            snapshots[i], flowmaps[i] = None, flow_map(state)
+            yield state
 
     out.mkdir(parents=True, exist_ok=True)
     write_csv(u0, out / "initial_data.csv")
-    last = len(traj.states) - 1  # about 20 snapshot files, and always the last level
-    snapshots = dict.fromkeys([*range(0, last, max(1, last // 20)), last])
-    series = diagnostics_series(traj, snapshots)
+    series = diagnostics_series(keep_snapshot_levels(), snapshots)
     for i, snap in snapshots.items():
         write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
-        write_flowmap_csv(flow_map(traj.states[i]), out / f"flowmap_{i:05d}.csv")
+        write_flowmap_csv(flowmaps[i], out / f"flowmap_{i:05d}.csv")
     write_series_csv(series, out / "series.csv")
     (out / "geometry.json").write_text(json.dumps({
-        **asdict(geometry), "t_end": _time_steps(cfg, geometry)[0],
+        **asdict(geometry), "t_end": t_end,
         "n_points": grid.n_points, "half_width": grid.half_width,
     }, indent=2, sort_keys=True))
     if traj.breach is not None:

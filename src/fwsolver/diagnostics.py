@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -19,8 +20,9 @@ from numpy.typing import NDArray
 from .grid import (Grid, GridFunction, _holder, _trapezoid, derivative_values, quadrature,
                    sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
-from .lagrangian import SolverConfig, Trajectory, _norm, _rk4, ball_geometry, integrate
-from .flowmap import _pull_back
+from .lagrangian import (SolverConfig, Trajectory, _norm, _rk4, ball_geometry, integrate,
+                         stream_levels)
+from .flowmap import _pull_back, reconstruct
 
 __all__ = [
     "ConservedTriple",
@@ -89,15 +91,15 @@ def pde_residual(traj: Trajectory, t: float) -> float:
     i = int(np.argmin(np.abs(times - t)))
     if i == 0 or i == times.size - 1:
         raise ValueError(f"t={t} has no stored neighbors on both sides")
-    return _residual(list(_pull_back(traj.states[i - 1:i + 2])), times[i - 1:i + 2])
+    return _residual(list(_pull_back(traj.states[i - 1:i + 2])))
 
 
-def _residual(window, times) -> float:
-    """:func:`pde_residual` at the middle of three consecutive snapshots stored
-    at ``times``; raises ``ValueError`` unless they are equispaced."""
+def _residual(window) -> float:
+    """:func:`pde_residual` at the middle of three consecutive snapshots;
+    raises ``ValueError`` unless their times are equispaced."""
     sm, s0, sp = window
-    dt_m = times[1] - times[0]
-    dt_p = times[2] - times[1]
+    dt_m = s0.t - sm.t
+    dt_p = sp.t - s0.t
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
         raise ValueError("stored times around t are not equispaced")
     u_t = (sp.u.values - sm.u.values) / (dt_p + dt_m)
@@ -320,13 +322,16 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) ->
 
     Requires ``guard_mode='warn'`` since the whole point is to leave the
     proven interval, and an unset ``t_end``, which ``t_max`` replaces;
-    absence of a breach is a valid outcome.
+    absence of a breach is a valid outcome.  The trajectory holds only the
+    last stored level.
     """
     if config.guard_mode != "warn":
         raise ValueError("breaking probe needs guard_mode='warn'")
     if config.t_end is not None:
         raise ValueError(f"breaking probe runs to t_max; t_end must be unset, got {config.t_end}")
-    return integrate(u0, replace(config, t_end=t_max))
+    traj, levels = stream_levels(u0, replace(config, t_end=t_max))
+    traj.states = list(deque(levels, maxlen=1))
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +341,26 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) ->
 SERIES_KEYS = ("t", "e1", "e2", "e3", "min_q", "sup_u", "sup_ux", "residual")
 
 
-def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
-    """Time series ``t, e1, e2, e3, min_q, sup_u, sup_ux, residual`` as a
-    dict of lists; the residual is nan at the ends and wherever the stored
-    neighbors are not equispaced (breach-shortened runs end off the stride).
+def diagnostics_series(states, snapshots: dict | None = None):
+    """Time series ``t, e1, e2, e3, min_q, sup_u, sup_ux, residual`` of the
+    iterable ``states`` as a dict of lists; the residual is nan at the ends
+    and wherever the stored neighbors are not equispaced (breach-shortened
+    runs end off the stride).
 
     Each state's map is inverted once for its snapshot, which feeds its row,
-    is stored as ``snapshots[i]`` for each state index ``i`` already a key of
-    ``snapshots``, and is kept in a window of three for the residual.
+    is stored as ``snapshots[i]`` for each state index ``i`` that is a key of
+    ``snapshots`` when state ``i`` is drawn, and is kept in a window of three
+    for the residual; no other state or snapshot is held.
     """
-    states, times = traj.states, traj.times
     out = {k: [] for k in SERIES_KEYS}
-    residuals = [math.nan] * len(states)
     window = [None, None, None]
-    for i, (state, snap) in enumerate(zip(states, _pull_back(states))):
+    for i, state in enumerate(states):
+        snap = reconstruct(state)
         window = window[1:] + [snap]
+        out["residual"].append(math.nan)
         if i >= 2:
             with suppress(ValueError):
-                residuals[i - 1] = _residual(window, times[i - 2:i + 1])
+                out["residual"][i - 1] = _residual(window)
         if snapshots is not None and i in snapshots:
             snapshots[i] = snap
         tri = conserved(snap.u)
@@ -361,7 +368,6 @@ def diagnostics_series(traj: Trajectory, snapshots: dict | None = None):
                                             float(np.min(state.y[2])), sup_norm(snap.u),
                                             sup_norm(snap.ux))):
             out[key].append(value)
-    out["residual"] = residuals
     return out
 
 

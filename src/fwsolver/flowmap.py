@@ -143,9 +143,10 @@ def reconstruct(state: LagrangianState) -> EulerianSnapshot:
 
 
 def _pull_back(states):
-    """Yield the :func:`reconstruct` snapshot of each state, inverting each map once."""
-    x = states[0].grid.x
+    """Yield the :func:`reconstruct` snapshot of each state of the iterable
+    ``states``, inverting each map once."""
     for state in states:
+        x = state.grid.x
         labels, inside = invert_many(flow_map(state), x)
         y = np.column_stack(state.y[:2])  # (w, v)
         uux = _hermite(x, y, _slopes(x, y), labels[:, None])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "initial_state",
     "step",
     "integrate",
+    "stream_levels",
     "state_norm",
     "chain_rule_defect",
 ]
@@ -357,14 +359,16 @@ class Trajectory:
         return self.states[-1]
 
 
-def integrate(u0: GridFunction, config: SolverConfig,
-              geometry: BallGeometry | None = None) -> Trajectory:
-    """Integrate from ``u0`` to ``config.t_end`` with fixed-step RK4.
+def stream_levels(u0: GridFunction, config: SolverConfig, geometry: BallGeometry | None = None
+                  ) -> tuple[Trajectory, Iterator[LagrangianState]]:
+    """The run of :func:`integrate` as ``(trajectory, levels)``: ``levels``
+    yields each stored state as soon as it is made, and ``trajectory``
+    (its geometry set, no states) gets the guard breach, if any, once
+    ``levels`` is exhausted.
 
-    Negative ``t_end`` integrates backward; the step is adjusted so an
-    integer number of steps lands exactly on ``t_end``.  Guard breaches do
-    not raise: the trajectory is returned with ``breach`` set and the last
-    valid state retained.
+    Settings and data are checked here, before any step.  The stream holds
+    only the state being stepped, so a consumer that drops each level once
+    read needs memory independent of the number of levels.
     """
     if geometry is None:
         geometry = ball_geometry(u0, config.r0)
@@ -374,20 +378,37 @@ def integrate(u0: GridFunction, config: SolverConfig,
             f"t_end = {t_end:.6g} exceeds the guaranteed lifespan {geometry.lifespan:.6g}; "
             "pass guard_mode='warn' to integrate beyond it"
         )
-
     state0 = initial_state(u0, config)
-    traj = Trajectory(states=[state0], geometry=geometry)
-    y = state0.y
-    grid = config.grid
-    for s in range(n_steps):
-        t = s * dt
-        try:
-            y = _rk4_arrays(y, t, dt, grid, config.q_floor)
-        except GuardBreach as gb:
-            traj.breach = gb
-            if traj.final.t != t:  # retain the last valid state
-                traj.states.append(LagrangianState(t, grid, y))
-            break
-        if (s + 1) % config.store_every == 0 or s + 1 == n_steps:
-            traj.states.append(LagrangianState((s + 1) * dt, grid, y))
+    traj = Trajectory(geometry=geometry)
+
+    def levels():
+        yield state0
+        y, stored, grid = state0.y, 0.0, config.grid
+        for s in range(n_steps):
+            t = s * dt
+            try:
+                y = _rk4_arrays(y, t, dt, grid, config.q_floor)
+            except GuardBreach as gb:
+                traj.breach = gb
+                if stored != t:  # retain the last valid state
+                    yield LagrangianState(t, grid, y)
+                return
+            if (s + 1) % config.store_every == 0 or s + 1 == n_steps:
+                stored = (s + 1) * dt
+                yield LagrangianState(stored, grid, y)
+
+    return traj, levels()
+
+
+def integrate(u0: GridFunction, config: SolverConfig,
+              geometry: BallGeometry | None = None) -> Trajectory:
+    """Integrate from ``u0`` to ``config.t_end`` with fixed-step RK4.
+
+    Negative ``t_end`` integrates backward; the step is adjusted so an
+    integer number of steps lands exactly on ``t_end``.  Guard breaches do
+    not raise: the trajectory is returned with ``breach`` set and the last
+    valid state retained.
+    """
+    traj, levels = stream_levels(u0, config, geometry)
+    traj.states = list(levels)
     return traj

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -69,13 +70,10 @@ def solve_counting_reconstructions(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fwsolver.flowmap, "_slopes", slopes)
     monkeypatch.setattr(fwsolver.flowmap, "invert_many", invert_many)
-    runs = []
-    real_integrate = fwsolver.cli.integrate
-    monkeypatch.setattr(fwsolver.cli, "integrate",
-                        lambda *a: runs.append(real_integrate(*a)) or runs[-1])
     code, out = run(["solve", "--X", "10", "--n", "201"], tmp_path, monkeypatch)
-    assert code == EXIT_OK and len(runs) == 1
-    return out, runs[0], counts
+    assert code == EXIT_OK
+    grid = Grid(10.0, 201)  # the same run, at the command's default profile
+    return out, integrate(gaussian(grid, a=0.1, sigma=1.0), SolverConfig(grid=grid)), counts
 
 
 def test_solve_reconstructs_each_state_once_per_route(tmp_path, monkeypatch):
@@ -95,21 +93,40 @@ def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
         assert np.array_equal(u, snap.u.values) and np.array_equal(ux, snap.ux.values)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--X", "10", "--n", "201", "--store-every", "3"],  # 68 levels, stride 3
-    ["--profile", "sech2:a=2,k=1", "--X", "20", "--n", "401", "--guard", "warn",
-     "--t-end", "1.0", "--dt", "0.002"],  # a breach ends it at level 190
+@pytest.mark.parametrize("argv, levels", [
+    (["--X", "10", "--n", "201", "--store-every", "3"], None),  # 68 levels, stride 3
+    # a breach ends it at level 190 of 500, so the snapshots keep the planned stride 25
+    (["--profile", "sech2:a=2,k=1", "--X", "20", "--n", "401", "--guard", "warn",
+      "--t-end", "1.0", "--dt", "0.002"], [*range(0, 190, 25), 190]),
 ], ids=["off-stride-end", "breach"])
-def test_solve_writes_the_last_stored_level(argv, tmp_path, monkeypatch):
-    runs, real_integrate = [], fwsolver.cli.integrate
-    monkeypatch.setattr(fwsolver.cli, "integrate",
-                        lambda *a: runs.append(real_integrate(*a)) or runs[-1])
-    run(["solve", *argv], tmp_path, monkeypatch)
-    last = len(runs[0].states) - 1
+def test_solve_writes_the_last_stored_level(argv, levels, tmp_path, monkeypatch):
+    _, out = run(["solve", *argv], tmp_path, monkeypatch)
+    last = len((out / "series.csv").read_text().splitlines()) - 2  # a header, one row a level
     assert last % max(1, last // 20) != 0
     for name in ("snapshot", "flowmap"):
-        assert max(out.name for out in (tmp_path / "out").glob(f"{name}_*.csv")) == \
-            f"{name}_{last:05d}.csv"
+        written = sorted(int(path.stem.split("_")[1]) for path in out.glob(f"{name}_*.csv"))
+        assert written[-1] == last
+        assert levels is None or written == levels
+
+
+def test_solve_holds_no_stored_level_past_its_use(tmp_path, monkeypatch):
+    # storing every step rather than every 8th adds about 175 levels of (4, n)
+    # doubles, none of which the streamed solve keeps once it has read them
+    n = 401
+
+    def peak(every, subdir):
+        tracemalloc.start()
+        try:
+            code, _ = run(["solve", "--X", "10", "--n", str(n), "--store-every", every],
+                          tmp_path, monkeypatch, subdir=subdir)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        return peak_bytes
+
+    peak("8", "warm-up")  # the first run also allocates lazy imports and caches
+    assert peak("1", "every1") - peak("8", "every8") < 20 * 4 * n * 8
 
 
 def test_solve_initial_csv_round_trips_bitwise(tmp_path, monkeypatch):
@@ -164,10 +181,10 @@ def test_solve_config_file_equals_flags(tmp_path, monkeypatch):
     flags = ["solve", "--profile", "gaussian:a=0.1,sigma=1", "--X", "10", "--n", "401",
              "--dt", "5e-4", "--t-end", "0.08", "--r0", "0.05", "--q-floor", "0.2",
              "--boundary-tol", "1e-5", "--guard", "warn"]
-    real_integrate = fwsolver.cli.integrate
+    real_stream = fwsolver.cli.stream_levels
     configs = []
-    monkeypatch.setattr(fwsolver.cli, "integrate",
-                        lambda u0, c, *a: configs.append(c) or real_integrate(u0, c, *a))
+    monkeypatch.setattr(fwsolver.cli, "stream_levels",
+                        lambda u0, c, *a: configs.append(c) or real_stream(u0, c, *a))
     _, out_flags = run(flags, tmp_path, monkeypatch, subdir="flags")
     code, out_cfg = run(["solve", "--config", str(cfg)], tmp_path, monkeypatch,
                         subdir="cfg")
@@ -201,6 +218,7 @@ FLOW_MAP_DATA = ["--profile", "sech2:a=2,k=3", "--X", "20", "--n", "81", "--guar
 FLOW_MAP_BREACH = ("warning: initial data is not smooth enough: slope jumps by 1.98 between "
                    "nodes 39 and 40 (x=-0.5), tolerance 1.48\n"
                    "guard breach: flow map is not strictly increasing near node 40 (x=0, ")
+FLOW_MAP_SOLVE = ["solve", *FLOW_MAP_DATA, "--t-end", "1.2"]
 VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                   ("--boundary-tol", "1e-5"), ("--guard", "warn"), ("--store-every", "5")]
 
@@ -229,8 +247,7 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                  "boundary: |u0| = 3.72e+116 > 1e-06\n"
                  "guard breach: non-finite state at RK stage k1"),
     # coarse steep data: the map stops increasing before q reaches its floor
-    (["solve", *FLOW_MAP_DATA, "--t-end", "1.2"],
-     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200446)"),
+    (FLOW_MAP_SOLVE, EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200446)"),
     (["continuity", *FLOW_MAP_DATA, "--t-end", "0.25",
       "--perturbation", "gaussian:a=0.01,sigma=1", "--eps", "1e-2,1e-3"],
      EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200739)"),
@@ -275,6 +292,8 @@ def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
         warnings.showwarning = print_warning
         assert run(argv, tmp_path, monkeypatch)[0] == code
     assert code != EXIT_CONFIG or not (tmp_path / "out").exists()  # settings fail before any write
+    if argv == FLOW_MAP_SOLVE:  # the map fails in the pull-back, before the other files
+        assert [path.name for path in (tmp_path / "out").iterdir()] == ["initial_data.csv"]
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1 + prefix.count("\n")
 

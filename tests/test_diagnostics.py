@@ -271,7 +271,7 @@ def test_breaking_zero_data_none():
     grid = Grid(10.0, 201)
     cfg = SolverConfig(grid=grid, dt=1e-2, guard_mode="warn", store_every=100)
     traj = wave_breaking_probe(zeros(grid), cfg, t_max=0.5)
-    assert traj.breach is None
+    assert traj.breach is None and len(traj.states) == 1 and traj.final.t == 0.5
     assert float(np.min(traj.final.y[2])) == pytest.approx(1.0)
 
 
@@ -294,20 +294,20 @@ def test_breaking_small_data_survives_past_guaranteed_lifespan():
     grid = Grid(15.0, 601)
     u0 = gaussian(grid, a=0.05)
     geo = ball_geometry(u0)
-    cfg = SolverConfig(grid=grid, dt=geo.lifespan / 40, guard_mode="warn",
-                       store_every=10 ** 6)
+    cfg = SolverConfig(grid=grid, dt=geo.lifespan / 40, guard_mode="warn")
     traj = wave_breaking_probe(u0, cfg, t_max=5.0 * geo.lifespan)
     assert traj.breach is None
 
 
 def test_breaking_time_shrinks_with_steepness():
     grid = Grid(20.0, 801)
-    cfg = SolverConfig(grid=grid, dt=2e-3, guard_mode="warn", store_every=10 ** 6)
+    cfg = SolverConfig(grid=grid, dt=2e-3, guard_mode="warn")
     times = []
     for a in (1.5, 2.0):
         traj = wave_breaking_probe(sech2(grid, a=a, k=1.0), cfg, t_max=1.5)
         assert isinstance(traj, Trajectory)
         assert traj.breach is not None
+        assert len(traj.states) == 1 and traj.final.t == traj.breach.t  # the last valid level
         times.append(traj.breach.t)
     assert times[1] < times[0]
 
@@ -320,7 +320,7 @@ def test_diagnostics_series_and_csv(tmp_path):
     grid = Grid(10.0, 401)
     u0 = gaussian(grid, a=0.1)
     traj = integrate(u0, SolverConfig(grid=grid, store_every=20))
-    series = diagnostics_series(traj)
+    series = diagnostics_series(traj.states)
     n_rows = len(series["t"])
     assert n_rows == len(traj.states)
     assert math.isnan(series["residual"][0]) and math.isnan(series["residual"][-1])
@@ -336,7 +336,7 @@ def test_diagnostics_series_and_csv(tmp_path):
 def test_series_residual_is_pde_residual_bitwise():
     grid = Grid(10.0, 401)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
-    residual = diagnostics_series(traj)["residual"]
+    residual = diagnostics_series(traj.states)["residual"]
     assert len(traj.times) > 3
     for i in range(1, len(traj.times) - 1):
         assert residual[i] == pde_residual(traj, traj.times[i])
@@ -350,7 +350,7 @@ def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
     columns, real = [], fwsolver.flowmap._slopes
     monkeypatch.setattr(fwsolver.flowmap, "_slopes",
                         lambda x, y: columns.append(y.shape[1]) or real(x, y))
-    residual = diagnostics_series(traj)["residual"]
+    residual = diagnostics_series(traj.states)["residual"]
     assert columns == [2, 2] and all(math.isnan(r) for r in residual)
 
 
@@ -360,7 +360,7 @@ def test_series_residual_nan_where_breach_ends_off_stride():
     cfg = SolverConfig(grid=grid, dt=2e-3, t_end=1.0, guard_mode="warn", store_every=50)
     traj = integrate(sech2(grid, a=2.0, k=1.0), cfg)
     assert traj.breach is not None and len(traj.times) == 5
-    residual = diagnostics_series(traj)["residual"]
+    residual = diagnostics_series(traj.states)["residual"]
     assert all(residual[i] == pde_residual(traj, traj.times[i]) for i in (1, 2))
     with pytest.raises(ValueError, match="not equispaced"):
         pde_residual(traj, traj.times[3])
