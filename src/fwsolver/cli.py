@@ -12,14 +12,18 @@ import argparse
 import ctypes
 import json
 import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from .grid import Grid, write_columns, write_csv
-from .lagrangian import (GUARD_MODES, GuardBreach, SolverConfig, _time_steps, ball_geometry,
-                         stream_levels)
+from .lagrangian import (GUARD_MODES, GuardBreach, LagrangianState, SolverConfig, _time_steps,
+                         ball_geometry, stream_levels)
 from .flowmap import FlowMapError, flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
@@ -142,6 +146,60 @@ def _print_geometry(geo) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _snapshot_stride(cfg: SolverConfig, geometry) -> int:
+    """The stride of the planned snapshot levels: about 20, evenly spaced
+    over the planned run."""
+    return max(1, -(-_time_steps(cfg, geometry)[2] // cfg.store_every) // 20)
+
+
+def _keep_levels(levels, kept: dict, stride: int, make):
+    """Yield each of ``levels``, holding ``kept[i] = make(level i)`` for the
+    planned levels ``i % stride == 0`` and for the newest level; any other
+    level's entry goes once the next level arrives."""
+    for i, level in enumerate(levels):
+        if i and (i - 1) % stride:  # level i - 1 was neither planned nor the last
+            del kept[i - 1]
+        kept[i] = make(level)
+        yield level
+
+
+def _produce(levels, traj, stride: int, out: Path, sink) -> None:
+    """The producer of ``fw solve``: step ``levels`` and check each one's
+    flow map, writing each level to the file ``sink`` as ``b"L"``, ``t`` and
+    ``y`` in raw doubles, then one end frame, ``b"E"`` and the pickled
+    breach, ``None`` or the :class:`FlowMapError` met; closes ``sink``.
+    Unless a map failed, it then writes the flow maps of the kept levels."""
+    flowmaps = {}
+    with sink:
+        try:
+            for state in _keep_levels(levels, flowmaps, stride, flow_map):
+                sink.write(b"L" + np.float64(state.t).tobytes())
+                sink.write(np.ascontiguousarray(state.y))
+            end = traj.breach
+        except FlowMapError as err:
+            end = err
+        sink.write(b"E" + pickle.dumps(end))
+    if not isinstance(end, FlowMapError):
+        for i, fmap in flowmaps.items():
+            write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
+
+
+def _received_levels(source, traj, grid: Grid):
+    """The states that :func:`_produce` writes to the file ``source``; its
+    end frame sets ``traj.breach``, or raises the map failure it met."""
+    while (tag := source.read(1)) == b"L":
+        level = np.empty(1 + 4 * grid.n_points)
+        if source.readinto(level) < level.nbytes:
+            break
+        yield LagrangianState(float(level[0]), grid, level[1:].reshape(4, -1))
+    if tag != b"E":
+        raise RuntimeError("the producer of fw solve stopped before its end frame")
+    end = pickle.load(source)
+    if isinstance(end, FlowMapError):
+        raise end
+    traj.breach = end
+
+
 def _cmd_solve(args) -> int:
     cfg, profile, out = _run_description(args)
     grid = cfg.grid
@@ -149,30 +207,48 @@ def _cmd_solve(args) -> int:
     geometry = ball_geometry(u0, cfg.r0)
     _print_geometry(geometry)
     traj, levels = stream_levels(u0, cfg, geometry)
-    t_end, _, n_steps = _time_steps(cfg, geometry)
-    # about 20 snapshot files, evenly spaced over the planned run, and always
-    # the last stored level; of the other levels no flow map or snapshot is kept
-    stride = max(1, -(-n_steps // cfg.store_every) // 20)
-    snapshots, flowmaps = {}, {}
-
-    def keep_snapshot_levels():
-        for i, state in enumerate(levels):
-            if i and (i - 1) % stride:  # level i - 1 was neither planned nor the last
-                del snapshots[i - 1], flowmaps[i - 1]
-            snapshots[i], flowmaps[i] = None, flow_map(state)
-            yield state
-
+    # the snapshot and flow-map files of the planned levels and the last stored one
+    stride = _snapshot_stride(cfg, geometry)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(u0, out / "initial_data.csv")
-    series = diagnostics_series(keep_snapshot_levels(), snapshots)
-    for i, snap in snapshots.items():
-        write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
-        write_flowmap_csv(flowmaps[i], out / f"flowmap_{i:05d}.csv")
-    write_series_csv(series, out / "series.csv")
-    (out / "geometry.json").write_text(json.dumps({
-        **asdict(geometry), "t_end": t_end,
-        "n_points": grid.n_points, "half_width": grid.half_width,
-    }, indent=2, sort_keys=True))
+    # a forked producer steps the levels and writes the flow maps, while this
+    # process reconstructs and checks each level and writes the other files
+    sys.stdout.flush()
+    sys.stderr.flush()
+    source, sink = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the producer leaves only through os._exit
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the fw process stops it on an interrupt
+            os.close(source)  # else it would block on a full pipe once this process stops reading
+            _produce(levels, traj, stride, out, open(sink, "wb"))
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
+    os.close(sink)
+    pipe, snapshots = open(source, "rb"), {}
+    try:
+        received = _received_levels(pipe, traj, grid)
+        series = diagnostics_series(
+            _keep_levels(received, snapshots, stride, lambda _: None), snapshots)
+        for i, snap in snapshots.items():
+            write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
+        write_series_csv(series, out / "series.csv")
+        (out / "geometry.json").write_text(json.dumps({
+            **asdict(geometry), "t_end": _time_steps(cfg, geometry)[0],
+            "n_points": grid.n_points, "half_width": grid.half_width,
+        }, indent=2, sort_keys=True))
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # before the pipe closes, so it dies without a broken pipe
+        raise
+    finally:
+        pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise RuntimeError(f"the producer of fw solve exited with status {status}")
     if traj.breach is not None:
         print(f"guard breach: {traj.breach}", file=sys.stderr)
         return EXIT_GUARD

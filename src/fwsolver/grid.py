@@ -9,6 +9,7 @@ the ends; constructors of *initial data* enforce it (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -203,17 +204,36 @@ def write_csv(f: GridFunction, path) -> None:
     write_columns(path, ("x", "value"), (f.grid.x, f.values))
 
 
+@functools.lru_cache(maxsize=4)
+def _node_text(grid: Grid) -> tuple:
+    """The nodes ``grid.x`` as :func:`write_columns` formats them, one
+    newline-joined str per ``CSV_CHUNK_ROWS`` rows; cached, so the snapshot
+    and flow-map files a process writes on one grid format its nodes once."""
+    x = grid.x
+    chunks = (x[lo:lo + CSV_CHUNK_ROWS].tolist() for lo in range(0, x.size, CSV_CHUNK_ROWS))
+    return tuple("\n".join(["%.17g"] * len(c)) % tuple(c) for c in chunks)
+
+
 def write_columns(path, names, columns) -> None:
     """Write equal-length columns as CSV under the header ``names``.  Each
     field is ``%.17g``, the same text as ``f"{v:.17g}"``; one ``%`` call
-    formats ``CSV_CHUNK_ROWS`` rows, so little text is held at once."""
-    table = np.column_stack(columns).astype(np.float64, copy=False)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    formats ``CSV_CHUNK_ROWS`` rows, so little text is held at once.  The
+    first column may be a grid's :func:`_node_text`, written as it is."""
+    text = columns[0] if isinstance(columns[0], tuple) else None
+    table = np.column_stack(columns[1:] if text else columns).astype(np.float64, copy=False)
+    k = len(names)
+    row = ",".join(["%s" if text else "%.17g"] + ["%.17g"] * (k - 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for lo in range(0, table.shape[0], CSV_CHUNK_ROWS):
+        for c, lo in enumerate(range(0, table.shape[0], CSV_CHUNK_ROWS)):
             chunk = table[lo:lo + CSV_CHUNK_ROWS]
-            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+            fields = chunk.ravel().tolist()
+            if text:  # interleave the node text with the formatted rows
+                fields, rest = [None] * (chunk.shape[0] * k), fields
+                fields[::k] = text[c].split("\n")
+                for j in range(1, k):
+                    fields[j::k] = rest[j - 1::k - 1]
+            fh.write((row * chunk.shape[0]) % tuple(fields))
 
 
 def read_csv(path) -> GridFunction:

@@ -61,6 +61,7 @@ def test_cli_imports_no_scipy():
 
 
 def test_cli_imports_no_process_pool():
-    # only fw verify forks a worker, and it imports the pool machinery itself,
-    # so no other command pays for it at start-up
+    # only fw verify uses a process pool, and it imports the pool machinery
+    # itself, so no other command pays for it at start-up (fw solve forks with
+    # os.fork alone)
     assert fresh_cli_import_loads("multiprocessing", "concurrent") == "[]"

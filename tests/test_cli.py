@@ -15,9 +15,9 @@ import fwsolver.cli
 import fwsolver.flowmap
 import fwsolver.verification
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
-                          _parse_config_file, main)
+                          _parse_config_file, _produce, _snapshot_stride, main)
 from fwsolver.grid import read_csv, write_csv
-from fwsolver.lagrangian import GuardBreach, SolverConfig, ball_geometry, integrate
+from fwsolver.lagrangian import GuardBreach, SolverConfig, ball_geometry, integrate, stream_levels
 from fwsolver.profiles import gaussian, sech2
 from fwsolver.grid import Grid
 from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, VerificationSuite
@@ -91,6 +91,15 @@ def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
         x, u, ux = np.loadtxt(path, delimiter=",", skiprows=1).T
         assert np.array_equal(x, snap.u.grid.x)
         assert np.array_equal(u, snap.u.values) and np.array_equal(ux, snap.ux.values)
+    # the producer process writes the flow maps: eta = x + displacement of the same level
+    maps = sorted(out.glob("flowmap_*.csv"))
+    assert [path.name[len("flowmap"):] for path in maps] == [
+        path.name[len("snapshot"):] for path in paths]
+    for path in maps:
+        state = traj.states[int(path.stem.split("_")[1])]
+        rows = "".join(f"{x:.17g},{eta:.17g}\n"
+                       for x, eta in zip(state.grid.x, state.grid.x + state.y[3]))
+        assert path.read_text() == "x,eta\n" + rows
 
 
 @pytest.mark.parametrize("argv, levels", [
@@ -127,6 +136,30 @@ def test_solve_holds_no_stored_level_past_its_use(tmp_path, monkeypatch):
 
     peak("8", "warm-up")  # the first run also allocates lazy imports and caches
     assert peak("1", "every1") - peak("8", "every8") < 20 * 4 * n * 8
+
+
+def test_solve_producer_holds_no_stored_level_past_its_use(tmp_path):
+    # the same bound for the producer's part, run in this process into a null sink
+    grid = Grid(10.0, 401)
+    u0 = gaussian(grid, a=0.1, sigma=1.0)
+
+    def peak(every, subdir):
+        cfg = SolverConfig(grid=grid, store_every=every)
+        traj, levels = stream_levels(u0, cfg)
+        stride = _snapshot_stride(cfg, traj.geometry)
+        out = tmp_path / subdir
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            _produce(levels, traj, stride, out, open(os.devnull, "wb"))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list(out.glob("flowmap_*.csv"))) >= 20
+        return peak_bytes
+
+    peak(8, "warm-up")
+    assert peak(1, "every1") - peak(8, "every8") < 20 * 4 * grid.n_points * 8
 
 
 def test_solve_initial_csv_round_trips_bitwise(tmp_path, monkeypatch):
@@ -292,7 +325,7 @@ def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
         warnings.showwarning = print_warning
         assert run(argv, tmp_path, monkeypatch)[0] == code
     assert code != EXIT_CONFIG or not (tmp_path / "out").exists()  # settings fail before any write
-    if argv == FLOW_MAP_SOLVE:  # the map fails in the pull-back, before the other files
+    if argv == FLOW_MAP_SOLVE:  # the producer's map check fails before any other file is written
         assert [path.name for path in (tmp_path / "out").iterdir()] == ["initial_data.csv"]
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1 + prefix.count("\n")
@@ -320,6 +353,61 @@ def test_warnings_print_one_line_each_ahead_of_the_verdict(tmp_path):
     assert lines[0].startswith("warning: initial data does not decay")
     assert lines[1].startswith("guard breach: non-finite state at RK stage k1")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_solve_prints_each_line_once_into_a_file(tmp_path):
+    # stdout to a file is block-buffered, so an unflushed buffer at the fork
+    # would print twice
+    src = str(Path(fwsolver.cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "FW_OUTPUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(tmp_path / "stdout.txt", "w") as fh:
+        code = subprocess.run([sys.executable, "-m", "fwsolver.cli", *SOLVE_ARGS,
+                               "--output", str(tmp_path / "out")],
+                              stdout=fh, env=env, cwd=tmp_path, timeout=120).returncode
+    assert code == EXIT_OK
+    lines = (tmp_path / "stdout.txt").read_text().splitlines()
+    assert len(lines) == 7 and lines[-1].startswith("wrote 21 snapshots to ")
+    assert len(set(lines)) == len(lines)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (SOLVE_ARGS, EXIT_OK),
+    (["solve", "--profile", "sech2:a=2,k=1", "--X", "20", "--n", "401", "--guard", "warn",
+      "--t-end", "1.0", "--dt", "0.002", "--store-every", "50"], EXIT_GUARD),
+    (FLOW_MAP_SOLVE, EXIT_GUARD),
+], ids=["ok", "breach", "flow-map"])
+def test_solve_leaves_no_process_behind(argv, code, tmp_path, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the flow-map data is not smooth
+        assert run(argv, tmp_path, monkeypatch)[0] == code
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def read_one_level(states, snapshots):
+    next(iter(states))
+    raise ValueError("stopped reading")
+
+
+@pytest.mark.parametrize("name, stub, error", [
+    # the producer dies before its end frame
+    ("_produce", lambda *args: os._exit(5), "stopped before its end frame"),
+    # it sends every level, then fails to write a flow map
+    ("write_flowmap_csv", lambda *args: 1 / 0, "exited with status 1"),
+    # this process stops reading while the producer still has levels to send
+    ("diagnostics_series", read_one_level, None),
+], ids=["producer-dies", "producer-fails-late", "consumer-stops"])
+def test_solve_reaps_a_failed_producer(name, stub, error, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fwsolver.cli, name, stub)
+    if error is None:
+        assert run(SOLVE_ARGS, tmp_path, monkeypatch)[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: stopped reading\n"
+    else:
+        with pytest.raises(RuntimeError, match=error):
+            run(SOLVE_ARGS, tmp_path, monkeypatch)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

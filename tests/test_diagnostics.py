@@ -336,10 +336,15 @@ def test_diagnostics_series_and_csv(tmp_path):
 def test_series_residual_is_pde_residual_bitwise():
     grid = Grid(10.0, 401)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
-    residual = diagnostics_series(traj.states)["residual"]
+    series = diagnostics_series(traj.states)
     assert len(traj.times) > 3
     for i in range(1, len(traj.times) - 1):
-        assert residual[i] == pde_residual(traj, traj.times[i])
+        assert series["residual"][i] == pde_residual(traj, traj.times[i])
+    # the series shares one kernel sweep between e3 and the residual; each
+    # level's integrals are still conserved()'s own
+    for i, state in enumerate(traj.states):
+        tri = conserved(reconstruct(state).u)
+        assert (series["e1"][i], series["e2"][i], series["e3"][i]) == tri
 
 
 def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fwsolver.grid
-from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _holder, _slopes,
-                           c1_norm, derivative, holder_seminorm, interpolate_many, quadrature,
-                           read_csv, sup_norm, write_columns, write_csv)
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _holder, _node_text,
+                           _slopes, c1_norm, derivative, holder_seminorm, interpolate_many,
+                           quadrature, read_csv, sup_norm, write_columns, write_csv)
 
 
 def gf(half_width, n, fn):
@@ -533,7 +533,7 @@ def test_write_columns_matches_format_spec_on_special_values(tmp_path):
     assert path.read_text() == "a,b\n" + rows
 
 
-@pytest.mark.parametrize("n_rows", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1])
 def test_write_columns_round_trips_across_chunks(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     columns = rng.standard_normal((3, n_rows)) * 10.0 ** rng.integers(-300, 300, (3, n_rows))
@@ -543,6 +543,12 @@ def test_write_columns_round_trips_across_chunks(tmp_path, n_rows):
     assert path.read_text() == "a,b,c\n" + rows
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back, columns.T)
+    if n_rows >= 3:  # a grid's cached node text writes what its nodes write
+        grid = Grid(7.3, n_rows)
+        write_columns(path, ("x", "b", "c"), (grid.x, *columns[1:]))
+        expected = path.read_bytes()
+        write_columns(path, ("x", "b", "c"), (_node_text(grid), *columns[1:]))
+        assert path.read_bytes() == expected
 
 
 def test_read_csv_rejects_nonuniform(tmp_path):
