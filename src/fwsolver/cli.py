@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid import Grid, write_columns, write_csv
 from .lagrangian import (GUARD_MODES, GuardBreach, LagrangianState, SolverConfig, _time_steps,
-                         ball_geometry, stream_levels)
+                         ball_geometry, keep_levels, stream_levels)
 from .flowmap import FlowMapError, flow_map, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
@@ -152,17 +152,6 @@ def _snapshot_stride(cfg: SolverConfig, geometry) -> int:
     return max(1, -(-_time_steps(cfg, geometry)[2] // cfg.store_every) // 20)
 
 
-def _keep_levels(levels, kept: dict, stride: int, make):
-    """Yield each of ``levels``, holding ``kept[i] = make(level i)`` for the
-    planned levels ``i % stride == 0`` and for the newest level; any other
-    level's entry goes once the next level arrives."""
-    for i, level in enumerate(levels):
-        if i and (i - 1) % stride:  # level i - 1 was neither planned nor the last
-            del kept[i - 1]
-        kept[i] = make(level)
-        yield level
-
-
 def _produce(levels, traj, stride: int, out: Path, sink) -> None:
     """The producer of ``fw solve``: step ``levels`` and check each one's
     flow map, writing each level to the file ``sink`` as ``b"L"``, ``t`` and
@@ -172,7 +161,7 @@ def _produce(levels, traj, stride: int, out: Path, sink) -> None:
     flowmaps = {}
     with sink:
         try:
-            for state in _keep_levels(levels, flowmaps, stride, flow_map):
+            for state in keep_levels(levels, flowmaps, lambda i: i % stride == 0, flow_map):
                 sink.write(b"L" + np.float64(state.t).tobytes())
                 sink.write(np.ascontiguousarray(state.y))
             end = traj.breach
@@ -233,7 +222,8 @@ def _cmd_solve(args) -> int:
     try:
         received = _received_levels(pipe, traj, grid)
         series = diagnostics_series(
-            _keep_levels(received, snapshots, stride, lambda _: None), snapshots)
+            keep_levels(received, snapshots, lambda i: i % stride == 0, lambda _: None),
+            snapshots)
         for i, snap in snapshots.items():
             write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
         write_series_csv(series, out / "series.csv")

@@ -89,10 +89,11 @@ def invert_many(fmap: FlowMap, xs: NDArray[np.float64]):
     inside = (xs >= eta[0]) & (xs <= eta[-1])
     j = np.clip(np.searchsorted(eta, xs, side="right") - 1, 0, eta.size - 2)
     frac = (xs - eta[j]) / (eta[j + 1] - eta[j])
-    labels = fmap.grid.x[j] + frac * fmap.grid.h
+    x = fmap.grid.x
+    labels = x[j] + frac * fmap.grid.h
     # queries that hit a sample exactly return the node label bitwise
     hi = xs == eta[j + 1]
-    labels[hi] = fmap.grid.x[j + 1][hi]
+    labels[hi] = x[j + 1][hi]
     return labels, inside
 
 

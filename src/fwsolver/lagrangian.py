@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "step",
     "integrate",
     "stream_levels",
+    "keep_levels",
     "state_norm",
     "chain_rule_defect",
 ]
@@ -398,6 +399,17 @@ def stream_levels(u0: GridFunction, config: SolverConfig, geometry: BallGeometry
                 yield LagrangianState(stored, grid, y)
 
     return traj, levels()
+
+
+def keep_levels(levels, kept: dict, planned: Callable[[int], bool], make):
+    """Yield each of ``levels``, holding ``kept[i] = make(level i)`` for the
+    levels ``i`` that ``planned(i)`` and for the newest level; any other
+    level's entry goes once the next level arrives."""
+    for i, level in enumerate(levels):
+        if i and not planned(i - 1):  # level i - 1 was neither planned nor the last
+            del kept[i - 1]
+        kept[i] = make(level)
+        yield level
 
 
 def integrate(u0: GridFunction, config: SolverConfig,

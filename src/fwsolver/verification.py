@@ -7,9 +7,12 @@ battery's tolerances rest on its own time steps and guards, so a config that
 sets any other field is rejected.  The refinement checks share one cached run
 per resolution: half, the configured and double ``n``, in ``STEPS // 2``,
 ``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h; the physical-space
-oracle of ``oracle_agreement`` steps at its run's dt.  The other checks,
-:data:`SELF_CONTAINED`, read no cached run; :meth:`VerificationSuite.run_all`
-runs them in one forked worker process beside the refinement checks.
+oracle of ``oracle_agreement`` steps at its run's dt.  Each run streams its
+levels and keeps at most five, those its readers use; the flow-map and size
+verdicts are made on every level of the configured run as it streams.  The
+other checks, :data:`SELF_CONTAINED`, read no cached run;
+:meth:`VerificationSuite.run_all` runs them in one forked worker process
+beside the refinement checks.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .grid import Grid, GridFunction, c1_norm, derivative_values, sup_norm
 from .kernels import (convected_pair, cumulative_flow_values, green_derivative,
                       helmholtz_inverse, kernel_pair_arrays, kernel_pair_direct)
 from .lagrangian import (LagrangianState, SolverConfig, _norm, _rhs_arrays, ball_geometry,
-                         integrate, chain_rule_defect, step)
-from .flowmap import (FlowMap, _pull_back, flow_map, inverse_slope_bounds, map_slopes,
-                      reconstruct, slope_bounds, FlowMapError)
+                         chain_rule_defect, keep_levels, step, stream_levels)
+from .flowmap import (FlowMap, flow_map, inverse_slope_bounds, map_slopes, reconstruct,
+                      slope_bounds, FlowMapError)
 from .diagnostics import (conserved, continuity_experiment, eulerian_oracle,
                           pde_residual, peakon_residual)
 from .profiles import make_profile
@@ -87,6 +90,37 @@ def _packet(rng, x, width: float, wavenumber: float, terms: int):
                                                  for k, (c, p) in waves)
 
 
+def _in_band(fmaps, geo, tol: float) -> bool:
+    """Whether every map of ``fmaps`` keeps its forward and inverse slopes in
+    band at ``tol``; ``fmaps`` may be lazy, as assembling a map may raise too."""
+    try:
+        for fmap in fmaps:
+            slope_bounds(fmap, geo, tol=tol)
+            inverse_slope_bounds(fmap, geo, tol=tol)
+    except FlowMapError:
+        return False
+    return True
+
+
+def _judge(levels, geo) -> tuple:
+    """``(in_band, sup_c1)`` over every state of ``levels``: whether each
+    map is in band at tol 1e-9, and the largest ``sup|u| + sup|ux|`` of the
+    pull-backs, or the :class:`FlowMapError` of the first that failed."""
+    in_band, worst = True, None
+    for state in levels:
+        in_band = in_band and _in_band(map(flow_map, [state]), geo, 1e-9)
+        if isinstance(worst, FlowMapError):
+            continue
+        try:
+            snap = reconstruct(state)
+        except FlowMapError as err:
+            worst = err
+            continue
+        size = sup_norm(snap.u) + sup_norm(snap.ux)
+        worst = size if worst is None else max(worst, size)
+    return in_band, worst
+
+
 def _check(requirement: str):
     """Make a check body that returns ``(passed, measured)`` into a suite
     method that returns its timed :class:`CheckResult`, named after the
@@ -120,6 +154,7 @@ class VerificationSuite:
     config: SolverConfig
     profile: str = "gaussian:a=0.1,sigma=1"
     _runs: dict = field(default_factory=dict, init=False, repr=False)
+    _judged: tuple = field(default=(), init=False, repr=False)  # _judge of the configured run
 
     def __post_init__(self):
         used = SolverConfig(grid=self.config.grid, r0=self.config.r0)
@@ -149,16 +184,29 @@ class VerificationSuite:
 
     def run(self, n: int):
         """The one Lagrangian run at resolution ``n``, a key of :meth:`_resolutions`,
-        to the guaranteed lifespan.  The double-resolution run keeps t = 0, T/2
-        and T, all that its readers need; the others keep every level."""
+        to the guaranteed lifespan.  It keeps t = 0, the three stored levels
+        around T/2 and T, all that its readers need; the double-resolution run
+        stores only t = 0, T/2 and T.  The run at the configured ``n`` also
+        sets :attr:`_judged` from every level as it streams."""
         if n not in self._runs:
             steps = self._resolutions()[n]
             u0 = self._data(n)
             geo = ball_geometry(u0, self.config.r0)
+            every = steps // 2 if steps == 2 * STEPS else 1
             cfg = SolverConfig(grid=u0.grid, dt=geo.lifespan / steps, t_end=geo.lifespan,
-                               r0=self.config.r0,
-                               store_every=steps // 2 if steps == 2 * STEPS else 1)
-            self._runs[n] = integrate(u0, cfg, geo)
+                               r0=self.config.r0, store_every=every)
+            traj, levels = stream_levels(u0, cfg, geo)
+            mid = steps // every // 2  # the level at T/2
+            kept = {}
+            levels = keep_levels(levels, kept, lambda i: i in (0, mid - 1, mid, mid + 1),
+                                 lambda state: state)
+            if n == self.n:
+                self._judged = _judge(levels, geo)
+            else:
+                for _ in levels:
+                    pass
+            traj.states = list(kept.values())
+            self._runs[n] = traj
         return self._runs[n]
 
     def _resolutions(self) -> dict:
@@ -230,34 +278,25 @@ class VerificationSuite:
     def check_flow_map_bounds(self):
         """Forward and inverse slope bands at every stored level of the canonical run,
         plus the synthetically saturated extreme map (its slopes measured in or out of band)."""
-        traj = self.run(self.n)
-        geo = traj.geometry
-
-        def in_band(fmaps, tol):  # fmaps may be lazy: assembling a map may raise too
-            try:
-                for fmap in fmaps:
-                    slope_bounds(fmap, geo, tol=tol)
-                    inverse_slope_bounds(fmap, geo, tol=tol)
-            except FlowMapError:
-                return False
-            return True
-
-        ok_run = in_band(map(flow_map, traj.states), 1e-9)
+        geo = self.run(self.n).geometry
+        ok_run = self._judged[0]
         # map with slope pinned at the extreme value reached when r|t| = 9/100
         grid = Grid(self.config.grid.half_width, 1001)
         sat = FlowMap(grid, (173.0 / 200.0) * grid.x, 0.09 / geo.r)
         slopes = map_slopes(sat)
         inverse = tuple(round(float(f(1.0 / slopes)), 9) for f in (np.min, np.max))
-        return ok_run and in_band([sat], 1e-3), {
+        return ok_run and _in_band([sat], geo, 1e-3), {
             "run_in_band": ok_run, "saturated_min_slope": float(np.min(slopes)),
             "saturated_inverse_range": inverse}
 
     @_check("sup_t (sup|u| + sup|ux|) <= 2 |u0|_C1 (1 + 1e-2)")
     def check_size_estimate(self):
         """The solution never exceeds twice the size of the data."""
-        traj = self.run(self.n)
+        self.run(self.n)
+        worst = self._judged[1]
+        if isinstance(worst, FlowMapError):  # a map that cannot be assembled
+            raise worst
         u0_c1 = c1_norm(self._data(self.n))
-        worst = max(sup_norm(snap.u) + sup_norm(snap.ux) for snap in _pull_back(traj.states))
         bound = 2.0 * u0_c1 * (1.0 + 1e-2)
         return worst <= bound, {"sup_c1_over_time": worst, "bound": bound}
 

@@ -17,7 +17,9 @@ import fwsolver.verification
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, _produce, _snapshot_stride, main)
 from fwsolver.grid import read_csv, write_csv
-from fwsolver.lagrangian import GuardBreach, SolverConfig, ball_geometry, integrate, stream_levels
+from fwsolver.flowmap import FlowMapError
+from fwsolver.lagrangian import (GuardBreach, LagrangianState, SolverConfig, ball_geometry,
+                                 integrate, stream_levels)
 from fwsolver.profiles import gaussian, sech2
 from fwsolver.grid import Grid
 from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, VerificationSuite
@@ -655,6 +657,19 @@ def test_verify_double_resolution_runs_keep_three_levels():
         assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
 
 
+def count_streams(monkeypatch) -> list:
+    """The grid sizes of the runs that the suite streams from now on."""
+    real_stream = fwsolver.verification.stream_levels
+    streamed = []
+
+    def stream_levels(u0, *args):
+        streamed.append(u0.grid.n_points)
+        return real_stream(u0, *args)
+
+    monkeypatch.setattr(fwsolver.verification, "stream_levels", stream_levels)
+    return streamed
+
+
 def test_verify_oracle_steps_at_its_runs_dt(monkeypatch):
     calls = []
     real_oracle = fwsolver.verification.eulerian_oracle
@@ -664,23 +679,47 @@ def test_verify_oracle_steps_at_its_runs_dt(monkeypatch):
         return real_oracle(u0, t_end, steps)
 
     monkeypatch.setattr(fwsolver.verification, "eulerian_oracle", recording_oracle)
+    streamed = count_streams(monkeypatch)
     suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
     suite.check_oracle_agreement()
     resolutions = suite._resolutions()
-    assert [n for n, _, _ in calls] == list(resolutions)
+    assert [n for n, _, _ in calls] == list(resolutions) == streamed
+    assert [len(suite.run(n).states) for n in resolutions] == [5, 5, 3]
     for n, t_half, oracle_steps in calls:
         lifespan = suite.run(n).geometry.lifespan
         # halving both the time and the step count is exact, so the steps agree to the bit
         assert t_half / oracle_steps == lifespan / resolutions[n]
 
 
-def test_verify_run_all_integrates_each_resolution_once():
+def test_verify_run_all_integrates_each_resolution_once(monkeypatch):
+    streamed = count_streams(monkeypatch)
     suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
     suite.run_all()
-    assert sorted(suite._runs) == [26, 51, 101]
-    assert [len(suite._runs[n].states) for n in (26, 51, 101)] == [STEPS // 2 + 1, STEPS + 1, 3]
+    assert sorted(suite._runs) == sorted(streamed) == [26, 51, 101]
+    # t = 0, the three levels around T/2 and T; the double run stores only t = 0, T/2 and T
+    assert [len(suite._runs[n].states) for n in (26, 51, 101)] == [5, 5, 3]
     with pytest.raises(KeyError):  # no run at any other n
         suite.run(201)
+
+
+def test_verify_holds_no_run_level_past_its_use():
+    # the configured run makes 401 levels of (4, n) doubles; its flow-map and size
+    # verdicts are made as they stream, and the run keeps five of them
+    grid = Grid(10.0, 401)
+
+    def peak():
+        suite = VerificationSuite(SolverConfig(grid=grid))
+        tracemalloc.start()
+        try:
+            assert suite.check_flow_map_bounds().passed and suite.check_size_estimate().passed
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(len(traj.states) <= 5 for traj in suite._runs.values())
+        return peak_bytes
+
+    peak()  # the first run also allocates lazy imports and caches
+    assert peak() < 40 * 4 * grid.n_points * 8
 
 
 def verdicts(results):
@@ -735,22 +774,56 @@ def inverse_band_one_percent_low(monkeypatch):
 
 
 def test_flow_map_band_defect_fails_the_check_with_its_measurements(monkeypatch):
-    suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
-    sound = suite.check_flow_map_bounds()
+    # the run's levels are judged as they stream, so the defect goes in before a fresh run
+    sound = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).check_flow_map_bounds()
     inverse_band_one_percent_low(monkeypatch)
-    broken = suite.check_flow_map_bounds()
+    broken = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).check_flow_map_bounds()
     assert sound.passed and sound.measured["run_in_band"]
     assert not broken.passed
     assert broken.measured == {**sound.measured, "run_in_band": False}
 
 
-def test_flow_map_bounds_counts_a_non_monotone_run_state_out_of_band():
+def non_monotone_level(monkeypatch, level: int):
+    """Stream level ``level`` of the n = 51 run with a map that cannot be
+    assembled, leaving the run's later steps as they were."""
+    real_stream = fwsolver.verification.stream_levels
+
+    def stream_levels(u0, *args):
+        traj, levels = real_stream(u0, *args)
+        if u0.grid.n_points != 51:
+            return traj, levels
+
+        def defective():
+            for i, state in enumerate(levels):
+                if i == level:
+                    y = state.y.copy()
+                    y[3][10] = -5.0
+                    state = LagrangianState(state.t, state.grid, y)
+                yield state
+
+        return traj, defective()
+
+    monkeypatch.setattr(fwsolver.verification, "stream_levels", stream_levels)
+
+
+def test_flow_map_bounds_counts_a_non_monotone_run_state_out_of_band(monkeypatch):
     # every stored level is judged, the 20th and those between alike
     for level in (5, 20):
-        suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
-        suite.run(51).states[level].y[3][10] = -5.0  # a map that cannot be assembled
-        result = suite.check_flow_map_bounds()
-        assert not result.passed and not result.measured["run_in_band"]
+        with monkeypatch.context() as patch:
+            non_monotone_level(patch, level)
+            suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
+            result = suite.check_flow_map_bounds()
+            assert not result.passed and not result.measured["run_in_band"]
+            with pytest.raises(FlowMapError, match="not strictly increasing near node 9"):
+                suite.check_size_estimate()
+
+
+def test_verify_non_monotone_run_state_exits_3(tmp_path, monkeypatch, capsys):
+    non_monotone_level(monkeypatch, 20)
+    assert run(["verify", "--X", "10", "--n", "51"], tmp_path, monkeypatch)[0] == EXIT_GUARD
+    assert capsys.readouterr().err == ("guard breach: flow map is not strictly increasing "
+                                       "near node 9 (x=-6.4, t=0.00332397)\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_band_defect_is_a_failed_check_not_a_guard_breach(tmp_path, monkeypatch,
