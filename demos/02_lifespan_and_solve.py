@@ -22,9 +22,8 @@ print(f"Lipschitz constant (50/9) r             : {geo.lipschitz_const:.6f}")
 print(f"guaranteed lifespan T = 9/(100 r)       : {geo.lifespan:.6f}")
 print(f"data-norm-only lifespan (larger, not enforced): {geo.lifespan_naive:.6f}")
 
-# %% Integrate to T with fixed-step RK4.
-cfg = SolverConfig(grid=grid, dt=geo.lifespan / 400, t_end=geo.lifespan,
-                   store_every=40)
+# %% Integrate to T with fixed-step RK4, by default 20 steps of T/20.
+cfg = SolverConfig(grid=grid, t_end=geo.lifespan, store_every=2)
 traj = integrate(u0, cfg, geo)
 print("\nrun completed without guard breach:", traj.breach is None)
 

@@ -7,15 +7,14 @@
 # a Holder response with exponent 1 - alpha in the alpha-seminorm.  Here we
 # measure both by rerunning the solver over a sweep of perturbation sizes.
 
-from fwsolver import (Grid, GridFunction, SolverConfig, ball_geometry,
-                      continuity_experiment, gaussian)
+from fwsolver import (Grid, GridFunction, SolverConfig, continuity_experiment,
+                      gaussian)
 
 import numpy as np
 
 grid = Grid(half_width=10.0, n_points=1001)
 u0 = gaussian(grid, a=0.1, sigma=1.0)
-geo = ball_geometry(u0)
-cfg = SolverConfig(grid=grid, dt=geo.lifespan / 200, store_every=10)
+cfg = SolverConfig(grid=grid)  # 20 steps of T/20, every level compared
 
 # an off-center bump, so the perturbation is not a symmetry of the data
 perturbation = GridFunction(grid, np.exp(-((grid.x - 1.0) ** 2)))

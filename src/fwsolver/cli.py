@@ -61,7 +61,7 @@ def _guard_mode(val: str) -> str:
 _SETTINGS = (
     ("X", "--X", "half_width", float, "domain half-width"),
     ("n_points", "--n", "n_points", int, "number of grid points"),
-    ("dt", "--dt", "dt", float, "time step (default: min(h, T/200))"),
+    ("dt", "--dt", "dt", float, "time step (default: T/20; breaking: min(h, T/200))"),
     ("t_end", "--t-end", "t_end", time_or_auto,
      "final time, or 'auto' for the guaranteed lifespan"),
     ("r0", "--r0", "r0", float, "contraction ball radius (< 1/9)"),
@@ -340,7 +340,6 @@ def main(argv=None) -> int:
         # each subcommand gets its own flag actions, so a default set on one stays there
         cmd[name] = sub.add_parser(name, parents=[_common_flags()], help=about)
         cmd[name].set_defaults(run=run)
-    cmd["continuity"].set_defaults(store_every=10)
     cmd["continuity"].add_argument("--perturbation", default="gaussian:a=0.1,sigma=1",
                                    help="perturbation profile spec")
     cmd["continuity"].add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4",

@@ -325,13 +325,17 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) ->
     Requires ``guard_mode='warn'`` since the whole point is to leave the
     proven interval, and an unset ``t_end``, which ``t_max`` replaces;
     absence of a breach is a valid outcome.  The trajectory holds only the
-    last stored level.
+    last stored level.  An unset ``dt`` resolves to ``min(h, lifespan/200)``,
+    not the solver's default: the breach is located only to the step that
+    fails, so the probe keeps the finer step.
     """
     if config.guard_mode != "warn":
         raise ValueError("breaking probe needs guard_mode='warn'")
     if config.t_end is not None:
         raise ValueError(f"breaking probe runs to t_max; t_end must be unset, got {config.t_end}")
-    traj, levels = stream_levels(u0, replace(config, t_end=t_max))
+    geometry = ball_geometry(u0, config.r0)
+    dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
+    traj, levels = stream_levels(u0, replace(config, dt=dt, t_end=t_max), geometry)
     traj.states = list(deque(levels, maxlen=1))
     return traj
 

@@ -153,8 +153,10 @@ def ball_geometry(u0: GridFunction, r0: float = DEFAULT_BALL_RADIUS) -> BallGeom
 class SolverConfig:
     """Run parameters.
 
-    ``dt=None`` resolves to ``min(h, lifespan/200)``; ``t_end=None``
-    resolves to the guaranteed lifespan.  With ``guard_mode="enforce"``,
+    ``dt=None`` resolves to ``lifespan/20``, with no ``h`` in it: the
+    right-hand side has no spatial derivative and ``L T = 1/2``, so RK4's
+    error rests on ``L dt`` alone; ``t_end=None`` resolves to the
+    guaranteed lifespan.  With ``guard_mode="enforce"``,
     ``|t_end|`` may not exceed the guaranteed lifespan and non-smooth
     initial data is rejected; ``"warn"`` downgrades both to warnings so
     runs may continue into the merely-empirical regime.
@@ -282,9 +284,9 @@ def _time_steps(config: SolverConfig, geometry: BallGeometry) -> tuple[float, fl
     """``(t_end, dt, n_steps)``: the horizon (default the guaranteed
     lifespan), and the signed step ``dt = t_end / n_steps`` actually taken
     by the number of equal steps nearest the requested step (default
-    ``min(h, lifespan/200)``), so they land exactly on ``t_end``."""
+    ``lifespan/20``), so they land exactly on ``t_end``."""
     t_end = config.t_end if config.t_end is not None else geometry.lifespan
-    dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
+    dt = config.dt if config.dt is not None else geometry.lifespan / 20.0
     n_steps = max(1, int(round(abs(t_end) / dt)))
     return t_end, t_end / n_steps, n_steps
 
@@ -347,10 +349,11 @@ class Trajectory:
         return [s.t for s in self.states]
 
     def state_at(self, t: float) -> LagrangianState:
-        """Stored state nearest to ``t`` (must match within half a stride)."""
+        """Stored state nearest to ``t``, which must lie within half the
+        smallest gap between stored times (the stride, when none is dropped)."""
         times = np.asarray(self.times)
         i = int(np.argmin(np.abs(times - t)))
-        stride = abs(times[1] - times[0]) if len(times) > 1 else math.inf
+        stride = float(np.min(np.abs(np.diff(times)))) if len(times) > 1 else math.inf
         if abs(times[i] - t) > 0.5 * stride + 1e-12:
             raise KeyError(f"no stored state near t={t}")
         return self.states[i]

@@ -6,13 +6,15 @@ which only the grid, ``r0`` and the data shape the canonical runs: the
 battery's tolerances rest on its own time steps and guards, so a config that
 sets any other field is rejected.  The refinement checks share one cached run
 per resolution: half, the configured and double ``n``, in ``STEPS // 2``,
-``STEPS`` and ``2 * STEPS`` steps, so dt shrinks with h; the physical-space
-oracle of ``oracle_agreement`` steps at its run's dt.  Each run streams its
-levels and keeps at most five, those its readers use; the flow-map and size
-verdicts are made on every level of the configured run as it streams.  The
-other checks, :data:`SELF_CONTAINED`, read no cached run;
-:meth:`VerificationSuite.run_all` runs them in one forked worker process
-beside the refinement checks.
+``STEPS`` and ``2 * STEPS`` steps (20, 40 and 80), so dt shrinks with h as
+the joint order of ``pde_residual`` requires; the physical-space oracle of
+``oracle_agreement`` steps at its run's dt.  ``continuity`` runs at the
+solver's default step, a twentieth of the lifespan, and keeps every level.
+Each run streams its levels and keeps at most five, those its readers use;
+the flow-map and size verdicts are made on every level of the configured run
+as it streams.  The other checks, :data:`SELF_CONTAINED`, read no cached
+run; :meth:`VerificationSuite.run_all` runs them in one forked worker
+process beside the refinement checks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .profiles import make_profile
 
 __all__ = ["CheckResult", "VerificationSuite", "CHECK_NAMES"]
 
-STEPS = 400  # RK4 steps to the lifespan at the configured n; half and double n scale them
+STEPS = 40  # RK4 steps to the lifespan at the configured n; half and double n scale them
 SEED = 2024  # random data of fast_vs_direct and lipschitz_sampling
 CLOSED_FORM_GRID = (30.0, 3001)  # (X, n) of kernel_closed_form
 DIRECT_N, DIRECT_PAIRS = 1501, 20  # grid size and random pairs of fast_vs_direct
@@ -399,9 +401,7 @@ class VerificationSuite:
         n = min(self.n, SMALL_N)
         u0 = self._data(n)
         grid = u0.grid
-        geo = ball_geometry(u0, self.config.r0)
-        cfg = SolverConfig(grid=grid, dt=geo.lifespan / 200, t_end=geo.lifespan,
-                           r0=self.config.r0, store_every=10)
+        cfg = SolverConfig(grid=grid, r0=self.config.r0)  # 20 steps of T/20, every level kept
         pert = GridFunction(grid, np.exp(-((grid.x - 1.0) ** 2)))
         eps = [2e-2, 6.3e-3, 2e-3, 6.3e-4, 2e-4, 6.3e-5, 2e-5]
         alphas = [0.25, 0.5, 0.75]

@@ -60,7 +60,7 @@ def test_criterion_06_chain_rule_defect(suite):
 
 
 def test_criterion_07_conservation_drift(suite):
-    # |E_i(T) - E_i(0)| / max(|E_i(0)|, 1e-3) <= 1e-5 at n = 2001, dt = T/400,
+    # |E_i(T) - E_i(0)| / max(|E_i(0)|, 1e-3) <= 1e-5 at n = 2001, dt = T/40,
     # and decreasing under refinement
     _report(suite.check_conservation_drift())
 
@@ -72,7 +72,7 @@ def test_criterion_08_solver_cross_validation(suite):
 
 
 def test_criterion_09_pde_residual(suite):
-    # interior residual <= 1e-3 at (n = 2001, dt = T/400), joint order >= 1.8,
+    # interior residual <= 1e-3 at (n = 2001, dt = T/40), joint order >= 1.8,
     # corner-profile residual away from the crest <= 1e-6
     _report(suite.check_pde_residual())
 

@@ -105,7 +105,9 @@ def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, levels", [
-    (["--X", "10", "--n", "201", "--store-every", "3"], None),  # 68 levels, stride 3
+    # 199 steps of about T/200: 68 levels, stride 3 (the default step's 21 levels
+    # are always on a stride of 1)
+    (["--X", "10", "--n", "201", "--dt", "3.3e-4", "--store-every", "3"], None),
     # a breach ends it at level 190 of 500, so the snapshots keep the planned stride 25
     (["--profile", "sech2:a=2,k=1", "--X", "20", "--n", "401", "--guard", "warn",
       "--t-end", "1.0", "--dt", "0.002"], [*range(0, 190, 25), 190]),
@@ -121,14 +123,16 @@ def test_solve_writes_the_last_stored_level(argv, levels, tmp_path, monkeypatch)
 
 
 def test_solve_holds_no_stored_level_past_its_use(tmp_path, monkeypatch):
-    # storing every step rather than every 8th adds about 175 levels of (4, n)
-    # doubles, none of which the streamed solve keeps once it has read them
+    # at 199 steps of about T/200, storing every step rather than every 8th adds
+    # about 175 levels of (4, n) doubles, none of which the streamed solve keeps
+    # once it has read them
     n = 401
 
     def peak(every, subdir):
         tracemalloc.start()
         try:
-            code, _ = run(["solve", "--X", "10", "--n", str(n), "--store-every", every],
+            code, _ = run(["solve", "--X", "10", "--n", str(n), "--dt", "3.3e-4",
+                           "--store-every", every],
                           tmp_path, monkeypatch, subdir=subdir)
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
@@ -146,7 +150,7 @@ def test_solve_producer_holds_no_stored_level_past_its_use(tmp_path):
     u0 = gaussian(grid, a=0.1, sigma=1.0)
 
     def peak(every, subdir):
-        cfg = SolverConfig(grid=grid, store_every=every)
+        cfg = SolverConfig(grid=grid, dt=3.3e-4, store_every=every)
         traj, levels = stream_levels(u0, cfg)
         stride = _snapshot_stride(cfg, traj.geometry)
         out = tmp_path / subdir
@@ -271,8 +275,8 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
     # stage input, the only end-to-end run that trips that check
     (["continuity", "--X", "10", "--n", "201", "--profile", "gaussian:a=0,sigma=1",
       "--perturbation", "gaussian:a=0.1,sigma=1", "--eps", "0.3,0.2", "--q-floor", "0.999"],
-     EXIT_GUARD, "guard breach: stretch floor breached at RK stage k4, node 107 (x=0.7), "
-                 "t=0.0257727: q=0.998994 <= 0.999"),
+     EXIT_GUARD, "guard breach: stretch floor breached at RK stage k2, node 107 (x=0.7), "
+                 "t=0.0245455: q=0.998978 <= 0.999"),
     # the slope tendency overflows in the first stage; the last finite state is
     # written, after the warning about the data not decaying
     (["solve", "--X", "40", "--n", "4001", "--guard", "warn",
@@ -282,10 +286,10 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                  "boundary: |u0| = 3.72e+116 > 1e-06\n"
                  "guard breach: non-finite state at RK stage k1"),
     # coarse steep data: the map stops increasing before q reaches its floor
-    (FLOW_MAP_SOLVE, EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200446)"),
+    (FLOW_MAP_SOLVE, EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200743)"),
     (["continuity", *FLOW_MAP_DATA, "--t-end", "0.25",
       "--perturbation", "gaussian:a=0.01,sigma=1", "--eps", "1e-2,1e-3"],
-     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200739)"),
+     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200893)"),
     # verify validates the common flags like the other subcommands
     (["verify", "--X", "10", "--n", "201", "--dt", "inf"],
      EXIT_CONFIG, "error: dt must be positive and finite"),
@@ -541,7 +545,8 @@ def test_continuity_never_writes_nan(flags, message, tmp_path, monkeypatch, caps
     assert code == EXIT_CONFIG and capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("flags, stride", [(["--store-every", "1"], 1), ([], 10)])
+@pytest.mark.parametrize("flags, stride", [(["--store-every", "1"], 1), ([], 1),
+                                           (["--store-every", "2"], 2)])
 def test_continuity_honours_store_every(flags, stride, tmp_path, monkeypatch):
     seen, experiment = [], fwsolver.cli.continuity_experiment
 
@@ -575,6 +580,25 @@ def test_breaking_reports_breach(tmp_path, monkeypatch, capsys):
     assert payload["breach_time"] is not None
     assert 0 < payload["breach_time"] < 1.5
     assert "breaking at" in capsys.readouterr().out
+
+
+def test_breaking_steps_at_min_h_and_a_200th_of_the_lifespan(tmp_path, monkeypatch):
+    # the probe locates a breach only to the step that fails, so an unset dt
+    # resolves to min(h, T/200) rather than the solver's default of T/20
+    grid = Grid(20.0, 201)
+    dt = min(grid.h, ball_geometry(sech2(grid, a=2.0, k=1.0)).lifespan / 200)
+    probe = ["breaking", "--profile", "sech2:a=2,k=1", "--X", "20", "--n", "201",
+             "--guard", "warn", "--t-max", "1.5"]
+    reports = []
+    for argv, subdir in ((probe, "unset"), (probe + ["--dt", repr(dt)], "explicit")):
+        with pytest.warns(UserWarning, match="not smooth enough"):
+            code, out = run(argv, tmp_path, monkeypatch, subdir=subdir)
+        assert code == EXIT_OK
+        reports.append(json.loads((out / "breaking.json").read_text()))
+    unset, explicit = reports
+    assert unset["breach_time"] is not None
+    assert (unset["breach_time"], unset["breach_x"]) == (explicit["breach_time"],
+                                                         explicit["breach_x"])
 
 
 @pytest.mark.parametrize("argv", [["--t-end", "0.3"], ["--config", "run.cfg"]],
@@ -655,6 +679,18 @@ def test_verify_double_resolution_runs_keep_three_levels():
     assert len(traj.states) == 3 and len(full.states) == 2 * STEPS + 1
     for a, b in ((traj.final, full.final), (traj.state_at(t_half), full.state_at(t_half))):
         assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
+
+
+def test_verify_run_state_at_needs_a_kept_level_within_half_a_step():
+    # the kept levels are t = 0, the three around T/2, and T: a time 0.01 from
+    # t = 0 lies within half the first gap, but not within half a step
+    traj = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).run(51)
+    t_half = traj.geometry.lifespan / 2
+    assert 0.01 > traj.geometry.lifespan / STEPS / 2
+    with pytest.raises(KeyError, match="no stored state near t=0.01"):
+        traj.state_at(0.01)
+    assert traj.state_at(t_half) is traj.states[2]
+    assert traj.state_at(t_half).t == pytest.approx(t_half, abs=1e-15)
 
 
 def count_streams(monkeypatch) -> list:
@@ -822,7 +858,7 @@ def test_verify_non_monotone_run_state_exits_3(tmp_path, monkeypatch, capsys):
     non_monotone_level(monkeypatch, 20)
     assert run(["verify", "--X", "10", "--n", "51"], tmp_path, monkeypatch)[0] == EXIT_GUARD
     assert capsys.readouterr().err == ("guard breach: flow map is not strictly increasing "
-                                       "near node 9 (x=-6.4, t=0.00332397)\n")
+                                       "near node 9 (x=-6.4, t=0.0332397)\n")
     assert multiprocessing.active_children() == []
 
 

@@ -96,13 +96,13 @@ def test_peakon_residual_degrades_for_offnode_crest():
 
 def test_pde_residual_zero_solution():
     grid = Grid(10.0, 201)
-    traj = integrate(zeros(grid), SolverConfig(grid=grid, store_every=10))
+    traj = integrate(zeros(grid), SolverConfig(grid=grid))
     assert pde_residual(traj, traj.times[len(traj.times) // 2]) == 0.0
 
 
 def test_pde_residual_needs_interior_time():
     grid = Grid(10.0, 201)
-    traj = integrate(zeros(grid), SolverConfig(grid=grid, store_every=10))
+    traj = integrate(zeros(grid), SolverConfig(grid=grid))
     with pytest.raises(ValueError):
         pde_residual(traj, 0.0)
     with pytest.raises(ValueError):
@@ -319,7 +319,7 @@ def test_breaking_time_shrinks_with_steepness():
 def test_diagnostics_series_and_csv(tmp_path):
     grid = Grid(10.0, 401)
     u0 = gaussian(grid, a=0.1)
-    traj = integrate(u0, SolverConfig(grid=grid, store_every=20))
+    traj = integrate(u0, SolverConfig(grid=grid, store_every=2))
     series = diagnostics_series(traj.states)
     n_rows = len(series["t"])
     assert n_rows == len(traj.states)
@@ -335,7 +335,7 @@ def test_diagnostics_series_and_csv(tmp_path):
 
 def test_series_residual_is_pde_residual_bitwise():
     grid = Grid(10.0, 401)
-    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=20))
+    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=2))
     series = diagnostics_series(traj.states)
     assert len(traj.times) > 3
     for i in range(1, len(traj.times) - 1):

@@ -23,7 +23,7 @@ def rest_state(grid, t=0.0):
                                               np.zeros(n)]))
 
 
-def gaussian_run(n=801, a=0.1, store_every=20):
+def gaussian_run(n=801, a=0.1, store_every=2):
     grid = Grid(10.0, n)
     u0 = gaussian(grid, a=a)
     geo = ball_geometry(u0)
@@ -268,7 +268,7 @@ def test_reconstruct_beats_the_monotone_composition_against_a_refined_run():
 
 def test_pull_back_equals_reconstruct_bitwise():
     # one inversion per state, each snapshot equal to its own reconstruct
-    traj, _ = gaussian_run(n=401, store_every=40)
+    traj, _ = gaussian_run(n=401, store_every=4)
     states = traj.states
     assert len(states) >= 5
     pulled = list(_pull_back(states))
