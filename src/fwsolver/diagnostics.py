@@ -20,8 +20,7 @@ from numpy.typing import NDArray
 from .grid import (Grid, GridFunction, _holder, _trapezoid, derivative_values, quadrature,
                    sup_norm, write_columns)
 from .kernels import _sweeps, _unit_geometry, green_derivative, helmholtz_inverse
-from .lagrangian import (SolverConfig, Trajectory, _norm, _rk4, ball_geometry, integrate,
-                         stream_levels)
+from .lagrangian import SolverConfig, Trajectory, _norm, _rk4, ball_geometry, stream_levels
 from .flowmap import _pull_back, reconstruct
 
 __all__ = [
@@ -71,28 +70,24 @@ def conserved(u: GridFunction, smoothed: GridFunction | None = None) -> Conserve
 RESIDUAL_MARGIN = 2.0
 
 
-def pde_residual(traj: Trajectory, t: float) -> float:
-    """Sup of the evolution-equation residual of the reconstruction near ``t``.
+def pde_residual(states) -> float:
+    """Sup of the evolution-equation residual of the reconstruction at the
+    middle of ``states``, three consecutive stored levels.
 
-    The time derivative is a central difference of the reconstructed
-    snapshots one stored level either side of ``t``, the slope comes from
-    the snapshot itself, and the nonlocal term is evaluated on the
-    physical grid, so the check shares nothing with the characteristic
-    right-hand side.  Snapshots are composed by
+    The time derivative is a central difference of the outer two
+    reconstructed snapshots, the slope comes from the middle one, and the
+    nonlocal term is evaluated on the physical grid, so the check shares
+    nothing with the characteristic right-hand side.  Snapshots are composed by
     :func:`~fwsolver.flowmap.reconstruct`'s cubic Hermite interpolant
     (fourth-order difference slopes, no limiter): time-differencing a
     shape-preserving interpolant would instead pick up the motion of its
     limiter's kinks through the grid, an O(h) noise floor that has nothing
     to do with the solution.
 
-    ``t`` must have stored neighbors on both sides; the sup runs over
-    nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
+    ``states`` must be three levels at equispaced times, else ``ValueError``;
+    the sup runs over nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
     """
-    times = np.asarray(traj.times)
-    i = int(np.argmin(np.abs(times - t)))
-    if i == 0 or i == times.size - 1:
-        raise ValueError(f"t={t} has no stored neighbors on both sides")
-    window = list(_pull_back(traj.states[i - 1:i + 2]))
+    window = list(_pull_back(states))
     return _residual(window, green_derivative(window[1].u))
 
 
@@ -244,7 +239,8 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     Each perturbed datum must stay inside the base ball: the perturbation's
     product-space norm times ``eps`` may not exceed the ball radius, and each
     exponent is fitted over two or more distinct nonzero data distances.  A guard
-    breach in any run is raised as its :class:`GuardBreach`.
+    breach in any run is raised as its :class:`GuardBreach`.  The runs stream, and
+    only the base run's pull-back is held whole.
     """
     alphas = list(alphas)
     for i, a in enumerate(alphas):
@@ -274,21 +270,25 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
 
     geometry = ball_geometry(u0, config.r0)
 
-    def solve(data):
+    def snapshots(data):
         # perturbed data lies in the base ball, so the base lifespan applies
-        traj = integrate(GridFunction(grid, data), config, geometry)
+        traj, levels = stream_levels(GridFunction(grid, data), config, geometry)
+        yield from _pull_back(levels)
         if traj.breach is not None:
             raise traj.breach
-        return np.array([(s.u.values, s.ux.values) for s in _pull_back(traj.states)])
 
-    base = solve(u0.values)
+    base = np.array([(s.u.values, s.ux.values) for s in snapshots(u0.values)])
+    du = np.empty_like(base[:, 0])  # (level, node) u differences of one perturbed run
     c0_sol, c1_sol, holder = [], [], {a: [] for a in alphas}
     for eps in eps_values:
-        diff = solve(u0.values + eps * p) - base  # (level, u|ux, node)
-        sup = np.max(np.abs(diff), axis=2)
+        sups = []
+        for i, snap in enumerate(snapshots(u0.values + eps * p)):
+            du[i] = snap.u.values - base[i, 0]
+            sups.append((np.max(np.abs(du[i])), np.max(np.abs(snap.ux.values - base[i, 1]))))
+        sup = np.array(sups)  # (level, u|ux) sup differences
         c0_sol.append(float(np.max(sup[:, 0])))
         c1_sol.append(float(np.max(sup[:, 0] + sup[:, 1])))
-        for a, value in zip(alphas, _holder(diff[:, 0], grid.h, alphas)):
+        for a, value in zip(alphas, _holder(du, grid.h, alphas)):
             holder[a].append(value)
 
     ratios = [s / d for s, d in zip(c0_sol, c0_data) if d > 0]

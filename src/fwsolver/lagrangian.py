@@ -333,7 +333,7 @@ def step(state: LagrangianState, dt: float) -> LagrangianState:
 
 @dataclass
 class Trajectory:
-    """Stored time levels of one integration, plus how it ended.
+    """Stored time levels of one integration, in time order, plus how it ended.
 
     ``breach`` is ``None`` for a clean run; otherwise the guard event that
     stopped it, with the last valid state retained as ``states[-1]``.
@@ -342,21 +342,6 @@ class Trajectory:
     states: list = field(default_factory=list)
     geometry: BallGeometry | None = None
     breach: GuardBreach | None = None
-
-    @property
-    def times(self) -> list:
-        """Time of each stored state, read off the states."""
-        return [s.t for s in self.states]
-
-    def state_at(self, t: float) -> LagrangianState:
-        """Stored state nearest to ``t``, which must lie within half the
-        smallest gap between stored times (the stride, when none is dropped)."""
-        times = np.asarray(self.times)
-        i = int(np.argmin(np.abs(times - t)))
-        stride = float(np.min(np.abs(np.diff(times)))) if len(times) > 1 else math.inf
-        if abs(times[i] - t) > 0.5 * stride + 1e-12:
-            raise KeyError(f"no stored state near t={t}")
-        return self.states[i]
 
     @property
     def final(self) -> LagrangianState:
@@ -423,6 +408,9 @@ def integrate(u0: GridFunction, config: SolverConfig,
     integer number of steps lands exactly on ``t_end``.  Guard breaches do
     not raise: the trajectory is returned with ``breach`` set and the last
     valid state retained.
+
+    It holds every stored level, so the commands stream them instead; it stays
+    for demos 02-04, and perfbench's tracer times it and counts its levels.
     """
     traj, levels = stream_levels(u0, config, geometry)
     traj.states = list(levels)

@@ -187,9 +187,9 @@ class VerificationSuite:
     def run(self, n: int):
         """The one Lagrangian run at resolution ``n``, a key of :meth:`_resolutions`,
         to the guaranteed lifespan.  It keeps t = 0, the three stored levels
-        around T/2 and T, all that its readers need; the double-resolution run
-        stores only t = 0, T/2 and T.  The run at the configured ``n`` also
-        sets :attr:`_judged` from every level as it streams."""
+        around T/2 and T, all that its readers need (the double run stores only
+        t = 0, T/2 and T), so T/2 is the middle kept level.  The run at the
+        configured ``n`` also sets :attr:`_judged` from every level as it streams."""
         if n not in self._runs:
             steps = self._resolutions()[n]
             u0 = self._data(n)
@@ -347,7 +347,7 @@ class VerificationSuite:
         for nn, steps in self._resolutions().items():
             traj = self.run(nn)
             t_half = traj.geometry.lifespan / 2
-            u_lag = reconstruct(traj.state_at(t_half)).u
+            u_lag = reconstruct(traj.states[len(traj.states) // 2]).u
             u_eul = eulerian_oracle(self._data(nn), t_half, steps // 2)
             dists.append(float(np.max(np.abs(u_lag.values - u_eul.values))))
             hs.append(u_lag.grid.h)
@@ -362,8 +362,7 @@ class VerificationSuite:
         half, n, _ = self._resolutions()
 
         def mid_residual(nn):
-            traj = self.run(nn)
-            return pde_residual(traj, traj.geometry.lifespan / 2)
+            return pde_residual(self.run(nn).states[1:4])  # the levels around T/2
 
         r_coarse, r_fine = mid_residual(half), mid_residual(n)
         order = (math.inf if r_coarse <= _CONVERGED

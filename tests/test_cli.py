@@ -675,22 +675,14 @@ def test_verify_double_resolution_runs_keep_three_levels():
     geo = ball_geometry(u0, suite.config.r0)
     full = integrate(u0, SolverConfig(grid=u0.grid, dt=geo.lifespan / (2 * STEPS),
                                       t_end=geo.lifespan, r0=suite.config.r0), geo)
-    t_half = geo.lifespan / 2
     assert len(traj.states) == 3 and len(full.states) == 2 * STEPS + 1
-    for a, b in ((traj.final, full.final), (traj.state_at(t_half), full.state_at(t_half))):
+    for a, b in ((traj.final, full.final), (traj.states[1], full.states[STEPS])):
         assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
-
-
-def test_verify_run_state_at_needs_a_kept_level_within_half_a_step():
-    # the kept levels are t = 0, the three around T/2, and T: a time 0.01 from
-    # t = 0 lies within half the first gap, but not within half a step
-    traj = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).run(51)
-    t_half = traj.geometry.lifespan / 2
-    assert 0.01 > traj.geometry.lifespan / STEPS / 2
-    with pytest.raises(KeyError, match="no stored state near t=0.01"):
-        traj.state_at(0.01)
-    assert traj.state_at(t_half) is traj.states[2]
-    assert traj.state_at(t_half).t == pytest.approx(t_half, abs=1e-15)
+    # the checks read T/2 by index, as the middle kept level of every run
+    assert [len(suite._runs[nn].states) for nn in (half, n, double)] == [5, 5, 3]
+    for kept in suite._runs.values():
+        mid = kept.states[len(kept.states) // 2]
+        assert mid.t == pytest.approx(kept.geometry.lifespan / 2, abs=1e-15)
 
 
 def count_streams(monkeypatch) -> list:

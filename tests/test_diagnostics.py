@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fwsolver.flowmap
-from fwsolver.flowmap import reconstruct
-from fwsolver.grid import Grid, GridFunction, holder_seminorm, sup_norm
+from fwsolver.flowmap import _pull_back, reconstruct
+from fwsolver.grid import Grid, GridFunction, _holder, holder_seminorm, sup_norm
 from fwsolver.kernels import cumulative_flow_values, green_derivative, kernel_pair_direct
 from fwsolver.lagrangian import SolverConfig, Trajectory, _rk4, ball_geometry, integrate
 from fwsolver.diagnostics import (_upwind_flux_derivative, conserved,
@@ -96,17 +98,20 @@ def test_peakon_residual_degrades_for_offnode_crest():
 
 def test_pde_residual_zero_solution():
     grid = Grid(10.0, 201)
-    traj = integrate(zeros(grid), SolverConfig(grid=grid))
-    assert pde_residual(traj, traj.times[len(traj.times) // 2]) == 0.0
+    states = integrate(zeros(grid), SolverConfig(grid=grid)).states
+    assert pde_residual(states[9:12]) == 0.0
 
 
 def test_pde_residual_needs_interior_time():
+    # the middle of exactly three equispaced levels: an end level has no
+    # neighbour on one side
     grid = Grid(10.0, 201)
-    traj = integrate(zeros(grid), SolverConfig(grid=grid))
-    with pytest.raises(ValueError):
-        pde_residual(traj, 0.0)
-    with pytest.raises(ValueError):
-        pde_residual(traj, traj.times[-1])
+    states = integrate(zeros(grid), SolverConfig(grid=grid)).states
+    for window in (states[:2], states[-2:], states[:4]):
+        with pytest.raises(ValueError, match="values to unpack"):
+            pde_residual(window)
+    with pytest.raises(ValueError, match="not equispaced"):
+        pde_residual([states[0], states[1], states[3]])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +221,71 @@ def test_continuity_report_is_the_level_by_level_computation_bitwise():
         assert report.c1_sol_dist[j] == max(sup_norm(d) + sup_norm(dx) for d, dx in zip(du, dux))
         for a in alphas:
             assert report.holder_sol_dist[a][j] == max(holder_seminorm(d, a) for d in du)
+
+
+def whole_run_continuity(u0, perturbation, eps_values, alphas, config) -> dict:
+    """The fields of continuity_experiment's report from whole runs: each run
+    held whole from integrate, its pull-back stacked as (level, u|ux, node)
+    and differenced against the base run's."""
+    geo = ball_geometry(u0, config.r0)
+
+    def solve(data):
+        traj = integrate(GridFunction(u0.grid, data), config, geo)
+        assert traj.breach is None
+        return np.array([(s.u.values, s.ux.values) for s in _pull_back(traj.states)])
+
+    base = solve(u0.values)
+    c0_sol, c1_sol, holder = [], [], {a: [] for a in alphas}
+    for eps in eps_values:
+        diff = solve(u0.values + eps * perturbation.values) - base
+        sup = np.max(np.abs(diff), axis=2)
+        c0_sol.append(float(np.max(sup[:, 0])))
+        c1_sol.append(float(np.max(sup[:, 0] + sup[:, 1])))
+        for a, value in zip(alphas, _holder(diff[:, 0], u0.grid.h, alphas)):
+            holder[a].append(value)
+    c0_data = [abs(eps) * sup_norm(perturbation) for eps in eps_values]
+    ratios = [s / d for s, d in zip(c0_sol, c0_data) if d > 0]
+    fitted = {}
+    for a in alphas:
+        d, hv = zip(*[(d, hv) for d, hv in zip(c0_data, holder[a]) if d > 0 and hv > 0])
+        fitted[a] = float(np.polyfit(np.log(d), np.log(hv), 1)[0])
+    return dict(eps_values=eps_values, c0_data_dist=c0_data, c0_sol_dist=c0_sol,
+                c1_sol_dist=c1_sol, holder_sol_dist=holder, fitted_exponent=fitted,
+                lipschitz_ratio_max=max(ratios), lipschitz_ratios=ratios)
+
+
+@pytest.mark.parametrize("store_every", [1, 2])
+def test_continuity_streams_the_whole_run_report_bitwise(store_every):
+    # a perturbation that changes sign, and a negative eps, so the differences
+    # from the base run take both signs
+    grid = Grid(10.0, 401)
+    u0 = gaussian(grid, a=0.1)
+    pert = GridFunction(grid, np.sin(2.0 * grid.x) * np.exp(-(grid.x ** 2)))
+    cfg = SolverConfig(grid=grid, store_every=store_every)
+    eps, alphas = [1e-2, -3e-3, 1e-3, 3e-4], [0.0, 0.25, 0.5]
+    report = continuity_experiment(u0, pert, eps, alphas, cfg)
+    assert asdict(report) == whole_run_continuity(u0, pert, eps, alphas, cfg)
+
+
+def test_continuity_holds_no_perturbed_run():
+    # 200 steps of T/200, every level stored: a perturbed run held whole
+    # would add its 201 (4, n) states and its (201, 2, n) pull-back to the
+    # base run's pull-back; the streamed runs add one (201, n) buffer of u
+    # differences, and _holder's two (201, n) temporaries
+    u0, pert, _ = _continuity_setup()
+    cfg = SolverConfig(grid=u0.grid, dt=ball_geometry(u0).lifespan / 200)
+    level_bytes = 201 * u0.grid.n_points * 8  # one double per level and node
+
+    def peak():
+        tracemalloc.start()
+        try:
+            continuity_experiment(u0, pert, [1e-3, 2e-3], [0.5], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # the first run also allocates lazy imports and caches
+    assert peak() < 7 * level_bytes
 
 
 def test_continuity_zero_perturbation():
@@ -337,9 +407,9 @@ def test_series_residual_is_pde_residual_bitwise():
     grid = Grid(10.0, 401)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=2))
     series = diagnostics_series(traj.states)
-    assert len(traj.times) > 3
-    for i in range(1, len(traj.times) - 1):
-        assert series["residual"][i] == pde_residual(traj, traj.times[i])
+    assert len(traj.states) > 3
+    for i in range(1, len(traj.states) - 1):
+        assert series["residual"][i] == pde_residual(traj.states[i - 1:i + 2])
     # the series shares one kernel sweep between e3 and the residual; each
     # level's integrals are still conserved()'s own
     for i, state in enumerate(traj.states):
@@ -364,9 +434,9 @@ def test_series_residual_nan_where_breach_ends_off_stride():
     grid = Grid(20.0, 401)
     cfg = SolverConfig(grid=grid, dt=2e-3, t_end=1.0, guard_mode="warn", store_every=50)
     traj = integrate(sech2(grid, a=2.0, k=1.0), cfg)
-    assert traj.breach is not None and len(traj.times) == 5
+    assert traj.breach is not None and len(traj.states) == 5
     residual = diagnostics_series(traj.states)["residual"]
-    assert all(residual[i] == pde_residual(traj, traj.times[i]) for i in (1, 2))
+    assert all(residual[i] == pde_residual(traj.states[i - 1:i + 2]) for i in (1, 2))
     with pytest.raises(ValueError, match="not equispaced"):
-        pde_residual(traj, traj.times[3])
+        pde_residual(traj.states[2:5])
     assert math.isnan(residual[3]) and math.isnan(residual[4])

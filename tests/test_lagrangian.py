@@ -172,11 +172,14 @@ def test_state_rejects_any_non_finite_entry(row, node, bad):
 
 
 def test_trajectory_times_are_the_state_times():
+    # the stored levels are every 7th of the 20 steps, in time order, and the last
     grid = Grid(10.0, 201)
-    traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=7))
-    assert traj.breach is None and len(traj.states) > 3
-    assert traj.times == [s.t for s in traj.states]
-    assert np.all(np.diff(traj.times) > 0)
+    u0 = gaussian(grid, a=0.1)
+    geo = ball_geometry(u0)
+    traj = integrate(u0, SolverConfig(grid=grid, store_every=7), geo)
+    dt = geo.lifespan / 20
+    assert traj.breach is None
+    assert [s.t for s in traj.states] == [0.0, 7 * dt, 14 * dt, 20 * dt]
 
 
 @pytest.mark.parametrize("store_every", [1, 1000])
@@ -188,11 +191,11 @@ def test_breach_retains_the_last_valid_state_exactly_once(store_every):
                        store_every=store_every)
     traj = integrate(sech2(grid, a=2.0, k=1.0), cfg)
     assert traj.breach is not None
-    assert traj.times == [s.t for s in traj.states]
-    assert len(set(traj.times)) == len(traj.times)
+    times = [s.t for s in traj.states]
+    assert len(set(times)) == len(times)
     assert sum(s is traj.final for s in traj.states) == 1
     if store_every == 1000:
-        assert traj.times == [0.0, traj.final.t] and traj.final.t > 0
+        assert times == [0.0, traj.final.t] and traj.final.t > 0
 
 
 def panel_switch_jump(y_a, y_b, h):
@@ -483,17 +486,6 @@ def test_integrate_records_breach_and_keeps_last_state():
     assert np.min(traj.final.q.values) > cfg.q_floor  # last stored state valid
     assert abs(traj.breach.x) <= 20.0
     assert traj.breach.x == grid.x[traj.breach.node]
-
-
-def test_trajectory_state_lookup():
-    grid = Grid(10.0, 201)
-    u0 = gaussian(grid, a=0.1)
-    geo = ball_geometry(u0)
-    traj = integrate(u0, SolverConfig(grid=grid), geo)
-    mid = traj.state_at(geo.lifespan / 2)
-    assert abs(mid.t - geo.lifespan / 2) <= geo.lifespan / 20
-    with pytest.raises(KeyError):
-        traj.state_at(10.0)
 
 
 def small_packet(grid):
