@@ -153,29 +153,24 @@ def _snapshot_stride(cfg: SolverConfig, geometry) -> int:
 
 
 def _produce(levels, traj, stride: int, out: Path, sink) -> None:
-    """The producer of ``fw solve``: step ``levels`` and check each one's
-    flow map, writing each level to the file ``sink`` as ``b"L"``, ``t`` and
-    ``y`` in raw doubles, then one end frame, ``b"E"`` and the pickled
-    breach, ``None`` or the :class:`FlowMapError` met; closes ``sink``.
-    Unless a map failed, it then writes the flow maps of the kept levels."""
+    """The producer of ``fw solve``: step ``levels``, writing each level to
+    the file ``sink`` as ``b"L"``, ``t`` and ``y`` in raw doubles, then one
+    end frame, ``b"E"`` and the pickled breach or ``None``; closes ``sink``.
+    It then writes the flow maps of the kept levels, every one valid, as the
+    step guards the map."""
     flowmaps = {}
     with sink:
-        try:
-            for state in keep_levels(levels, flowmaps, lambda i: i % stride == 0, flow_map):
-                sink.write(b"L" + np.float64(state.t).tobytes())
-                sink.write(np.ascontiguousarray(state.y))
-            end = traj.breach
-        except FlowMapError as err:
-            end = err
-        sink.write(b"E" + pickle.dumps(end))
-    if not isinstance(end, FlowMapError):
-        for i, fmap in flowmaps.items():
-            write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
+        for state in keep_levels(levels, flowmaps, lambda i: i % stride == 0, flow_map):
+            sink.write(b"L" + np.float64(state.t).tobytes())
+            sink.write(np.ascontiguousarray(state.y))
+        sink.write(b"E" + pickle.dumps(traj.breach))
+    for i, fmap in flowmaps.items():
+        write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
 
 
 def _received_levels(source, traj, grid: Grid):
     """The states that :func:`_produce` writes to the file ``source``; its
-    end frame sets ``traj.breach``, or raises the map failure it met."""
+    end frame sets ``traj.breach``."""
     while (tag := source.read(1)) == b"L":
         level = np.empty(1 + 4 * grid.n_points)
         if source.readinto(level) < level.nbytes:
@@ -183,10 +178,7 @@ def _received_levels(source, traj, grid: Grid):
         yield LagrangianState(float(level[0]), grid, level[1:].reshape(4, -1))
     if tag != b"E":
         raise RuntimeError("the producer of fw solve stopped before its end frame")
-    end = pickle.load(source)
-    if isinstance(end, FlowMapError):
-        raise end
-    traj.breach = end
+    traj.breach = pickle.load(source)
 
 
 def _cmd_solve(args) -> int:

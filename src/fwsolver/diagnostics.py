@@ -167,7 +167,8 @@ PEAKON_MARGIN = 5.0
 
 
 def peakon(t: float, grid: Grid) -> GridFunction:
-    """Exact peaked traveling wave ``(8/9) exp(-|x - (4/3) t| / 2)``."""
+    """Exact peaked traveling wave ``(8/9) exp(-|x - (4/3) t| / 2)``; at t = 0 the
+    ``peakon`` profile, a reference shape whose corner initial data may not have."""
     crest = PEAKON_SPEED * t
     if abs(crest) > grid.half_width - PEAKON_MARGIN:
         raise ValueError(
@@ -239,8 +240,9 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     Each perturbed datum must stay inside the base ball: the perturbation's
     product-space norm times ``eps`` may not exceed the ball radius, and each
     exponent is fitted over two or more distinct nonzero data distances.  A guard
-    breach in any run is raised as its :class:`GuardBreach`.  The runs stream, and
-    only the base run's pull-back is held whole.
+    breach in any run, a floored stretch or a flow map that stops increasing, is
+    raised as its :class:`GuardBreach` once that run's valid levels are read.  The
+    runs stream, and only the base run's pull-back is held whole.
     """
     alphas = list(alphas)
     for i, a in enumerate(alphas):
@@ -319,8 +321,8 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
 
 def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) -> Trajectory:
     """Integrate past the guaranteed lifespan to ``t_max``, or to the first
-    time the stretch factor reaches the guard floor, which the trajectory's
-    ``breach`` then records.
+    time the stretch factor reaches the guard floor or the flow map stops
+    increasing, which the trajectory's ``breach`` then records.
 
     Requires ``guard_mode='warn'`` since the whole point is to leave the
     proven interval, and an unset ``t_end``, which ``t_max`` replaces;

@@ -54,9 +54,16 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.half_width / (self.n_points - 1)
 
-    @property
+    @functools.cached_property
     def x(self) -> NDArray[np.float64]:
-        return np.linspace(-self.half_width, self.half_width, self.n_points)
+        """The nodes, built once per grid and read-only; not a field, so
+        equality and hashing stay on ``(half_width, n_points)``."""
+        x = np.linspace(-self.half_width, self.half_width, self.n_points)
+        x.flags.writeable = False
+        return x
+
+    def __reduce__(self):  # from the fields, so an unpickled grid builds its own read-only x
+        return type(self), (self.half_width, self.n_points)
 
 
 class GridFunction:

@@ -71,10 +71,14 @@ class InitialDataError(ValueError):
 
 
 class GuardBreach(RuntimeError):
-    """A failed node check of a step, raised by :func:`_guard_nodes`: a floored
-    stretch in a stage input or the new state, or a non-finite tendency or new state."""
+    """A failed node check of a step, raised by :func:`_guard_nodes`.  Its
+    ``kind`` is ``"stretch floor"`` (a floored stretch in a stage input or the
+    new state), ``"non-finite"`` (a tendency or the new state) or ``"flow map"``
+    (the new map ``x + displacement`` is not strictly increasing at ``node``)."""
 
-    def __init__(self, stage: str, node: int, x: float, t: float, value: float, floor: float):
+    def __init__(self, kind: str, stage: str, node: int, x: float, t: float, value: float,
+                 floor: float):
+        self.kind = kind
         self.stage = stage
         self.node = node
         self.x = x
@@ -82,11 +86,15 @@ class GuardBreach(RuntimeError):
         self.value = value
         self.floor = floor
         where = f"at RK stage {stage}, node {node} (x={x:.6g}), t={t:.6g}"
-        super().__init__(f"stretch floor breached {where}: q={value:.6g} <= {floor:.6g}"
-                         if math.isfinite(value) else f"non-finite state {where}: value {value}")
+        super().__init__({
+            "stretch floor": f"stretch floor breached {where}: q={value:.6g} <= {floor:.6g}",
+            "non-finite": f"non-finite state {where}: value {value}",
+            "flow map": f"flow map is not strictly increasing {where}: "
+                        f"eta_{node + 1} - eta_{node} = {value:.6g} <= {floor:.6g}"}[kind])
 
     def __reduce__(self):  # rebuild from the fields, not the message, across processes
-        return type(self), (self.stage, self.node, self.x, self.t, self.value, self.floor)
+        return type(self), (self.kind, self.stage, self.node, self.x, self.t, self.value,
+                            self.floor)
 
 
 def _row(i: int) -> property:
@@ -291,21 +299,24 @@ def _time_steps(config: SolverConfig, geometry: BallGeometry) -> tuple[float, fl
     return t_end, t_end / n_steps, n_steps
 
 
-def _guard_nodes(ok, y, stage, grid, t, q_floor):
+def _guard_nodes(ok, y, stage, grid, t, floor, kind="stretch floor", row=2):
     """Raise :class:`GuardBreach` at the first node where ``ok`` is False,
-    reporting its first non-finite component of ``y``, else its stretch."""
+    reporting its first non-finite component of ``y`` as ``non-finite``, else
+    its ``y[row]`` (the stretch by default) as ``kind``."""
     if not ok.all():
         i = int(np.argmin(ok))
-        value = next((v for v in y[:, i] if not math.isfinite(v)), y[2, i])
-        raise GuardBreach(stage, i, float(grid.x[i]), t, float(value), q_floor)
+        value = float(next((v for v in y[:, i] if not math.isfinite(v)), y[row, i]))
+        raise GuardBreach(kind if math.isfinite(value) else "non-finite", stage, i,
+                          float(grid.x[i]), t, value, floor)
 
 
 def _rk4_arrays(y, t, dt, grid, q_floor):
     """One RK4 step of the packed state; breaches name the stage whose
     input stretch is floored or whose tendency is non-finite (or
-    ``post-step`` for a non-finite or floored new state), the node and its
-    x.  An overflow that reaches a tendency or the state is such a breach,
-    so numpy's overflow warnings are silenced."""
+    ``post-step`` for a non-finite or floored new state, or a new flow map
+    that is not strictly increasing), the node and its x.  An overflow that
+    reaches a tendency, the state or the map is such a breach, so numpy's
+    overflow warnings are silenced."""
 
     def tendency(z, stage):
         _guard_nodes(z[2] > q_floor, z, stage, grid, t, q_floor)
@@ -316,8 +327,10 @@ def _rk4_arrays(y, t, dt, grid, q_floor):
 
     with np.errstate(over="ignore", invalid="ignore"):
         y_new = _rk4(tendency, y, dt)
-    _guard_nodes(np.isfinite(y_new).all(axis=0) & (y_new[2] > q_floor), y_new,
-                 "post-step", grid, t + dt, q_floor)
+        _guard_nodes(np.isfinite(y_new).all(axis=0) & (y_new[2] > q_floor), y_new,
+                     "post-step", grid, t + dt, q_floor)
+        steps = np.diff(grid.x + y_new[3])  # the test of FlowMap, so the two always agree
+        _guard_nodes(steps > 0, steps[None], "post-step", grid, t + dt, 0.0, "flow map", 0)
     return y_new
 
 

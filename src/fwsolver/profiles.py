@@ -8,25 +8,16 @@ import re
 
 import numpy as np
 
+from .diagnostics import peakon
 from .grid import Grid, GridFunction, read_csv
 
-__all__ = ["gaussian", "peakon_profile", "sech2", "make_profile"]
+__all__ = ["gaussian", "sech2", "make_profile"]
 
 
 def gaussian(grid: Grid, a: float = 0.1, sigma: float = 1.0) -> GridFunction:
     """Bump ``a * exp(-(x/sigma)^2)``."""
     x = grid.x
     return GridFunction(grid, a * np.exp(-((x / sigma) ** 2)))
-
-
-def peakon_profile(grid: Grid) -> GridFunction:
-    """The peaked traveling-wave profile at time zero: ``(8/9) e^{-|x|/2}``.
-
-    Continuous but not differentiable at the crest, so it is a reference
-    shape for the kernel operators, not admissible smooth initial data.
-    """
-    x = grid.x
-    return GridFunction(grid, (8.0 / 9.0) * np.exp(-0.5 * np.abs(x)))
 
 
 def sech2(grid: Grid, a: float = 1.0, k: float = 1.0) -> GridFunction:
@@ -69,8 +60,8 @@ def parse_profile_spec(spec: str):
 
 
 #: name -> (builder, the parameters it takes) of every profile but from_csv
-_PROFILES = {"gaussian": (gaussian, ("a", "sigma")), "peakon": (peakon_profile, ()),
-             "sech2": (sech2, ("a", "k"))}
+_PROFILES = {"gaussian": (gaussian, ("a", "sigma")),
+             "peakon": (lambda grid: peakon(0.0, grid), ()), "sech2": (sech2, ("a", "k"))}
 
 
 def make_profile(spec: str, grid: Grid) -> GridFunction:

@@ -27,6 +27,9 @@ from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, Verificati
 
 SOLVE_ARGS = ["solve", "--profile", "gaussian:a=0.1,sigma=1",
               "--X", "10", "--n", "401", "--t-end", "auto"]
+# coarse steep data: the map stops increasing before q reaches its floor
+FLOW_MAP_DATA = ["--profile", "sech2:a=2,k=3", "--X", "20", "--n", "81", "--guard", "warn"]
+FLOW_MAP_SOLVE = ["solve", *FLOW_MAP_DATA, "--t-end", "1.2"]
 
 
 def run(argv, tmp_path, monkeypatch, subdir="out"):
@@ -194,10 +197,15 @@ def test_solve_t_end_beyond_lifespan_needs_warn(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK
 
 
-def test_solve_determinism_byte_identical(tmp_path, monkeypatch):
-    _, out1 = run(SOLVE_ARGS, tmp_path, monkeypatch, subdir="a")
-    _, out2 = run(SOLVE_ARGS, tmp_path, monkeypatch, subdir="b")
-    for name in ("series.csv", "geometry.json", "snapshot_00000.csv"):
+@pytest.mark.parametrize("argv", [SOLVE_ARGS, FLOW_MAP_SOLVE], ids=["solve", "flow-map-solve"])
+def test_solve_determinism_byte_identical(argv, tmp_path, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the flow-map data is not smooth
+        _, out1 = run(argv, tmp_path, monkeypatch, subdir="a")
+        _, out2 = run(argv, tmp_path, monkeypatch, subdir="b")
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir()) and len(names) > 5
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -253,11 +261,10 @@ def test_solve_guard_breach_exit_code(tmp_path, monkeypatch, capsys):
     assert "breach" in capsys.readouterr().err
 
 
-FLOW_MAP_DATA = ["--profile", "sech2:a=2,k=3", "--X", "20", "--n", "81", "--guard", "warn"]
 FLOW_MAP_BREACH = ("warning: initial data is not smooth enough: slope jumps by 1.98 between "
                    "nodes 39 and 40 (x=-0.5), tolerance 1.48\n"
-                   "guard breach: flow map is not strictly increasing near node 40 (x=0, ")
-FLOW_MAP_SOLVE = ["solve", *FLOW_MAP_DATA, "--t-end", "1.2"]
+                   "guard breach: flow map is not strictly increasing at RK stage post-step, "
+                   "node 40 (x=0), ")
 VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                   ("--boundary-tol", "1e-5"), ("--guard", "warn"), ("--store-every", "5")]
 
@@ -285,11 +292,12 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                  "|u0| = 3.72e+116 > 1e-06; initial data does not decay at the right "
                  "boundary: |u0| = 3.72e+116 > 1e-06\n"
                  "guard breach: non-finite state at RK stage k1"),
-    # coarse steep data: the map stops increasing before q reaches its floor
-    (FLOW_MAP_SOLVE, EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200743)"),
+    # the step that folds the map is the breach, in solve and in continuity alike
+    (FLOW_MAP_SOLVE, EXIT_GUARD,
+     FLOW_MAP_BREACH + "t=0.200743: eta_41 - eta_40 = -0.00080183 <= 0"),
     (["continuity", *FLOW_MAP_DATA, "--t-end", "0.25",
       "--perturbation", "gaussian:a=0.01,sigma=1", "--eps", "1e-2,1e-3"],
-     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200893)"),
+     EXIT_GUARD, FLOW_MAP_BREACH + "t=0.200893: eta_41 - eta_40 = -0.00117922 <= 0"),
     # verify validates the common flags like the other subcommands
     (["verify", "--X", "10", "--n", "201", "--dt", "inf"],
      EXIT_CONFIG, "error: dt must be positive and finite"),
@@ -312,6 +320,10 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
     # numpy divides by zero building the profile; only the finiteness check reports
     (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:sigma=0"],
      EXIT_CONFIG, "error: profile 'gaussian:sigma=0': grid function values must be finite"),
+    # the peakon profile is the exact wave at t = 0, which keeps its crest 5 inside the domain
+    (["solve", "--X", "4", "--n", "81", "--guard", "warn", "--profile", "peakon"],
+     EXIT_CONFIG, "error: profile 'peakon': peak at x=0 is closer than 5.0 to the boundary "
+                  "of [-4.0, 4.0]"),
     # an eps repeated up to sign repeats a data distance, so a fit would see one point twice
     *[(["continuity", "--X", "10", "--n", "201", "--eps", f"1e-2,{again}"],
        EXIT_CONFIG, f"error: eps={again:g} repeats the data distance "
@@ -321,7 +333,7 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
         "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS],
         "profile-key-solve", "profile-key-verify", "profile-key-twice", "config-key-twice",
-        "profile-divides-by-zero", "eps-twice", "eps-twice-signed"])
+        "profile-divides-by-zero", "peakon-margin", "eps-twice", "eps-twice-signed"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "twice.cfg").write_text("n_points = 201\nX = 10\nn_points = 401\n")
@@ -331,8 +343,16 @@ def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
         warnings.showwarning = print_warning
         assert run(argv, tmp_path, monkeypatch)[0] == code
     assert code != EXIT_CONFIG or not (tmp_path / "out").exists()  # settings fail before any write
-    if argv == FLOW_MAP_SOLVE:  # the producer's map check fails before any other file is written
-        assert [path.name for path in (tmp_path / "out").iterdir()] == ["initial_data.csv"]
+    if argv == FLOW_MAP_SOLVE:  # the files of the valid levels, as after any breach
+        out = tmp_path / "out"
+        levels = ("00000", "00094", "00188", "00282", "00314")
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["initial_data.csv", "geometry.json", "series.csv",
+             *(f"{name}_{i}.csv" for name in ("flowmap", "snapshot") for i in levels)])
+        last_t = float((out / "series.csv").read_text().splitlines()[-1].split(",")[0])
+        assert last_t == 0.20010621348911312 < 0.200743
+        for path in out.glob("flowmap_*.csv"):
+            assert np.all(np.diff(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]) > 0)
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1 + prefix.count("\n")
 
@@ -778,7 +798,7 @@ def test_verify_worker_checks_never_run_the_solver(monkeypatch):
 
 
 def test_verify_worker_guard_breach_exits_3(tmp_path, monkeypatch, capsys):
-    breach = GuardBreach("k2", 7, 0.5, 0.25, 0.05, 0.1)
+    breach = GuardBreach("stretch floor", "k2", 7, 0.5, 0.25, 0.05, 0.1)
 
     def check_continuity(self):
         raise breach
@@ -834,16 +854,17 @@ def non_monotone_level(monkeypatch, level: int):
     monkeypatch.setattr(fwsolver.verification, "stream_levels", stream_levels)
 
 
-def test_flow_map_bounds_counts_a_non_monotone_run_state_out_of_band(monkeypatch):
-    # every stored level is judged, the 20th and those between alike
+def test_flow_map_bounds_raises_on_a_non_monotone_run_state(monkeypatch):
+    # every stored level is judged, the 20th and those between alike; the step
+    # guards the map, so a level whose map cannot be assembled is a fault, not a
+    # level out of band
     for level in (5, 20):
         with monkeypatch.context() as patch:
             non_monotone_level(patch, level)
             suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
-            result = suite.check_flow_map_bounds()
-            assert not result.passed and not result.measured["run_in_band"]
-            with pytest.raises(FlowMapError, match="not strictly increasing near node 9"):
-                suite.check_size_estimate()
+            for check in (suite.check_flow_map_bounds, suite.check_size_estimate):
+                with pytest.raises(FlowMapError, match="not strictly increasing near node 9"):
+                    check()
 
 
 def test_verify_non_monotone_run_state_exits_3(tmp_path, monkeypatch, capsys):
@@ -852,6 +873,30 @@ def test_verify_non_monotone_run_state_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("guard breach: flow map is not strictly increasing "
                                        "near node 9 (x=-6.4, t=0.0332397)\n")
     assert multiprocessing.active_children() == []
+
+
+def test_verify_run_cut_short_by_a_breach_exits_3(tmp_path, monkeypatch, capsys):
+    # the configured run's stream ends in a breach: verify reports it rather
+    # than judging the levels made before it
+    breach = GuardBreach("flow map", "post-step", 9, -6.4, 0.03, -1e-3, 0.0)
+    real_stream = fwsolver.verification.stream_levels
+
+    def stream_levels(u0, *args):
+        traj, levels = real_stream(u0, *args)
+
+        def breached():
+            yield from levels
+            if u0.grid.n_points == 51:
+                traj.breach = breach
+
+        return traj, breached()
+
+    monkeypatch.setattr(fwsolver.verification, "stream_levels", stream_levels)
+    assert run(["verify", "--X", "10", "--n", "51"], tmp_path, monkeypatch)[0] == EXIT_GUARD
+    assert capsys.readouterr().err == f"guard breach: {breach}\n"
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_band_defect_is_a_failed_check_not_a_guard_breach(tmp_path, monkeypatch,

@@ -14,7 +14,7 @@ from fwsolver.diagnostics import (_upwind_flux_derivative, conserved,
                                   continuity_experiment, diagnostics_series, eulerian_oracle,
                                   pde_residual, peakon, peakon_residual, wave_breaking_probe,
                                   write_series_csv)
-from fwsolver.profiles import gaussian, peakon_profile, sech2
+from fwsolver.profiles import gaussian, sech2
 
 
 def zeros(grid):
@@ -45,7 +45,7 @@ def test_conserved_gaussian_closed_forms():
 
 
 def test_conserved_peaked_profile():
-    u = peakon_profile(Grid(40.0, 48001))
+    u = peakon(0.0, Grid(40.0, 48001))
     tri = conserved(u)
     assert tri.e1 == pytest.approx(32.0 / 9.0, abs=1e-6)
     assert tri.e2 == pytest.approx(128.0 / 81.0, abs=1e-6)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,18 @@ def test_grid_invariants():
         Grid(10.0, 2)
     with pytest.raises(ValueError):
         Grid(-1.0, 100)
+
+
+def test_grid_builds_its_nodes_once_read_only():
+    # the nodes are not a field: equal grids compare and hash alike whether or
+    # not they have built them, and a pickled grid builds its own
+    g = Grid(10.0, 2001)
+    assert g.x is g.x and not g.x.flags.writeable
+    with pytest.raises(ValueError):
+        g.x[0] = 0.0
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g == Grid(10.0, 2001) and hash(back) == hash(Grid(10.0, 2001))
+    assert not back.x.flags.writeable and np.array_equal(back.x, g.x)
 
 
 def test_gridfunction_rejects_nonfinite_and_shape():

@@ -14,7 +14,9 @@ from fwsolver.lagrangian import (DEFAULT_Q_FLOOR, GuardBreach, InitialDataError,
                                  LagrangianState, SolverConfig, _rhs_arrays, _rk4, _rk4_arrays,
                                  ball_geometry, chain_rule_defect, initial_state, integrate,
                                  state_norm, step)
-from fwsolver.profiles import gaussian, peakon_profile, sech2
+from fwsolver.diagnostics import peakon
+from fwsolver.flowmap import FlowMap, FlowMapError
+from fwsolver.profiles import gaussian, sech2
 
 
 def zeros(grid):
@@ -92,14 +94,14 @@ def test_initial_state_rejects_corner_profile():
     grid = Grid(30.0, 3001)
     cfg = SolverConfig(grid=grid)
     with pytest.raises(InitialDataError, match="not smooth"):
-        initial_state(peakon_profile(grid), cfg)
+        initial_state(peakon(0.0, grid), cfg)
 
 
 def test_initial_state_corner_profile_warns_in_warn_mode():
     grid = Grid(30.0, 3001)
     cfg = SolverConfig(grid=grid, guard_mode="warn")
     with pytest.warns(UserWarning, match="not smooth"):
-        initial_state(peakon_profile(grid), cfg)
+        initial_state(peakon(0.0, grid), cfg)
 
 
 def test_initial_state_rejects_nondecaying():
@@ -331,7 +333,7 @@ def test_non_finite_state_breaches_naming_node_and_x(component, bad, stage, t, v
     with pytest.raises(GuardBreach, match="^non-finite state") as exc:
         _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
     gb = exc.value
-    assert (gb.stage, gb.node, gb.x, gb.t) == (stage, 7, grid.x[7], t)
+    assert (gb.kind, gb.stage, gb.node, gb.x, gb.t) == ("non-finite", stage, 7, grid.x[7], t)
     assert str(gb.value) == value
 
 
@@ -344,8 +346,8 @@ def test_rhs_guards_stretch_floor():
     with pytest.raises(GuardBreach) as exc:
         _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
     gb = exc.value
-    assert (gb.stage, gb.node, gb.x, gb.t, gb.value, gb.floor) == (
-        "k1", 5, grid.x[5], 0.5, 0.05, DEFAULT_Q_FLOOR)
+    assert (gb.kind, gb.stage, gb.node, gb.x, gb.t, gb.value, gb.floor) == (
+        "stretch floor", "k1", 5, grid.x[5], 0.5, 0.05, DEFAULT_Q_FLOOR)
     assert str(gb) == ("stretch floor breached at RK stage k1, node 5 (x=-9.66667), "
                        "t=0.5: q=0.05 <= 0.1")
 
@@ -367,11 +369,16 @@ def test_rk4_step_makes_four_kernel_calls_through_the_module_binding(monkeypatch
 
 
 @pytest.mark.parametrize("err, fields", [
-    (GuardBreach("k3", 7, 0.5, 0.25, 0.05, 0.1),
-     {"stage": "k3", "node": 7, "x": 0.5, "t": 0.25, "value": 0.05, "floor": 0.1}),
-    (GuardBreach("post-step", 2, -1.0, 0.5, math.inf, 0.1),
-     {"stage": "post-step", "node": 2, "x": -1.0, "t": 0.5, "value": math.inf, "floor": 0.1}),
-], ids=["guard-floor", "guard-non-finite"])
+    (GuardBreach("stretch floor", "k3", 7, 0.5, 0.25, 0.05, 0.1),
+     {"kind": "stretch floor", "stage": "k3", "node": 7, "x": 0.5, "t": 0.25, "value": 0.05,
+      "floor": 0.1}),
+    (GuardBreach("non-finite", "post-step", 2, -1.0, 0.5, math.inf, 0.1),
+     {"kind": "non-finite", "stage": "post-step", "node": 2, "x": -1.0, "t": 0.5,
+      "value": math.inf, "floor": 0.1}),
+    (GuardBreach("flow map", "post-step", 40, 0.0, 0.2, -8e-4, 0.0),
+     {"kind": "flow map", "stage": "post-step", "node": 40, "x": 0.0, "t": 0.2,
+      "value": -8e-4, "floor": 0.0}),
+], ids=["guard-floor", "guard-non-finite", "guard-flow-map"])
 def test_guard_errors_survive_pickling(err, fields):
     # fw verify runs some checks in a worker process, which sends a breach back pickled
     back = pickle.loads(pickle.dumps(err))
@@ -401,8 +408,10 @@ def test_rk4_leaves_y_unwritten_and_returns_a_new_array():
 
 
 def test_stage_screen_passes_finite_tendencies_whose_sum_overflows(monkeypatch):
-    # k1 is finite, but its two entries of 1e308 overflow np.sum; the exact
-    # per-node check must then find nothing, and later stages are zero
+    # k1 is finite, but its two entries of 1e308 and more overflow np.sum; the
+    # exact per-node check must then find nothing, and later stages are zero.
+    # The spikes sit on the last two nodes, the larger last, so the new flow
+    # map still increases and only the stage screen is under test
     grid = Grid(5.0, 11)
     y = np.stack([np.zeros(11), np.zeros(11), np.ones(11), np.zeros(11)])
     calls = []
@@ -410,15 +419,36 @@ def test_stage_screen_passes_finite_tendencies_whose_sum_overflows(monkeypatch):
     def rhs(z, h):
         k = np.zeros_like(z)
         if not calls:
-            k[3, [2, 5]] = 1e308
+            k[3, [9, 10]] = 1e308, 1.5e308
         calls.append(z)
         return k
 
     monkeypatch.setattr(fwsolver.lagrangian, "_rhs_arrays", rhs)
     y_new = _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
     assert len(calls) == 4
-    assert y_new[3, 2] == y_new[3, 5] == 1e308 * (0.25 / 6.0)
+    assert (y_new[3, 9], y_new[3, 10]) == (1e308 * (0.25 / 6.0), 1.5e308 * (0.25 / 6.0))
     assert np.count_nonzero(y_new[3]) == 2
+
+
+def test_step_that_folds_the_flow_map_breaches_at_its_first_failing_node(monkeypatch):
+    # a constant displacement tendency moves nodes 3 and 7 past their right
+    # neighbours, node 7 the further; the step reports the first, node 3, where
+    # FlowMap would name the steepest fold
+    grid = Grid(5.0, 11)  # h = 1
+    y = np.stack([np.zeros(11), np.zeros(11), np.ones(11), np.zeros(11)])
+    k = np.zeros_like(y)
+    k[3, [3, 7]] = 6.0, 12.0  # displacements of about 1.5 and 3 after a step of 0.25
+    monkeypatch.setattr(fwsolver.lagrangian, "_rhs_arrays", lambda z, h: k.copy())
+    with pytest.raises(GuardBreach, match="^flow map is not strictly increasing") as exc:
+        _rk4_arrays(y, 0.5, 0.25, grid, DEFAULT_Q_FLOOR)
+    gb = exc.value
+    assert (gb.kind, gb.stage, gb.node, gb.x, gb.t, gb.floor) == (
+        "flow map", "post-step", 3, grid.x[3], 0.75, 0.0)
+    assert gb.value == pytest.approx(-0.5, abs=1e-12)
+    assert str(gb) == ("flow map is not strictly increasing at RK stage post-step, node 3 "
+                       "(x=-2), t=0.75: eta_4 - eta_3 = -0.5 <= 0")
+    with pytest.raises(FlowMapError, match="near node 7"):  # the same map, assembled
+        FlowMap(grid, grid.x + 0.25 * k[3], 0.75)
 
 
 # ---------------------------------------------------------------------------
