@@ -49,8 +49,9 @@ class FlowMap:
     def __post_init__(self):
         if self.positions.shape != (self.grid.n_points,):
             raise ValueError("positions length does not match the grid")
-        if not np.all(np.diff(self.positions) > 0):
-            i = int(np.argmin(np.diff(self.positions)))
+        increasing = np.diff(self.positions) > 0  # False at a fold and at NaN
+        if not increasing.all():
+            i = int(np.argmin(increasing))  # the first failing node, as the step's guard reports
             raise FlowMapError(
                 f"flow map is not strictly increasing near node {i} "
                 f"(x={self.grid.x[i]:.6g}, t={self.t:.6g})"

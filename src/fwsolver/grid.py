@@ -133,15 +133,21 @@ def _holder(values, h: float, alphas) -> list:
     """For each alpha in ``[0, 1)``, the max of :func:`holder_seminorm` over
     the rows of ``values`` (``(k, n)``, on one grid of spacing ``h``), bit for
     bit: one numerator ``max |v_{i+d} - v_i|`` per offset ``d`` over all rows,
-    shared by every alpha."""
-    values = np.asarray(values)
-    n = values.shape[1]
+    shared by every alpha.  The rows are copied once node-major, so each
+    offset's difference is of two contiguous slices, into one buffer that
+    every offset reuses."""
+    nodes = np.ascontiguousarray(np.asarray(values).T)  # (n, k)
+    n = nodes.shape[0]
     if n * (n - 1) // 2 <= PAIR_BUDGET:
         offsets = range(1, n)
     else:
         # adjacent pairs plus separations 2, 4, 8, ... cover all scales
         offsets = sorted({n - 1, *(2 ** k for k in range(int(math.log2(n - 1)) + 1))})
-    nums = [(d, float(np.max(np.abs(values[:, d:] - values[:, :-d])))) for d in offsets]
+    diff = np.empty((n - 1, nodes.shape[1]))
+    nums = []
+    for d in offsets:
+        gap = np.subtract(nodes[d:], nodes[:-d], out=diff[:n - d])
+        nums.append((d, float(np.abs(gap, out=gap).max())))
     # max commutes with the correctly rounded division by the same (d*h)**alpha
     return [max(num / (d * h) ** alpha for d, num in nums) for alpha in alphas]
 

@@ -12,8 +12,8 @@ Two evaluation routes are provided and tested against each other:
 
 * :func:`kernel_pair_arrays` - one backward and one forward sweep, O(N),
   the solver path;
-* :func:`kernel_pair_direct` - explicit weight matrix, O(N^2), kept as a
-  differential oracle.
+* :func:`kernel_pair_direct` - explicit weights, one ``exp`` per node pair,
+  built in blocks of rows, O(N^2), kept as a differential oracle.
 
 The fast route makes a fixed number of whole-array passes whatever N is:
 one masked pass for the panels of both sweeps, then blocked cumulative sums
@@ -50,6 +50,9 @@ __all__ = [
 # Lambda span of one sweep block; e^{+-30} ~ 1e{+-13} is far from float64
 # overflow and underflow.  See _sweeps.
 _SPAN = 30.0
+
+# rows of weights that kernel_pair_direct builds at a time
+_DIRECT_ROWS = 64
 
 
 def cumulative_flow_values(q, h: float) -> NDArray[np.float64]:
@@ -200,28 +203,40 @@ def _unit_geometry(grid: Grid):
 # ---------------------------------------------------------------------------
 
 def kernel_pair_direct(w, lam):
-    """Direct-quadrature oracle: same panel model, explicit weight matrix.
+    """Direct-quadrature oracle: same panel model, explicit weights.
 
     For each target node the cell contributions are weighted by
     ``exp(lam_target - lam_cell_edge)`` computed directly, with no
     recurrence, so this route shares no summation structure with the
-    fast path.  The products are einsum sums rather than BLAS gemv, whose
-    threads would spin on the core of a concurrently running process.
+    fast path.  Each weight ``E[i, k] = exp(lam_i - lam_k)``, ``i <= k``,
+    is taken once for both sides: ``R_i`` sums row ``i`` against the
+    right-sweep cells starting at node ``k``, ``L_k`` sums column ``k``
+    against the left-sweep cells ending at node ``i``.  The weights are
+    built ``_DIRECT_ROWS`` rows at a time over the columns ``k >= i0`` of
+    the block's first row; only the block's diagonal square holds pairs
+    ``k < i``, clamped before the ``exp`` (so it cannot overflow) and
+    zeroed after it.  The products are einsum sums rather than BLAS gemv,
+    whose threads would spin on the core of a concurrently running process.
     """
-    pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
     n = lam.size
-    i = np.arange(n)
-    W = np.empty((n, n - 1))  # the weight matrix, built in place and reused by both sides
-    # right contributions: cells j >= i, weight normalized at the cell's left edge
-    np.minimum(np.subtract(lam[:, None], lam[None, :-1], out=W), 0.0, out=W)
-    np.exp(W, out=W)
-    W[i[:, None] > np.arange(n - 1)[None, :]] = 0.0
-    R = 0.5 * np.einsum("ij,j->i", W, pr)
-    # left contributions: cells j <= i-1, weight normalized at the cell's right edge
-    np.minimum(np.subtract(lam[None, 1:], lam[:, None], out=W), 0.0, out=W)
-    np.exp(W, out=W)
-    W[i[:, None] < np.arange(1, n)[None, :]] = 0.0
-    L = 0.5 * np.einsum("ij,j->i", W, kl)
+    # the right-sweep cells by their left node, the left-sweep cells by their right node
+    a, b = cells = np.zeros((2, n))
+    _panels(w, _geometry(lam), (a[:-1], b[1:]))
+    cells *= 0.5
+    rows = min(_DIRECT_ROWS, n)
+    below = np.tri(rows, rows, -1, dtype=bool)  # the pairs k < i of a diagonal square
+    buf = np.empty(rows * n)
+    R, L = np.empty(n), np.zeros(n)
+    for i0 in range(0, n, rows):
+        m = min(rows, n - i0)
+        E = buf[:m * (n - i0)].reshape(m, n - i0)
+        np.subtract(lam[i0:i0 + m, None], lam[None, i0:], out=E)
+        square = E[:, :m]
+        np.minimum(square, 0.0, out=square)
+        np.exp(E, out=E)
+        square[below[:m, :m]] = 0.0
+        R[i0:i0 + m] = np.einsum("ij,j->i", E, a[i0:])
+        L[i0:] += np.einsum("ki,k->i", E, b[i0:i0 + m])
     return R - L, R + L
 
 

@@ -30,6 +30,12 @@ def test_demo_runs(demo, tmp_path):
     run_script(demo, tmp_path)
 
 
+def test_kernel_demo_prints_the_same_bytes_twice(tmp_path):
+    # demo 01 prints errors and disagreements, no wall times
+    demo = ROOT / "demos" / "01_kernel_operators.py"
+    assert run_script(demo, tmp_path) == run_script(demo, tmp_path)
+
+
 def test_readme_library_tour_runs(tmp_path):
     after = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1]
     tour = after.split("```python\n", 1)[1].split("```", 1)[0]

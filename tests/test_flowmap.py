@@ -53,6 +53,21 @@ def test_flow_map_rejects_nonmonotone():
         flow_map(st)
 
 
+def test_flow_map_names_its_first_failing_node():
+    # a NaN fails the test too; the fold at node 2 comes first, though the
+    # steepest step and the NaN lie further right
+    grid = Grid(1.0, 11)
+    positions = grid.x.copy()
+    positions[3] -= 0.25
+    positions[6] -= 0.5
+    positions[9] = np.nan
+    with pytest.raises(FlowMapError, match="near node 2 "):
+        FlowMap(grid, positions, 0.1)
+    positions[3] = np.nan
+    with pytest.raises(FlowMapError, match="near node 2 "):
+        FlowMap(grid, positions, 0.1)
+
+
 def test_invert_identity_and_nodes_exact():
     grid = Grid(10.0, 101)
     fmap = flow_map(rest_state(grid))

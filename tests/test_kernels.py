@@ -226,8 +226,8 @@ def test_blocked_sweep_matches_direct(n, half_width, seed):
 
 
 def allocating_direct_pair(w, lam):
-    """kernel_pair_direct with a new array per operation and one matrix per
-    side, the reference for its in-place weight matrix."""
+    """kernel_pair_direct as two full weight matrices, one per side, with a
+    new array per operation: the reference for its row blocks."""
     pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
     n = lam.size
     i = np.arange(n)
@@ -240,19 +240,26 @@ def allocating_direct_pair(w, lam):
     return R - L, R + L
 
 
-def test_direct_pair_is_the_allocating_form_bitwise_in_one_matrix():
-    n = 801
-    w, q = random_pair(n, 30.0, 8)
-    lam = cumulative_flow_values(q.values, q.grid.h)
-    expected = allocating_direct_pair(w.values, lam)
-    tracemalloc.start()
-    try:
-        got = kernel_pair_direct(w.values, lam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
-    assert peak < 2 * n * (n - 1) * 8  # the allocating form peaks near three matrices
+def test_direct_pair_is_the_allocating_form_to_rounding_in_row_blocks():
+    # the weights are the same bit for bit, the sums run in another order; the
+    # sizes straddle the 64-row block, and (40, 2000) spans far more than
+    # log(max float) in lam, so its diagonal block would overflow unclamped
+    _, q = random_pair(40, 2000.0, 4)
+    assert cumulative_flow_values(q.values, q.grid.h)[-1] > np.log(np.finfo(float).max)
+    for n, half_width, seed in [(3, 30.0, 8), (63, 30.0, 8), (64, 30.0, 8), (65, 30.0, 8),
+                                (129, 30.0, 8), (40, 2000.0, 4), (801, 30.0, 8)]:
+        w, q = random_pair(n, half_width, seed)
+        lam = cumulative_flow_values(q.values, q.grid.h)
+        expected = allocating_direct_pair(w.values, lam)
+        tracemalloc.start()
+        try:
+            got = kernel_pair_direct(w.values, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for a, b in zip(got, expected):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+    assert peak < n * (n - 1) * 8 / 4  # at n = 801; the allocating form peaks near three matrices
 
 
 def naive_quadrature_pair(w, q):
