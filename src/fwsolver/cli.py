@@ -19,8 +19,6 @@ import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from .grid import Grid, write_columns, write_csv
 from .lagrangian import (GUARD_MODES, GuardBreach, LagrangianState, SolverConfig, _time_steps,
                          ball_geometry, keep_levels, stream_levels)
@@ -153,32 +151,29 @@ def _snapshot_stride(cfg: SolverConfig, geometry) -> int:
 
 
 def _produce(levels, traj, stride: int, out: Path, sink) -> None:
-    """The producer of ``fw solve``: step ``levels``, writing each level to
-    the file ``sink`` as ``b"L"``, ``t`` and ``y`` in raw doubles, then one
-    end frame, ``b"E"`` and the pickled breach or ``None``; closes ``sink``.
-    It then writes the flow maps of the kept levels, every one valid, as the
-    step guards the map."""
+    """The producer of ``fw solve``: step ``levels``, pickling each level's
+    ``(t, y)`` to the file ``sink``, then ``traj.breach`` or ``None``; closes
+    ``sink``.  It then writes the flow maps of the kept levels, every one
+    valid, as the step guards the map."""
     flowmaps = {}
     with sink:
         for state in keep_levels(levels, flowmaps, lambda i: i % stride == 0, flow_map):
-            sink.write(b"L" + np.float64(state.t).tobytes())
-            sink.write(np.ascontiguousarray(state.y))
-        sink.write(b"E" + pickle.dumps(traj.breach))
+            pickle.dump((state.t, state.y), sink)
+        pickle.dump(traj.breach, sink)
     for i, fmap in flowmaps.items():
         write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
 
 
 def _received_levels(source, traj, grid: Grid):
-    """The states that :func:`_produce` writes to the file ``source``; its
-    end frame sets ``traj.breach``."""
-    while (tag := source.read(1)) == b"L":
-        level = np.empty(1 + 4 * grid.n_points)
-        if source.readinto(level) < level.nbytes:
-            break
-        yield LagrangianState(float(level[0]), grid, level[1:].reshape(4, -1))
-    if tag != b"E":
-        raise RuntimeError("the producer of fw solve stopped before its end frame")
-    traj.breach = pickle.load(source)
+    """The states on ``grid`` that :func:`_produce` pickles to the file
+    ``source``; the first object that is not a level sets ``traj.breach``.
+    Only the pipe from the forked producer is ever unpickled here."""
+    try:
+        while isinstance(item := pickle.load(source), tuple):
+            yield LagrangianState(item[0], grid, item[1])
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("the producer of fw solve stopped before its end frame") from None
+    traj.breach = item
 
 
 def _cmd_solve(args) -> int:

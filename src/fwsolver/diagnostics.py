@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .grid import (Grid, GridFunction, _holder, _trapezoid, derivative_values, quadrature,
                    sup_norm, write_columns)
-from .kernels import _sweeps, _unit_geometry, green_derivative, helmholtz_inverse
+from .kernels import green_derivative, helmholtz_inverse
 from .lagrangian import SolverConfig, Trajectory, _norm, _rk4, ball_geometry, stream_levels
 from .flowmap import _pull_back, reconstruct
 
@@ -52,13 +52,12 @@ class ConservedTriple(NamedTuple):
     e3: float
 
 
-def conserved(u: GridFunction, smoothed: GridFunction | None = None) -> ConservedTriple:
+def conserved(u: GridFunction) -> ConservedTriple:
     """Conserved integrals of a physical-space profile (overflow gives inf,
-    without a numpy warning); ``smoothed`` is ``helmholtz_inverse(u)`` when
-    the caller has it already."""
+    without a numpy warning)."""
     v, h = u.values, u.grid.h
     with np.errstate(over="ignore", invalid="ignore"):
-        K = helmholtz_inverse(u) if smoothed is None else smoothed
+        K = helmholtz_inverse(u)
         return ConservedTriple(
             e1=quadrature(u),
             e2=_trapezoid(v ** 2, h),
@@ -87,13 +86,12 @@ def pde_residual(states) -> float:
     ``states`` must be three levels at equispaced times, else ``ValueError``;
     the sup runs over nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
     """
-    window = list(_pull_back(states))
-    return _residual(window, green_derivative(window[1].u))
+    return _residual(list(_pull_back(states)))
 
 
-def _residual(window, nonlocal_term: GridFunction) -> float:
-    """:func:`pde_residual` at the middle of three consecutive snapshots,
-    whose :func:`green_derivative` is ``nonlocal_term``; raises
+def _residual(window) -> float:
+    """:func:`pde_residual` at the middle of three consecutive snapshots
+    (overflow gives inf or nan, without a numpy warning); raises
     ``ValueError`` unless their times are equispaced."""
     sm, s0, sp = window
     dt_m = s0.t - sm.t
@@ -101,7 +99,9 @@ def _residual(window, nonlocal_term: GridFunction) -> float:
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
         raise ValueError("stored times around t are not equispaced")
     u_t = (sp.u.values - sm.u.values) / (dt_p + dt_m)
-    res = u_t + 1.5 * s0.u.values * s0.ux.values - nonlocal_term.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        nonlocal_term = green_derivative(s0.u).values
+    res = u_t + 1.5 * s0.u.values * s0.ux.values - nonlocal_term
     grid = s0.u.grid
     interior = np.abs(grid.x) <= grid.half_width - RESIDUAL_MARGIN
     return float(np.max(np.abs(res[interior])))
@@ -358,25 +358,22 @@ def diagnostics_series(states, snapshots: dict | None = None):
     Each state's map is inverted once for its snapshot, which feeds its row,
     is stored as ``snapshots[i]`` for each state index ``i`` that is a key of
     ``snapshots`` when state ``i`` is drawn, and is kept in a window of three
-    for the residual; no other state or snapshot is held.  One unit-stretch
-    sweep pair per snapshot serves both its ``e3`` and, when it is the
-    middle of a window, the residual's nonlocal term.
+    for the residual; no other state or snapshot is held.  Each row's
+    integrals are :func:`conserved`'s and each residual is
+    :func:`pde_residual`'s, bit for bit.
     """
     out = {k: [] for k in SERIES_KEYS}
-    window, odd = [None, None, None], [None, None]
+    window = [None, None, None]
     for i, state in enumerate(states):
         snap = reconstruct(state)
-        grid = snap.u.grid
-        with np.errstate(over="ignore", invalid="ignore"):  # as in conserved
-            pair = _sweeps(snap.u.values, _unit_geometry(grid))
-        window, odd = window[1:] + [snap], [odd[1], pair[0]]
+        window = window[1:] + [snap]
         out["residual"].append(math.nan)
         if i >= 2:
             with suppress(ValueError):
-                out["residual"][i - 1] = _residual(window, GridFunction(grid, odd[0]))
+                out["residual"][i - 1] = _residual(window)
         if snapshots is not None and i in snapshots:
             snapshots[i] = snap
-        tri = conserved(snap.u, GridFunction(grid, pair[1]))
+        tri = conserved(snap.u)
         for key, value in zip(SERIES_KEYS, (state.t, tri.e1, tri.e2, tri.e3,
                                             float(np.min(state.y[2])), sup_norm(snap.u),
                                             sup_norm(snap.ux))):

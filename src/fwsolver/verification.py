@@ -10,8 +10,8 @@ per resolution: half, the configured and double ``n``, in ``STEPS // 2``,
 the joint order of ``pde_residual`` requires; the physical-space oracle of
 ``oracle_agreement`` steps at its run's dt.  ``continuity`` runs at the
 solver's default step, a twentieth of the lifespan, and keeps every level.
-Each run streams its levels and keeps at most five, those its readers use;
-the flow-map and size verdicts are made on every level of the configured run
+Each run streams its levels and keeps five, those its readers use; the
+flow-map and size verdicts are made on every level of the configured run
 as it streams.  The other checks, :data:`SELF_CONTAINED`, read no cached
 run; :meth:`VerificationSuite.run_all` runs them in one forked worker
 process beside the refinement checks.
@@ -92,13 +92,11 @@ def _packet(rng, x, width: float, wavenumber: float, terms: int):
                                                  for k, (c, p) in waves)
 
 
-def _in_band(fmaps, geo, tol: float) -> bool:
-    """Whether every map of ``fmaps`` keeps its forward and inverse slopes in
-    band at ``tol``."""
+def _in_band(fmap, geo, tol: float) -> bool:
+    """Whether ``fmap`` keeps its forward and inverse slopes in band at ``tol``."""
     try:
-        for fmap in fmaps:
-            slope_bounds(fmap, geo, tol=tol)
-            inverse_slope_bounds(fmap, geo, tol=tol)
+        slope_bounds(fmap, geo, tol=tol)
+        inverse_slope_bounds(fmap, geo, tol=tol)
     except FlowMapError:
         return False
     return True
@@ -110,7 +108,7 @@ def _judge(levels, geo) -> tuple:
     pull-backs."""
     in_band, worst = True, 0.0
     for state in levels:
-        in_band = in_band and _in_band([flow_map(state)], geo, 1e-9)
+        in_band = in_band and _in_band(flow_map(state), geo, 1e-9)
         snap = reconstruct(state)
         worst = max(worst, sup_norm(snap.u) + sup_norm(snap.ux))
     return in_band, worst
@@ -179,20 +177,19 @@ class VerificationSuite:
 
     def run(self, n: int):
         """The one Lagrangian run at resolution ``n``, a key of :meth:`_resolutions`,
-        to the guaranteed lifespan.  It keeps t = 0, the three stored levels
-        around T/2 and T, all that its readers need (the double run stores only
-        t = 0, T/2 and T), so T/2 is the middle kept level.  The run at the
-        configured ``n`` also sets :attr:`_judged` from every level as it streams.
+        to the guaranteed lifespan.  It stores every step and keeps t = 0, the
+        three levels around T/2 and T, all that its readers need, so T/2 is the
+        middle kept level.  The run at the configured ``n`` also sets
+        :attr:`_judged` from every level as it streams.
         A run that a guard cuts short raises its :class:`GuardBreach`."""
         if n not in self._runs:
             steps = self._resolutions()[n]
             u0 = self._data(n)
             geo = ball_geometry(u0, self.config.r0)
-            every = steps // 2 if steps == 2 * STEPS else 1
             cfg = SolverConfig(grid=u0.grid, dt=geo.lifespan / steps, t_end=geo.lifespan,
-                               r0=self.config.r0, store_every=every)
+                               r0=self.config.r0)
             traj, levels = stream_levels(u0, cfg, geo)
-            mid = steps // every // 2  # the level at T/2
+            mid = steps // 2  # the level at T/2
             kept = {}
             levels = keep_levels(levels, kept, lambda i: i in (0, mid - 1, mid, mid + 1),
                                  lambda state: state)
@@ -283,7 +280,7 @@ class VerificationSuite:
         sat = FlowMap(grid, (173.0 / 200.0) * grid.x, 0.09 / geo.r)
         slopes = map_slopes(sat)
         inverse = tuple(round(float(f(1.0 / slopes)), 9) for f in (np.min, np.max))
-        return ok_run and _in_band([sat], geo, 1e-3), {
+        return ok_run and _in_band(sat, geo, 1e-3), {
             "run_in_band": ok_run, "saturated_min_slope": float(np.min(slopes)),
             "saturated_inverse_range": inverse}
 

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import shlex
 import subprocess
 import sys
@@ -416,22 +417,32 @@ def read_one_level(states, snapshots):
     raise ValueError("stopped reading")
 
 
+def send_part_of_a_level(levels, traj, stride, out, sink):
+    state = next(levels)
+    sink.write(pickle.dumps((state.t, state.y))[:-100])
+    sink.flush()
+    os._exit(5)
+
+
 @pytest.mark.parametrize("name, stub, error", [
     # the producer dies before its end frame
     ("_produce", lambda *args: os._exit(5), "stopped before its end frame"),
+    # it dies part way through a level
+    ("_produce", send_part_of_a_level, "stopped before its end frame"),
     # it sends every level, then fails to write a flow map
     ("write_flowmap_csv", lambda *args: 1 / 0, "exited with status 1"),
     # this process stops reading while the producer still has levels to send
     ("diagnostics_series", read_one_level, None),
-], ids=["producer-dies", "producer-fails-late", "consumer-stops"])
+], ids=["producer-dies", "producer-dies-mid-level", "producer-fails-late", "consumer-stops"])
 def test_solve_reaps_a_failed_producer(name, stub, error, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fwsolver.cli, name, stub)
     if error is None:
         assert run(SOLVE_ARGS, tmp_path, monkeypatch)[0] == EXIT_CONFIG
         assert capsys.readouterr().err == "error: stopped reading\n"
     else:
-        with pytest.raises(RuntimeError, match=error):
+        with pytest.raises(RuntimeError, match=error) as raised:
             run(SOLVE_ARGS, tmp_path, monkeypatch)
+        assert "\n" not in str(raised.value)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -683,8 +694,9 @@ def test_verify_suite_runs_on_the_given_profile():
     assert np.array_equal(traj.states[0].w.values, sech2(grid, a=0.05, k=1).values)
 
 
-def test_verify_double_resolution_runs_keep_three_levels():
-    # chain_rule and oracle_agreement share one double run and read only t = T/2 and T
+def test_verify_double_resolution_run_keeps_five_levels():
+    # chain_rule and oracle_agreement share one double run and read only t = T/2 and T;
+    # it keeps the levels of every run, t = 0, the three around T/2 and T
     suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
     suite.check_chain_rule()
     suite.check_oracle_agreement()
@@ -695,11 +707,11 @@ def test_verify_double_resolution_runs_keep_three_levels():
     geo = ball_geometry(u0, suite.config.r0)
     full = integrate(u0, SolverConfig(grid=u0.grid, dt=geo.lifespan / (2 * STEPS),
                                       t_end=geo.lifespan, r0=suite.config.r0), geo)
-    assert len(traj.states) == 3 and len(full.states) == 2 * STEPS + 1
-    for a, b in ((traj.final, full.final), (traj.states[1], full.states[STEPS])):
+    assert len(traj.states) == 5 and len(full.states) == 2 * STEPS + 1
+    for a, b in ((traj.final, full.final), (traj.states[2], full.states[STEPS])):
         assert a.t == b.t and a.y.tobytes() == b.y.tobytes()
     # the checks read T/2 by index, as the middle kept level of every run
-    assert [len(suite._runs[nn].states) for nn in (half, n, double)] == [5, 5, 3]
+    assert [len(suite._runs[nn].states) for nn in (half, n, double)] == [5, 5, 5]
     for kept in suite._runs.values():
         mid = kept.states[len(kept.states) // 2]
         assert mid.t == pytest.approx(kept.geometry.lifespan / 2, abs=1e-15)
@@ -732,7 +744,7 @@ def test_verify_oracle_steps_at_its_runs_dt(monkeypatch):
     suite.check_oracle_agreement()
     resolutions = suite._resolutions()
     assert [n for n, _, _ in calls] == list(resolutions) == streamed
-    assert [len(suite.run(n).states) for n in resolutions] == [5, 5, 3]
+    assert [len(suite.run(n).states) for n in resolutions] == [5, 5, 5]
     for n, t_half, oracle_steps in calls:
         lifespan = suite.run(n).geometry.lifespan
         # halving both the time and the step count is exact, so the steps agree to the bit
@@ -744,8 +756,8 @@ def test_verify_run_all_integrates_each_resolution_once(monkeypatch):
     suite = VerificationSuite(SolverConfig(grid=Grid(10.0, 51)))
     suite.run_all()
     assert sorted(suite._runs) == sorted(streamed) == [26, 51, 101]
-    # t = 0, the three levels around T/2 and T; the double run stores only t = 0, T/2 and T
-    assert [len(suite._runs[n].states) for n in (26, 51, 101)] == [5, 5, 3]
+    # t = 0, the three levels around T/2 and T
+    assert [len(suite._runs[n].states) for n in (26, 51, 101)] == [5, 5, 5]
     with pytest.raises(KeyError):  # no run at any other n
         suite.run(201)
 

@@ -410,8 +410,7 @@ def test_series_residual_is_pde_residual_bitwise():
     assert len(traj.states) > 3
     for i in range(1, len(traj.states) - 1):
         assert series["residual"][i] == pde_residual(traj.states[i - 1:i + 2])
-    # the series shares one kernel sweep between e3 and the residual; each
-    # level's integrals are still conserved()'s own
+    # the series takes each level's integrals from conserved() itself
     for i, state in enumerate(traj.states):
         tri = conserved(reconstruct(state).u)
         assert (series["e1"][i], series["e2"][i], series["e3"][i]) == tri
