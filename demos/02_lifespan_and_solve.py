@@ -9,8 +9,8 @@
 
 import numpy as np
 
-from fwsolver import (Grid, SolverConfig, ball_geometry, chain_rule_defect,
-                      gaussian, integrate, state_norm)
+from fwsolver import (Grid, SolverConfig, ball_geometry, c1_norm, chain_rule_defect,
+                      gaussian, integrate, sup_norm)
 
 grid = Grid(half_width=10.0, n_points=2001)
 u0 = gaussian(grid, a=0.1, sigma=1.0)
@@ -29,7 +29,7 @@ print("\nrun completed without guard breach:", traj.breach is None)
 
 # %% The solution never leaves the ball of radius r, and the stretch factor
 # stays pinched around 1, both exactly as promised.
-worst_norm = max(state_norm(s) for s in traj.states)
+worst_norm = max(c1_norm(s.w) + sup_norm(s.v) + sup_norm(s.q) for s in traj.states)
 print(f"max state norm over the run  : {worst_norm:.6f}  (bound {geo.r:.6f})")
 min_q = min(float(np.min(s.q.values)) for s in traj.states)
 print(f"min stretch factor           : {min_q:.6f}  "

@@ -29,8 +29,9 @@ for name, a, b in (("e1", e0.e1, eT.e1), ("e2", e0.e2, eT.e2), ("e3", e0.e3, eT.
 # %% Pointwise residual of the reconstruction at mid-run: time derivative by
 # central differences of snapshots, slope from the snapshot, kernel term on
 # the physical grid.  Nothing in it reuses the characteristic right-hand side.
-# Level 10 of the 20 stored is T/2; the residual reads it and its neighbours.
-res = pde_residual(traj.states[9:12])
+# Level 10 of the 20 stored is T/2; the residual reads the reconstructed
+# snapshots of it and its neighbours.
+res = pde_residual(map(reconstruct, traj.states[9:12]))
 print(f"\ninterior equation residual at T/2: {res:.2e}")
 
 # %% The exact peaked traveling wave isolates the kernel operator: with its

@@ -22,7 +22,7 @@ from pathlib import Path
 from .grid import Grid, write_columns, write_csv
 from .lagrangian import (GUARD_MODES, GuardBreach, LagrangianState, SolverConfig, _time_steps,
                          ball_geometry, keep_levels, stream_levels)
-from .flowmap import FlowMapError, flow_map, write_flowmap_csv, write_snapshot_csv
+from .flowmap import FlowMapError, flow_map, reconstruct, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
 from .profiles import make_profile
@@ -208,9 +208,8 @@ def _cmd_solve(args) -> int:
     pipe, snapshots = open(source, "rb"), {}
     try:
         received = _received_levels(pipe, traj, grid)
-        series = diagnostics_series(
-            keep_levels(received, snapshots, lambda i: i % stride == 0, lambda _: None),
-            snapshots)
+        series = diagnostics_series(keep_levels(map(reconstruct, received), snapshots,
+                                                lambda i: i % stride == 0, lambda snap: snap))
         for i, snap in snapshots.items():
             write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
         write_series_csv(series, out / "series.csv")

@@ -21,7 +21,7 @@ from .grid import (Grid, GridFunction, _holder, _trapezoid, derivative_values, q
                    sup_norm, write_columns)
 from .kernels import green_derivative, helmholtz_inverse
 from .lagrangian import SolverConfig, Trajectory, _norm, _rk4, ball_geometry, stream_levels
-from .flowmap import _pull_back, reconstruct
+from .flowmap import reconstruct
 
 __all__ = [
     "ConservedTriple",
@@ -69,31 +69,24 @@ def conserved(u: GridFunction) -> ConservedTriple:
 RESIDUAL_MARGIN = 2.0
 
 
-def pde_residual(states) -> float:
-    """Sup of the evolution-equation residual of the reconstruction at the
-    middle of ``states``, three consecutive stored levels.
+def pde_residual(snapshots) -> float:
+    """Sup of the evolution-equation residual at the middle of ``snapshots``,
+    the :func:`~fwsolver.flowmap.reconstruct` snapshots of three consecutive
+    stored levels (overflow gives inf or nan, without a numpy warning).
 
-    The time derivative is a central difference of the outer two
-    reconstructed snapshots, the slope comes from the middle one, and the
-    nonlocal term is evaluated on the physical grid, so the check shares
-    nothing with the characteristic right-hand side.  Snapshots are composed by
-    :func:`~fwsolver.flowmap.reconstruct`'s cubic Hermite interpolant
-    (fourth-order difference slopes, no limiter): time-differencing a
+    The time derivative is a central difference of the outer two snapshots,
+    the slope comes from the middle one, and the nonlocal term is evaluated
+    on the physical grid, so the check shares nothing with the characteristic
+    right-hand side.  ``reconstruct``'s interpolant is cubic Hermite with
+    fourth-order difference slopes and no limiter: time-differencing a
     shape-preserving interpolant would instead pick up the motion of its
     limiter's kinks through the grid, an O(h) noise floor that has nothing
     to do with the solution.
 
-    ``states`` must be three levels at equispaced times, else ``ValueError``;
-    the sup runs over nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
+    The snapshots must be at equispaced times, else ``ValueError``; the sup
+    runs over nodes at least ``RESIDUAL_MARGIN`` inside the domain ends.
     """
-    return _residual(list(_pull_back(states)))
-
-
-def _residual(window) -> float:
-    """:func:`pde_residual` at the middle of three consecutive snapshots
-    (overflow gives inf or nan, without a numpy warning); raises
-    ``ValueError`` unless their times are equispaced."""
-    sm, s0, sp = window
+    sm, s0, sp = snapshots
     dt_m = s0.t - sm.t
     dt_p = sp.t - s0.t
     if not math.isclose(dt_m, dt_p, rel_tol=1e-9):
@@ -242,7 +235,8 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     exponent is fitted over two or more distinct nonzero data distances.  A guard
     breach in any run, a floored stretch or a flow map that stops increasing, is
     raised as its :class:`GuardBreach` once that run's valid levels are read.  The
-    runs stream, and only the base run's pull-back is held whole.
+    runs stream through :func:`~fwsolver.flowmap.reconstruct`, and only the base
+    run's ``u`` and ``ux`` are held whole.
     """
     alphas = list(alphas)
     for i, a in enumerate(alphas):
@@ -275,7 +269,7 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     def snapshots(data):
         # perturbed data lies in the base ball, so the base lifespan applies
         traj, levels = stream_levels(GridFunction(grid, data), config, geometry)
-        yield from _pull_back(levels)
+        yield from map(reconstruct, levels)
         if traj.breach is not None:
             raise traj.breach
 
@@ -349,34 +343,27 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) ->
 SERIES_KEYS = ("t", "e1", "e2", "e3", "min_q", "sup_u", "sup_ux", "residual")
 
 
-def diagnostics_series(states, snapshots: dict | None = None):
+def diagnostics_series(snapshots):
     """Time series ``t, e1, e2, e3, min_q, sup_u, sup_ux, residual`` of the
-    iterable ``states`` as a dict of lists; the residual is nan at the ends
-    and wherever the stored neighbors are not equispaced (breach-shortened
-    runs end off the stride).
+    iterable ``snapshots``, each a :func:`~fwsolver.flowmap.reconstruct`
+    snapshot, as a dict of lists; the residual is nan at the ends and
+    wherever the stored neighbors are not equispaced (breach-shortened runs
+    end off the stride).
 
-    Each state's map is inverted once for its snapshot, which feeds its row,
-    is stored as ``snapshots[i]`` for each state index ``i`` that is a key of
-    ``snapshots`` when state ``i`` is drawn, and is kept in a window of three
-    for the residual; no other state or snapshot is held.  Each row's
-    integrals are :func:`conserved`'s and each residual is
-    :func:`pde_residual`'s, bit for bit.
+    Only a window of three snapshots is held, for the residual.  Each row's
+    integrals are :func:`conserved`'s and each residual is :func:`pde_residual`'s.
     """
     out = {k: [] for k in SERIES_KEYS}
     window = [None, None, None]
-    for i, state in enumerate(states):
-        snap = reconstruct(state)
+    for i, snap in enumerate(snapshots):
         window = window[1:] + [snap]
         out["residual"].append(math.nan)
         if i >= 2:
             with suppress(ValueError):
-                out["residual"][i - 1] = _residual(window)
-        if snapshots is not None and i in snapshots:
-            snapshots[i] = snap
+                out["residual"][i - 1] = pde_residual(window)
         tri = conserved(snap.u)
-        for key, value in zip(SERIES_KEYS, (state.t, tri.e1, tri.e2, tri.e3,
-                                            float(np.min(state.y[2])), sup_norm(snap.u),
-                                            sup_norm(snap.ux))):
+        for key, value in zip(SERIES_KEYS, (snap.t, tri.e1, tri.e2, tri.e3, snap.min_q,
+                                            sup_norm(snap.u), sup_norm(snap.ux))):
             out[key].append(value)
     return out
 

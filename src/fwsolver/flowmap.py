@@ -61,12 +61,14 @@ class FlowMap:
 @dataclass(frozen=True)
 class EulerianSnapshot:
     """Physical-space solution and slope at one time, with the count of
-    nodes that fell outside the image of the flow map (set to 0 there)."""
+    nodes that fell outside the image of the flow map (set to 0 there) and
+    the smallest stretch ``min_q`` of the level it came from."""
 
     t: float
     u: GridFunction
     ux: GridFunction
-    out_of_image: int = 0
+    out_of_image: int
+    min_q: float
 
 
 def flow_map(state: LagrangianState) -> FlowMap:
@@ -139,22 +141,15 @@ def reconstruct(state: LagrangianState) -> EulerianSnapshot:
     along trajectories, so no division by the stretch is needed), by the
     cubic Hermite interpolant with fourth-order difference slopes and no
     limiter (see :func:`fwsolver.grid._slopes`).  Grid nodes outside the
-    image take 0 and are counted.
+    image take 0 and are counted; ``min_q`` is the level's smallest stretch.
     """
-    return next(_pull_back([state]))
-
-
-def _pull_back(states):
-    """Yield the :func:`reconstruct` snapshot of each state of the iterable
-    ``states``, inverting each map once."""
-    for state in states:
-        x = state.grid.x
-        labels, inside = invert_many(flow_map(state), x)
-        y = np.column_stack(state.y[:2])  # (w, v)
-        uux = _hermite(x, y, _slopes(x, y), labels[:, None])
-        uux = np.where(inside[:, None], uux, 0.0).T.copy()  # 0 off the image
-        yield EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
-                               int(np.sum(~inside)))
+    x = state.grid.x
+    labels, inside = invert_many(flow_map(state), x)
+    y = np.column_stack(state.y[:2])  # (w, v)
+    uux = _hermite(x, y, _slopes(x, y), labels[:, None])
+    uux = np.where(inside[:, None], uux, 0.0).T.copy()  # 0 off the image
+    return EulerianSnapshot(state.t, *(GridFunction(state.grid, c) for c in uux),
+                            int(np.sum(~inside)), float(np.min(state.y[2])))
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:

@@ -49,7 +49,6 @@ __all__ = [
     "integrate",
     "stream_levels",
     "keep_levels",
-    "state_norm",
     "chain_rule_defect",
 ]
 
@@ -232,11 +231,6 @@ def initial_state(u0: GridFunction, config: SolverConfig) -> LagrangianState:
     n = config.grid.n_points
     y = np.stack([u0.values, v0.values, np.ones(n), np.zeros(n)])
     return LagrangianState(0.0, config.grid, y)
-
-
-def state_norm(state: LagrangianState) -> float:
-    """Product-space norm ``|w|_C1 + sup|v| + sup|q|`` (ball monitor)."""
-    return _norm(state.y, state.grid.h)
 
 
 def chain_rule_defect(state: LagrangianState) -> float:

@@ -26,7 +26,7 @@ def sech2(grid: Grid, a: float = 1.0, k: float = 1.0) -> GridFunction:
     return GridFunction(grid, a / np.cosh(k * x) ** 2)
 
 
-_SPEC_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*(?:[:(](.*?)\)?)?\s*$")
+_SPEC_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*(?::(.*)|\((.*)\))?\s*$")
 
 
 def parse_profile_spec(spec: str):
@@ -37,7 +37,7 @@ def parse_profile_spec(spec: str):
     m = _SPEC_RE.match(spec)
     if not m:
         raise ValueError(f"cannot parse profile spec {spec!r}")
-    name, body = m.group(1), m.group(2)
+    name, body = m.group(1), m.group(2) or m.group(3)
     params: dict = {}
     if body:
         for item in body.split(","):

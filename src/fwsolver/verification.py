@@ -353,7 +353,7 @@ class VerificationSuite:
         half, n, _ = self._resolutions()
 
         def mid_residual(nn):
-            return pde_residual(self.run(nn).states[1:4])  # the levels around T/2
+            return pde_residual(map(reconstruct, self.run(nn).states[1:4]))  # around T/2
 
         r_coarse, r_fine = mid_residual(half), mid_residual(n)
         order = (math.inf if r_coarse <= _CONVERGED

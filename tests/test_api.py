@@ -1,8 +1,10 @@
 """Every public name still resolves, and so does every function the
-per-layer tracer in ``perfbench/`` wraps by name; the command line runs
-on numpy alone."""
+per-layer tracer in ``perfbench/`` wraps by name; a traced ``fw solve``
+calls them as often as it reads levels; the command line runs on numpy
+alone."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -42,14 +44,20 @@ def test_traced_functions_exist(monkeypatch):
     assert missing == []
 
 
-def fresh_cli_import_loads(*packages):
-    """The modules of ``packages`` that a fresh ``import fwsolver.cli`` loads."""
+def src_env() -> dict:
+    """The environment with this checkout's fwsolver first on the path."""
     src = str(Path(fwsolver.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_cli_import_loads(*packages):
+    """The modules of ``packages`` that a fresh ``import fwsolver.cli`` loads."""
     code = ("import sys, fwsolver.cli; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -65,3 +73,22 @@ def test_cli_imports_no_process_pool():
     # itself, so no other command pays for it at start-up (fw solve forks with
     # os.fork alone)
     assert fresh_cli_import_loads("multiprocessing", "concurrent") == "[]"
+
+
+def test_traced_solve_reads_each_level_once(tmp_path, monkeypatch):
+    # perfbench's child runs fw solve traced: the fw process reconstructs each
+    # of the 21 levels once, and the series takes the 19 interior residuals
+    # through the public pde_residual the tracer wraps
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracer = importlib.import_module("tracer")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(perfbench / "child.py"), str(tmp_path / "run.json"),
+                           str(spans), "solve", "--X", "10", "--n", "201",
+                           "--output", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    calls = {name: st["calls"]
+             for name, st in tracer.span_stats(json.loads(spans.read_text()))["spans"].items()}
+    assert calls["flowmap.reconstruct"] == 21
+    assert calls["diagnostics.pde_residual"] == 19

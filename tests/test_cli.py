@@ -21,7 +21,7 @@ from fwsolver.grid import read_csv, write_csv
 from fwsolver.flowmap import FlowMapError
 from fwsolver.lagrangian import (GuardBreach, LagrangianState, SolverConfig, ball_geometry,
                                  integrate, stream_levels)
-from fwsolver.profiles import gaussian, sech2
+from fwsolver.profiles import gaussian, make_profile, sech2
 from fwsolver.grid import Grid
 from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, VerificationSuite
 
@@ -316,6 +316,11 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
     # a parameter or config key given twice is ambiguous, so neither value is used
     (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:a=0.1,a=0.2"],
      EXIT_CONFIG, "error: profile parameter a is given twice in 'gaussian:a=0.1,a=0.2'"),
+    # the parenthesized form needs its closing parenthesis, and the colon form takes none
+    (["solve", "--X", "10", "--n", "201", "--profile", "gaussian(a=0.1"],
+     EXIT_CONFIG, "error: cannot parse profile spec 'gaussian(a=0.1'"),
+    (["solve", "--X", "10", "--n", "201", "--profile", "gaussian:a=0.1)"],
+     EXIT_CONFIG, "error: profile parameter a='0.1)' is not numeric"),
     (["solve", "--config", "twice.cfg"],
      EXIT_CONFIG, "error: twice.cfg:3: key 'n_points' is already set on line 1"),
     # numpy divides by zero building the profile; only the finiteness check reports
@@ -333,7 +338,8 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
 ], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
         "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS],
-        "profile-key-solve", "profile-key-verify", "profile-key-twice", "config-key-twice",
+        "profile-key-solve", "profile-key-verify", "profile-key-twice", "profile-unclosed",
+        "profile-stray-paren", "config-key-twice",
         "profile-divides-by-zero", "peakon-margin", "eps-twice", "eps-twice-signed"])
 def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -412,8 +418,8 @@ def test_solve_leaves_no_process_behind(argv, code, tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def read_one_level(states, snapshots):
-    next(iter(states))
+def read_one_level(snapshots):
+    next(iter(snapshots))
     raise ValueError("stopped reading")
 
 
@@ -501,6 +507,20 @@ def test_config_profile_with_an_unknown_key_exits_2(tmp_path, monkeypatch, capsy
                   tmp_path, monkeypatch)
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == "error: sech2 takes a and k, not sigma\n"
+
+
+@pytest.mark.parametrize("spec", ["gaussian()", "gaussian:", "gaussian(a=0.1, sigma=1)"])
+def test_profile_spec_forms_parse(spec):
+    grid = Grid(10.0, 201)
+    assert make_profile(spec, grid).values.tobytes() == gaussian(grid).values.tobytes()
+
+
+@pytest.mark.parametrize("form", ["from_csv:path={}", "from_csv(path={})"])
+def test_profile_csv_path_keeps_its_parentheses(form, tmp_path):
+    grid = Grid(10.0, 201)
+    write_csv(gaussian(grid), tmp_path / "run(1)")
+    u0 = make_profile(form.format(tmp_path / "run(1)"), grid)
+    assert u0.values.tobytes() == gaussian(grid).values.tobytes()
 
 
 def test_config_parse_errors_carry_line_numbers(tmp_path):

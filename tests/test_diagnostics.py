@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fwsolver.flowmap
-from fwsolver.flowmap import _pull_back, reconstruct
+from fwsolver.flowmap import reconstruct
 from fwsolver.grid import Grid, GridFunction, _holder, holder_seminorm, sup_norm
 from fwsolver.kernels import cumulative_flow_values, green_derivative, kernel_pair_direct
 from fwsolver.lagrangian import SolverConfig, Trajectory, _rk4, ball_geometry, integrate
@@ -99,7 +99,7 @@ def test_peakon_residual_degrades_for_offnode_crest():
 def test_pde_residual_zero_solution():
     grid = Grid(10.0, 201)
     states = integrate(zeros(grid), SolverConfig(grid=grid)).states
-    assert pde_residual(states[9:12]) == 0.0
+    assert pde_residual(map(reconstruct, states[9:12])) == 0.0
 
 
 def test_pde_residual_needs_interior_time():
@@ -109,9 +109,9 @@ def test_pde_residual_needs_interior_time():
     states = integrate(zeros(grid), SolverConfig(grid=grid)).states
     for window in (states[:2], states[-2:], states[:4]):
         with pytest.raises(ValueError, match="values to unpack"):
-            pde_residual(window)
+            pde_residual(map(reconstruct, window))
     with pytest.raises(ValueError, match="not equispaced"):
-        pde_residual([states[0], states[1], states[3]])
+        pde_residual(map(reconstruct, [states[0], states[1], states[3]]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def whole_run_continuity(u0, perturbation, eps_values, alphas, config) -> dict:
     def solve(data):
         traj = integrate(GridFunction(u0.grid, data), config, geo)
         assert traj.breach is None
-        return np.array([(s.u.values, s.ux.values) for s in _pull_back(traj.states)])
+        return np.array([(s.u.values, s.ux.values) for s in map(reconstruct, traj.states)])
 
     base = solve(u0.values)
     c0_sol, c1_sol, holder = [], [], {a: [] for a in alphas}
@@ -390,7 +390,7 @@ def test_diagnostics_series_and_csv(tmp_path):
     grid = Grid(10.0, 401)
     u0 = gaussian(grid, a=0.1)
     traj = integrate(u0, SolverConfig(grid=grid, store_every=2))
-    series = diagnostics_series(traj.states)
+    series = diagnostics_series(map(reconstruct, traj.states))
     n_rows = len(series["t"])
     assert n_rows == len(traj.states)
     assert math.isnan(series["residual"][0]) and math.isnan(series["residual"][-1])
@@ -406,14 +406,15 @@ def test_diagnostics_series_and_csv(tmp_path):
 def test_series_residual_is_pde_residual_bitwise():
     grid = Grid(10.0, 401)
     traj = integrate(gaussian(grid, a=0.1), SolverConfig(grid=grid, store_every=2))
-    series = diagnostics_series(traj.states)
+    series = diagnostics_series(map(reconstruct, traj.states))
     assert len(traj.states) > 3
     for i in range(1, len(traj.states) - 1):
-        assert series["residual"][i] == pde_residual(traj.states[i - 1:i + 2])
+        assert series["residual"][i] == pde_residual(map(reconstruct, traj.states[i - 1:i + 2]))
     # the series takes each level's integrals from conserved() itself
     for i, state in enumerate(traj.states):
         tri = conserved(reconstruct(state).u)
         assert (series["e1"][i], series["e2"][i], series["e3"][i]) == tri
+        assert series["min_q"][i] == float(np.min(state.y[2]))
 
 
 def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
@@ -424,7 +425,7 @@ def test_series_builds_no_c2_interpolant_for_two_states(monkeypatch):
     columns, real = [], fwsolver.flowmap._slopes
     monkeypatch.setattr(fwsolver.flowmap, "_slopes",
                         lambda x, y: columns.append(y.shape[1]) or real(x, y))
-    residual = diagnostics_series(traj.states)["residual"]
+    residual = diagnostics_series(map(reconstruct, traj.states))["residual"]
     assert columns == [2, 2] and all(math.isnan(r) for r in residual)
 
 
@@ -434,8 +435,9 @@ def test_series_residual_nan_where_breach_ends_off_stride():
     cfg = SolverConfig(grid=grid, dt=2e-3, t_end=1.0, guard_mode="warn", store_every=50)
     traj = integrate(sech2(grid, a=2.0, k=1.0), cfg)
     assert traj.breach is not None and len(traj.states) == 5
-    residual = diagnostics_series(traj.states)["residual"]
-    assert all(residual[i] == pde_residual(traj.states[i - 1:i + 2]) for i in (1, 2))
+    residual = diagnostics_series(map(reconstruct, traj.states))["residual"]
+    assert all(residual[i] == pde_residual(map(reconstruct, traj.states[i - 1:i + 2]))
+               for i in (1, 2))
     with pytest.raises(ValueError, match="not equispaced"):
-        pde_residual(traj.states[2:5])
+        pde_residual(map(reconstruct, traj.states[2:5]))
     assert math.isnan(residual[3]) and math.isnan(residual[4])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fwsolver.grid import Grid, GridFunction, _hermite, _slopes, derivative, interpolate_many
 from fwsolver.lagrangian import (LagrangianState, SolverConfig, ball_geometry,
                                  initial_state, integrate)
-from fwsolver.flowmap import (FlowMap, FlowMapError, _pull_back, flow_map,
+from fwsolver.flowmap import (FlowMap, FlowMapError, flow_map,
                               inverse_slope_bounds, invert_many,
                               map_slopes, reconstruct, slope_bounds)
 from fwsolver.profiles import gaussian
@@ -171,7 +171,7 @@ def test_reconstruct_time_zero_is_data():
     snap = reconstruct(st)
     assert np.max(np.abs(snap.u.values - u0.values)) <= 1e-30
     assert np.max(np.abs(snap.ux.values - derivative(u0).values)) <= 1e-30
-    assert snap.out_of_image == 0
+    assert snap.out_of_image == 0 and snap.min_q == 1.0
 
 
 def label_past_x_state():
@@ -279,17 +279,3 @@ def test_reconstruct_beats_the_monotone_composition_against_a_refined_run():
     coarse, reference = final(401), reconstruct(final(3201)).u.values[::8]
     error = np.max(np.abs(reconstruct(coarse).u.values - reference))
     assert error < np.max(np.abs(monotone_composition(coarse) - reference)) / 10
-
-
-def test_pull_back_equals_reconstruct_bitwise():
-    # one inversion per state, each snapshot equal to its own reconstruct
-    traj, _ = gaussian_run(n=401, store_every=4)
-    states = traj.states
-    assert len(states) >= 5
-    pulled = list(_pull_back(states))
-    assert len(pulled) == len(states)
-    for state, snap in zip(states, pulled):
-        alone = reconstruct(state)
-        assert snap.t == alone.t and snap.out_of_image == alone.out_of_image
-        assert snap.u.values.tobytes() == alone.u.values.tobytes()
-        assert snap.ux.values.tobytes() == alone.ux.values.tobytes()

@@ -11,9 +11,9 @@ from fwsolver.flowmap import reconstruct
 from fwsolver.grid import Grid, GridFunction, sup_norm
 from fwsolver.kernels import green_derivative
 from fwsolver.lagrangian import (DEFAULT_Q_FLOOR, GuardBreach, InitialDataError,
-                                 LagrangianState, SolverConfig, _rhs_arrays, _rk4, _rk4_arrays,
-                                 ball_geometry, chain_rule_defect, initial_state, integrate,
-                                 state_norm, step)
+                                 LagrangianState, SolverConfig, _norm, _rhs_arrays, _rk4,
+                                 _rk4_arrays, ball_geometry, chain_rule_defect, initial_state,
+                                 integrate, step)
 from fwsolver.diagnostics import peakon
 from fwsolver.flowmap import FlowMap, FlowMapError
 from fwsolver.profiles import gaussian, sech2
@@ -120,7 +120,7 @@ def test_state_norm_of_initial_state_is_ball_state_norm(values, half_width, r0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rough or non-decaying data only warns
         state = initial_state(u0, SolverConfig(grid=grid, r0=r0, guard_mode="warn"))
-    assert state_norm(state) == ball_geometry(u0, r0).state_norm
+    assert _norm(state.y, grid.h) == ball_geometry(u0, r0).state_norm
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def test_integrate_ball_confinement_and_stretch_floor():
     assert traj.breach is None
     assert traj.final.t == pytest.approx(geo.lifespan)
     for st in traj.states:
-        assert state_norm(st) <= geo.r + 1e-6
+        assert _norm(st.y, grid.h) <= geo.r + 1e-6
         assert np.min(st.q.values) >= 1.0 - 1.5 * geo.r * abs(st.t) - 1e-6
 
 
