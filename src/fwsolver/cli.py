@@ -12,7 +12,6 @@ import argparse
 import ctypes
 import json
 import os
-import pickle
 import signal
 import sys
 import warnings
@@ -20,8 +19,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .grid import Grid, write_columns, write_csv
-from .lagrangian import (GUARD_MODES, GuardBreach, LagrangianState, SolverConfig, _time_steps,
-                         ball_geometry, keep_levels, stream_levels)
+from .lagrangian import (GUARD_MODES, GuardBreach, SolverConfig, _time_steps, ball_geometry,
+                         keep_levels, stream_levels)
 from .flowmap import FlowMapError, flow_map, reconstruct, write_flowmap_csv, write_snapshot_csv
 from .diagnostics import (continuity_experiment, diagnostics_series,
                           wave_breaking_probe, write_series_csv)
@@ -150,33 +149,22 @@ def _snapshot_stride(cfg: SolverConfig, geometry) -> int:
     return max(1, -(-_time_steps(cfg, geometry)[2] // cfg.store_every) // 20)
 
 
-def _produce(levels, traj, stride: int, out: Path, sink) -> None:
-    """The producer of ``fw solve``: step ``levels``, pickling each level's
-    ``(t, y)`` to the file ``sink``, then ``traj.breach`` or ``None``; closes
-    ``sink``.  It then writes the flow maps of the kept levels, every one
-    valid, as the step guards the map."""
-    flowmaps = {}
-    with sink:
-        for state in keep_levels(levels, flowmaps, lambda i: i % stride == 0, flow_map):
-            pickle.dump((state.t, state.y), sink)
-        pickle.dump(traj.breach, sink)
-    for i, fmap in flowmaps.items():
-        write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
-
-
-def _received_levels(source, traj, grid: Grid):
-    """The states on ``grid`` that :func:`_produce` pickles to the file
-    ``source``; the first object that is not a level sets ``traj.breach``.
-    Only the pipe from the forked producer is ever unpickled here."""
-    try:
-        while isinstance(item := pickle.load(source), tuple):
-            yield LagrangianState(item[0], grid, item[1])
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("the producer of fw solve stopped before its end frame") from None
-    traj.breach = item
+def _write_snapshots(levels, planned, out: Path) -> None:
+    """The forked half of ``fw solve``: step this process's copy of
+    ``levels``, reconstruct each level, and write the snapshots of the levels
+    ``i`` that ``planned(i)`` and of the last one."""
+    snapshots = {}
+    for _ in keep_levels(map(reconstruct, levels), snapshots, planned, lambda snap: snap):
+        pass
+    for i, snap in snapshots.items():
+        write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
 
 
 def _cmd_solve(args) -> int:
+    """Write the initial data, then fork: each process steps its own copy of
+    the same stream, so both see the same levels bit for bit.  The fork
+    writes the snapshots; this process writes the flow maps, ``series.csv``
+    and ``geometry.json``, and reports the breach."""
     cfg, profile, out = _run_description(args)
     grid = cfg.grid
     u0 = make_profile(profile, grid)
@@ -185,50 +173,45 @@ def _cmd_solve(args) -> int:
     traj, levels = stream_levels(u0, cfg, geometry)
     # the snapshot and flow-map files of the planned levels and the last stored one
     stride = _snapshot_stride(cfg, geometry)
+    planned = lambda i: i % stride == 0
     out.mkdir(parents=True, exist_ok=True)
     write_csv(u0, out / "initial_data.csv")
-    # a forked producer steps the levels and writes the flow maps, while this
-    # process reconstructs and checks each level and writes the other files
     sys.stdout.flush()
     sys.stderr.flush()
-    source, sink = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the producer leaves only through os._exit
+    if pid == 0:  # the fork leaves only through os._exit
         code = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # the fw process stops it on an interrupt
-            os.close(source)  # else it would block on a full pipe once this process stops reading
-            _produce(levels, traj, stride, out, open(sink, "wb"))
+            warnings.simplefilter("ignore")  # the fw process prints the same warnings
+            _write_snapshots(levels, planned, out)
             code = 0
         except BaseException:
             sys.excepthook(*sys.exc_info())
         finally:
             os._exit(code)
-    os.close(sink)
-    pipe, snapshots = open(source, "rb"), {}
+    flowmaps = {}
     try:
-        received = _received_levels(pipe, traj, grid)
-        series = diagnostics_series(keep_levels(map(reconstruct, received), snapshots,
-                                                lambda i: i % stride == 0, lambda snap: snap))
-        for i, snap in snapshots.items():
-            write_snapshot_csv(snap, out / f"snapshot_{i:05d}.csv")
+        kept = keep_levels(levels, flowmaps, planned, flow_map)
+        series = diagnostics_series(map(reconstruct, kept))
+        for i, fmap in flowmaps.items():
+            write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
         write_series_csv(series, out / "series.csv")
         (out / "geometry.json").write_text(json.dumps({
             **asdict(geometry), "t_end": _time_steps(cfg, geometry)[0],
             "n_points": grid.n_points, "half_width": grid.half_width,
         }, indent=2, sort_keys=True))
     except BaseException:
-        os.kill(pid, signal.SIGKILL)  # before the pipe closes, so it dies without a broken pipe
+        os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        pipe.close()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status:
-        raise RuntimeError(f"the producer of fw solve exited with status {status}")
+        raise RuntimeError(f"the snapshot writer of fw solve exited with status {status}")
     if traj.breach is not None:
         print(f"guard breach: {traj.breach}", file=sys.stderr)
         return EXIT_GUARD
-    print(f"wrote {len(snapshots)} snapshots to {out}")
+    print(f"wrote {len(flowmaps)} snapshots to {out}")
     return EXIT_OK
 
 

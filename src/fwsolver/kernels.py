@@ -85,9 +85,9 @@ def _geometry(lam: NDArray[np.float64]):
     return dlam, edges[0], edges[1], link
 
 
-def _panels(w: NDArray[np.float64], geometry, out):
-    """Per-cell weighted integrals for both sweeps, written into the pair
-    ``out = (decaying, growing)`` and returned.
+def _panels(w: NDArray[np.float64], dlam: NDArray[np.float64], out):
+    """Per-cell weighted integrals for both sweeps on the cells of widths
+    ``dlam``, written into the pair ``out = (decaying, growing)`` and returned.
 
     ``decaying = int_0^d e^{-s} w ds`` (right sweep) and
     ``growing = int_0^d e^{s-d} w ds`` (left sweep) on each cell of width
@@ -96,7 +96,6 @@ def _panels(w: NDArray[np.float64], geometry, out):
     ``decaying`` with the endpoints swapped, so both share the linear rule's
     weights, which are built on the linear cells only.
     """
-    dlam = geometry[0]
     decaying, growing = out
     w0, w1 = w[:-1], w[1:]
     fit = np.multiply(w0, w1, out=decaying) > 0.0
@@ -154,7 +153,7 @@ def _sweeps(w, geometry, out=None):
     cells = np.empty((2, up.size + 1))
     cells[0, m:] = 0.0  # padding cells have zero weight
     cells[1, :1] = cells[1, m + 1:] = 0.0
-    _panels(w, geometry, (cells[0, :m], cells[1, 1:m + 1]))
+    _panels(w, dlam, (cells[0, :m], cells[1, 1:m + 1]))
     cells *= 0.5
     dec, gro = cells[0, :-1].reshape(up.shape), cells[1, 1:].reshape(up.shape)
     dec /= up
@@ -221,7 +220,7 @@ def kernel_pair_direct(w, lam):
     n = lam.size
     # the right-sweep cells by their left node, the left-sweep cells by their right node
     a, b = cells = np.zeros((2, n))
-    _panels(w, _geometry(lam), (a[:-1], b[1:]))
+    _panels(w, np.diff(lam), (a[:-1], b[1:]))
     cells *= 0.5
     rows = min(_DIRECT_ROWS, n)
     below = np.tri(rows, rows, -1, dtype=bool)  # the pairs k < i of a diagonal square

@@ -183,8 +183,8 @@ class SolverConfig:
             raise ValueError(f"guard_mode must be 'enforce' or 'warn', got {self.guard_mode!r}")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.t_end is not None and not math.isfinite(self.t_end):
-            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if self.t_end is not None and not (math.isfinite(self.t_end) and self.t_end != 0):
+            raise ValueError(f"t_end must be finite and nonzero, got {self.t_end}")
         if not self.q_floor > 0:
             raise ValueError(f"q_floor must be positive, got {self.q_floor}")
         if self.store_every < 1:

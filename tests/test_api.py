@@ -76,9 +76,10 @@ def test_cli_imports_no_process_pool():
 
 
 def test_traced_solve_reads_each_level_once(tmp_path, monkeypatch):
-    # perfbench's child runs fw solve traced: the fw process reconstructs each
-    # of the 21 levels once, and the series takes the 19 interior residuals
-    # through the public pde_residual the tracer wraps
+    # perfbench's child runs fw solve traced: the fw process steps its own copy
+    # of the run (20 steps of 4 kernel passes), writes the 21 flow maps,
+    # reconstructs each of the 21 levels once, and the series takes the 19
+    # interior residuals through the public pde_residual the tracer wraps
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     tracer = importlib.import_module("tracer")
@@ -92,3 +93,5 @@ def test_traced_solve_reads_each_level_once(tmp_path, monkeypatch):
              for name, st in tracer.span_stats(json.loads(spans.read_text()))["spans"].items()}
     assert calls["flowmap.reconstruct"] == 21
     assert calls["diagnostics.pde_residual"] == 19
+    assert calls["kernels.kernel_pair_arrays"] == 80
+    assert calls["flowmap.write_flowmap_csv"] == 21

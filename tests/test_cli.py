@@ -1,7 +1,6 @@
 import json
 import multiprocessing
 import os
-import pickle
 import shlex
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import fwsolver.cli
 import fwsolver.flowmap
 import fwsolver.verification
 from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
-                          _parse_config_file, _produce, _snapshot_stride, main)
+                          _parse_config_file, _snapshot_stride, _write_snapshots, main)
 from fwsolver.grid import read_csv, write_csv
 from fwsolver.flowmap import FlowMapError
 from fwsolver.lagrangian import (GuardBreach, LagrangianState, SolverConfig, ball_geometry,
@@ -97,7 +96,8 @@ def test_solve_snapshots_read_back_as_reconstructions(tmp_path, monkeypatch):
         x, u, ux = np.loadtxt(path, delimiter=",", skiprows=1).T
         assert np.array_equal(x, snap.u.grid.x)
         assert np.array_equal(u, snap.u.values) and np.array_equal(ux, snap.ux.values)
-    # the producer process writes the flow maps: eta = x + displacement of the same level
+    # the fw process writes the flow maps, the forked one the snapshots, each
+    # stepping its own copy of the run: eta = x + displacement of the same level
     maps = sorted(out.glob("flowmap_*.csv"))
     assert [path.name[len("flowmap"):] for path in maps] == [
         path.name[len("snapshot"):] for path in paths]
@@ -149,7 +149,7 @@ def test_solve_holds_no_stored_level_past_its_use(tmp_path, monkeypatch):
 
 
 def test_solve_producer_holds_no_stored_level_past_its_use(tmp_path):
-    # the same bound for the producer's part, run in this process into a null sink
+    # the same bound for the forked process's part, run in this process
     grid = Grid(10.0, 401)
     u0 = gaussian(grid, a=0.1, sigma=1.0)
 
@@ -161,11 +161,11 @@ def test_solve_producer_holds_no_stored_level_past_its_use(tmp_path):
         out.mkdir()
         tracemalloc.start()
         try:
-            _produce(levels, traj, stride, out, open(os.devnull, "wb"))
+            _write_snapshots(levels, lambda i: i % stride == 0, out)
             peak_bytes = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(list(out.glob("flowmap_*.csv"))) >= 20
+        assert len(list(out.glob("snapshot_*.csv"))) >= 20
         return peak_bytes
 
     peak(8, "warm-up")
@@ -268,6 +268,8 @@ FLOW_MAP_BREACH = ("warning: initial data is not smooth enough: slope jumps by 1
                    "node 40 (x=0), ")
 VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
                   ("--boundary-tol", "1e-5"), ("--guard", "warn"), ("--store-every", "5")]
+ZERO_HORIZON = [("solve", ["--t-end", "0"]), ("continuity", ["--t-end", "0"]),
+                ("breaking", ["--guard", "warn", "--t-max", "0"])]
 
 
 @pytest.mark.parametrize("argv, code, prefix", [
@@ -277,6 +279,10 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
      EXIT_CONFIG, "error: q_floor must be positive"),
     (["solve", "--X", "10", "--n", "201", "--t-end", "nan"],
      EXIT_CONFIG, "error: t_end must be finite"),
+    # a zero horizon takes one step of dt = 0, so each command rejects it before any write
+    *[([command, "--X", "10", "--n", "201", *flags],
+       EXIT_CONFIG, "error: t_end must be finite and nonzero, got 0.0")
+      for command, flags in ZERO_HORIZON],
     (["solve", "--X", "10", "--n", "201", "--profile", "from_csv:path=missing.csv"],
      EXIT_CONFIG, "error: cannot read profile csv"),
     # zero base data never moves q; the perturbed run drops below the floor at a
@@ -335,8 +341,10 @@ VERIFY_REJECTS = [("--dt", "1e-3"), ("--t-end", "0.01"), ("--q-floor", "0.2"),
        EXIT_CONFIG, f"error: eps={again:g} repeats the data distance "
                     "|eps| sup|perturbation| = 0.001 of eps=0.01")
       for again in (1e-2, -1e-2)],
-], ids=["dt-inf", "q-floor-negative", "t-end-nan", "csv-missing", "continuity-breach",
-        "non-finite", "flow-map-solve", "flow-map-continuity", "verify-dt-inf", "verify-r0",
+], ids=["dt-inf", "q-floor-negative", "t-end-nan",
+        *[f"zero-horizon-{command}" for command, _ in ZERO_HORIZON],
+        "csv-missing", "continuity-breach", "non-finite", "flow-map-solve",
+        "flow-map-continuity", "verify-dt-inf", "verify-r0",
         *[f"verify{flag[1:]}" for flag, _ in VERIFY_REJECTS],
         "profile-key-solve", "profile-key-verify", "profile-key-twice", "profile-unclosed",
         "profile-stray-paren", "config-key-twice",
@@ -423,23 +431,14 @@ def read_one_level(snapshots):
     raise ValueError("stopped reading")
 
 
-def send_part_of_a_level(levels, traj, stride, out, sink):
-    state = next(levels)
-    sink.write(pickle.dumps((state.t, state.y))[:-100])
-    sink.flush()
-    os._exit(5)
-
-
 @pytest.mark.parametrize("name, stub, error", [
-    # the producer dies before its end frame
-    ("_produce", lambda *args: os._exit(5), "stopped before its end frame"),
-    # it dies part way through a level
-    ("_produce", send_part_of_a_level, "stopped before its end frame"),
-    # it sends every level, then fails to write a flow map
-    ("write_flowmap_csv", lambda *args: 1 / 0, "exited with status 1"),
-    # this process stops reading while the producer still has levels to send
+    # the forked process dies
+    ("_write_snapshots", lambda *args: os._exit(5), "exited with status 5"),
+    # it steps every level, then fails to write a snapshot
+    ("write_snapshot_csv", lambda *args: 1 / 0, "exited with status 1"),
+    # this process fails while the forked one still has levels to step
     ("diagnostics_series", read_one_level, None),
-], ids=["producer-dies", "producer-dies-mid-level", "producer-fails-late", "consumer-stops"])
+], ids=["producer-dies", "producer-fails-late", "consumer-stops"])
 def test_solve_reaps_a_failed_producer(name, stub, error, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fwsolver.cli, name, stub)
     if error is None:

@@ -228,7 +228,7 @@ def test_blocked_sweep_matches_direct(n, half_width, seed):
 def allocating_direct_pair(w, lam):
     """kernel_pair_direct as two full weight matrices, one per side, with a
     new array per operation: the reference for its row blocks."""
-    pr, kl = _panels(w, _geometry(lam), np.empty((2, lam.size - 1)))
+    pr, kl = _panels(w, np.diff(lam), np.empty((2, lam.size - 1)))
     n = lam.size
     i = np.arange(n)
     Wr = np.exp(np.minimum(lam[:, None] - lam[None, :-1], 0.0))
