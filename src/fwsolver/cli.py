@@ -2,8 +2,8 @@
 
 Subcommands: ``solve``, ``verify``, ``continuity``, ``breaking``.  All
 numeric output goes to CSV/JSON at full double precision so external
-plotting never loses bits.  Exit codes: 0 success, 2 configuration error,
-3 guard breach, 4 verification failure.
+plotting never loses bits.  Exit codes: 0 success, 2 configuration error
+or an unusable output directory, 3 guard breach, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ def _print_geometry(geo) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _snapshot_stride(cfg: SolverConfig, geometry) -> int:
+def _snapshot_stride(n_steps: int, store_every: int) -> int:
     """The stride of the planned snapshot levels: about 20, evenly spaced
-    over the planned run."""
-    return max(1, -(-_time_steps(cfg, geometry)[2] // cfg.store_every) // 20)
+    over a run of ``n_steps`` steps that stores every ``store_every``-th."""
+    return max(1, -(-n_steps // store_every) // 20)
 
 
 def _write_snapshots(levels, planned, out: Path) -> None:
@@ -161,21 +161,21 @@ def _write_snapshots(levels, planned, out: Path) -> None:
 
 
 def _cmd_solve(args) -> int:
-    """Write the initial data, then fork: each process steps its own copy of
-    the same stream, so both see the same levels bit for bit.  The fork
-    writes the snapshots; this process writes the flow maps, ``series.csv``
-    and ``geometry.json``, and reports the breach."""
+    """Fork before writing any file; each process steps its own copy of the
+    same stream, so both see the same levels bit for bit.  The fork writes
+    the snapshots; this process writes the flow maps, ``initial_data.csv``,
+    ``series.csv`` and ``geometry.json``, and reports the breach."""
     cfg, profile, out = _run_description(args)
     grid = cfg.grid
     u0 = make_profile(profile, grid)
     geometry = ball_geometry(u0, cfg.r0)
     _print_geometry(geometry)
     traj, levels = stream_levels(u0, cfg, geometry)
+    t_end, _, n_steps = _time_steps(cfg, geometry)
     # the snapshot and flow-map files of the planned levels and the last stored one
-    stride = _snapshot_stride(cfg, geometry)
+    stride = _snapshot_stride(n_steps, cfg.store_every)
     planned = lambda i: i % stride == 0
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(u0, out / "initial_data.csv")
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
@@ -196,9 +196,10 @@ def _cmd_solve(args) -> int:
         series = diagnostics_series(map(reconstruct, kept))
         for i, fmap in flowmaps.items():
             write_flowmap_csv(fmap, out / f"flowmap_{i:05d}.csv")
+        write_csv(u0, out / "initial_data.csv")
         write_series_csv(series, out / "series.csv")
         (out / "geometry.json").write_text(json.dumps({
-            **asdict(geometry), "t_end": _time_steps(cfg, geometry)[0],
+            **asdict(geometry), "t_end": t_end,
             "n_points": grid.n_points, "half_width": grid.half_width,
         }, indent=2, sort_keys=True))
     except BaseException:
@@ -217,7 +218,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, profile, out = _run_description(args)
-    results = VerificationSuite(cfg, profile).run_all()
+    suite = VerificationSuite(cfg, profile)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --output fails before any check
+    results = suite.run_all()
     for res in results:
         print(res.line())
 
@@ -235,7 +238,6 @@ def _cmd_verify(args) -> int:
         }
         for res in results
     }
-    out.mkdir(parents=True, exist_ok=True)
     (out / "verify.json").write_text(json.dumps(verdict, indent=2, sort_keys=True))
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed; verdict in "
@@ -323,7 +325,7 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.run(args)
-    except ValueError as err:  # bad settings or data, InitialDataError included
+    except (ValueError, OSError) as err:  # bad settings or data, or an unusable --output
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (GuardBreach, FlowMapError) as err:  # a step guard, or a non-monotone flow map

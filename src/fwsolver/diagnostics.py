@@ -273,14 +273,14 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
         if traj.breach is not None:
             raise traj.breach
 
-    base = np.array([(s.u.values, s.ux.values) for s in snapshots(u0.values)])
-    du = np.empty_like(base[:, 0])  # (level, node) u differences of one perturbed run
+    base = list(snapshots(u0.values))
+    du = np.empty((grid.n_points, len(base)))  # (node, level) u differences of one perturbed run
     c0_sol, c1_sol, holder = [], [], {a: [] for a in alphas}
     for eps in eps_values:
         sups = []
         for i, snap in enumerate(snapshots(u0.values + eps * p)):
-            du[i] = snap.u.values - base[i, 0]
-            sups.append((np.max(np.abs(du[i])), np.max(np.abs(snap.ux.values - base[i, 1]))))
+            gap = du[:, i] = snap.u.values - base[i].u.values
+            sups.append((np.max(np.abs(gap)), np.max(np.abs(snap.ux.values - base[i].ux.values))))
         sup = np.array(sups)  # (level, u|ux) sup differences
         c0_sol.append(float(np.max(sup[:, 0])))
         c1_sol.append(float(np.max(sup[:, 0] + sup[:, 1])))

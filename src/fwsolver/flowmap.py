@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, GridFunction, _hermite, _node_text, _slopes, write_columns
+from .grid import Grid, GridFunction, _hermite, _slopes, write_columns
 from .lagrangian import BallGeometry, LagrangianState
 
 __all__ = [
@@ -153,8 +153,8 @@ def reconstruct(state: LagrangianState) -> EulerianSnapshot:
 
 
 def write_snapshot_csv(snap: EulerianSnapshot, path) -> None:
-    write_columns(path, ("x", "u", "ux"), (_node_text(snap.u.grid), snap.u.values, snap.ux.values))
+    write_columns(path, ("x", "u", "ux"), (snap.u.grid.x, snap.u.values, snap.ux.values))
 
 
 def write_flowmap_csv(fmap: FlowMap, path) -> None:
-    write_columns(path, ("x", "eta"), (_node_text(fmap.grid), fmap.positions))
+    write_columns(path, ("x", "eta"), (fmap.grid.x, fmap.positions))

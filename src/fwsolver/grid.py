@@ -126,27 +126,26 @@ def holder_seminorm(f: GridFunction, alpha: float) -> float:
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return _holder(f.values[None], f.grid.h, [alpha])[0]
+    return _holder(f.values[:, None], f.grid.h, [alpha])[0]
 
 
 def _holder(values, h: float, alphas) -> list:
     """For each alpha in ``[0, 1)``, the max of :func:`holder_seminorm` over
-    the rows of ``values`` (``(k, n)``, on one grid of spacing ``h``), bit for
-    bit: one numerator ``max |v_{i+d} - v_i|`` per offset ``d`` over all rows,
-    shared by every alpha.  The rows are copied once node-major, so each
-    offset's difference is of two contiguous slices, into one buffer that
-    every offset reuses."""
-    nodes = np.ascontiguousarray(np.asarray(values).T)  # (n, k)
-    n = nodes.shape[0]
+    the columns of ``values`` (``(n, k)``, node-major on one grid of spacing
+    ``h``), bit for bit: one numerator ``max |v_{i+d} - v_i|`` per offset
+    ``d`` over all columns, shared by every alpha.  Each offset's difference
+    is of two slices of whole rows, contiguous when ``values`` is, into one
+    buffer that every offset reuses."""
+    n = values.shape[0]
     if n * (n - 1) // 2 <= PAIR_BUDGET:
         offsets = range(1, n)
     else:
         # adjacent pairs plus separations 2, 4, 8, ... cover all scales
         offsets = sorted({n - 1, *(2 ** k for k in range(int(math.log2(n - 1)) + 1))})
-    diff = np.empty((n - 1, nodes.shape[1]))
+    diff = np.empty((n - 1, values.shape[1]))
     nums = []
     for d in offsets:
-        gap = np.subtract(nodes[d:], nodes[:-d], out=diff[:n - d])
+        gap = np.subtract(values[d:], values[:-d], out=diff[:n - d])
         nums.append((d, float(np.abs(gap, out=gap).max())))
     # max commutes with the correctly rounded division by the same (d*h)**alpha
     return [max(num / (d * h) ** alpha for d, num in nums) for alpha in alphas]
@@ -218,12 +217,12 @@ def write_csv(f: GridFunction, path) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _node_text(grid: Grid) -> tuple:
-    """The nodes ``grid.x`` as :func:`write_columns` formats them, one
-    newline-joined str per ``CSV_CHUNK_ROWS`` rows; cached, so the snapshot
-    and flow-map files a process writes on one grid format its nodes once."""
-    x = grid.x
-    chunks = (x[lo:lo + CSV_CHUNK_ROWS].tolist() for lo in range(0, x.size, CSV_CHUNK_ROWS))
+def _column_text(raw: bytes) -> tuple:
+    """A float64 column, given as its bytes ``raw``, as :func:`write_columns`
+    formats it: one newline-joined str per ``CSV_CHUNK_ROWS`` rows.  Keyed by
+    the bits ``%.17g`` reads, so a process formats a grid's nodes once."""
+    col = np.frombuffer(raw)
+    chunks = (col[lo:lo + CSV_CHUNK_ROWS].tolist() for lo in range(0, col.size, CSV_CHUNK_ROWS))
     return tuple("\n".join(["%.17g"] * len(c)) % tuple(c) for c in chunks)
 
 
@@ -231,21 +230,17 @@ def write_columns(path, names, columns) -> None:
     """Write equal-length columns as CSV under the header ``names``.  Each
     field is ``%.17g``, the same text as ``f"{v:.17g}"``; one ``%`` call
     formats ``CSV_CHUNK_ROWS`` rows, so little text is held at once.  The
-    first column may be a grid's :func:`_node_text`, written as it is."""
-    text = columns[0] if isinstance(columns[0], tuple) else None
-    table = np.column_stack(columns[1:] if text else columns).astype(np.float64, copy=False)
+    first column's text comes from :func:`_column_text`."""
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    text = _column_text(table[:, 0].tobytes())
     k = len(names)
-    row = ",".join(["%s" if text else "%.17g"] + ["%.17g"] * (k - 1)) + "\n"
+    row = ",".join(["%s"] + ["%.17g"] * (k - 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for c, lo in enumerate(range(0, table.shape[0], CSV_CHUNK_ROWS)):
             chunk = table[lo:lo + CSV_CHUNK_ROWS]
             fields = chunk.ravel().tolist()
-            if text:  # interleave the node text with the formatted rows
-                fields, rest = [None] * (chunk.shape[0] * k), fields
-                fields[::k] = text[c].split("\n")
-                for j in range(1, k):
-                    fields[j::k] = rest[j - 1::k - 1]
+            fields[::k] = text[c].split("\n")  # the first column as cached text
             fh.write((row * chunk.shape[0]) % tuple(fields))
 
 

@@ -18,8 +18,8 @@ from fwsolver.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY,
                           _parse_config_file, _snapshot_stride, _write_snapshots, main)
 from fwsolver.grid import read_csv, write_csv
 from fwsolver.flowmap import FlowMapError
-from fwsolver.lagrangian import (GuardBreach, LagrangianState, SolverConfig, ball_geometry,
-                                 integrate, stream_levels)
+from fwsolver.lagrangian import (GuardBreach, LagrangianState, SolverConfig, _time_steps,
+                                 ball_geometry, integrate, stream_levels)
 from fwsolver.profiles import gaussian, make_profile, sech2
 from fwsolver.grid import Grid
 from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, VerificationSuite
@@ -156,7 +156,7 @@ def test_solve_producer_holds_no_stored_level_past_its_use(tmp_path):
     def peak(every, subdir):
         cfg = SolverConfig(grid=grid, dt=3.3e-4, store_every=every)
         traj, levels = stream_levels(u0, cfg)
-        stride = _snapshot_stride(cfg, traj.geometry)
+        stride = _snapshot_stride(_time_steps(cfg, traj.geometry)[2], cfg.store_every)
         out = tmp_path / subdir
         out.mkdir()
         tracemalloc.start()
@@ -170,6 +170,22 @@ def test_solve_producer_holds_no_stored_level_past_its_use(tmp_path):
 
     peak(8, "warm-up")
     assert peak(1, "every1") - peak(8, "every8") < 20 * 4 * grid.n_points * 8
+
+
+def test_solve_writes_no_file_before_it_forks(tmp_path, monkeypatch):
+    # a file written before the fork would be the fw process's alone to
+    # write, and its text would stay cached through both steppings
+    real_fork, at_fork = os.fork, []
+
+    def fork():
+        at_fork.append(sorted(out.iterdir()))
+        return real_fork()
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(fwsolver.cli.os, "fork", fork)
+    assert run(["solve", "--X", "10", "--n", "201"], tmp_path, monkeypatch)[0] == EXIT_OK
+    assert at_fork == [[]]
+    assert (out / "initial_data.csv").exists()
 
 
 def test_solve_initial_csv_round_trips_bitwise(tmp_path, monkeypatch):
@@ -370,6 +386,24 @@ def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
             assert np.all(np.diff(np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]) > 0)
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1 + prefix.count("\n")
+
+
+@pytest.mark.parametrize("argv, unusable", [
+    (["solve"], "out"),
+    (["verify"], "file/out"),
+    (["continuity"], "out"),
+    (["breaking", "--guard", "warn", "--t-max", "0.1"], "file/out"),
+], ids=["solve", "verify", "continuity", "breaking"])
+def test_unusable_output_exits_2(argv, unusable, tmp_path, monkeypatch, capsys):
+    # --output names a file (FileExistsError) or a path under one (NotADirectoryError)
+    (tmp_path / unusable.split("/")[0]).write_text("")
+    checks = []
+    monkeypatch.setattr(VerificationSuite, "run_all", lambda suite: checks.append(suite) or [])
+    code, _ = run([*argv, "--X", "10", "--n", "201"], tmp_path, monkeypatch, subdir=unusable)
+    assert code == EXIT_CONFIG and checks == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert str(tmp_path / unusable) in err
 
 
 def print_warning(message, category, filename, lineno, file=None, line=None):

@@ -241,7 +241,7 @@ def whole_run_continuity(u0, perturbation, eps_values, alphas, config) -> dict:
         sup = np.max(np.abs(diff), axis=2)
         c0_sol.append(float(np.max(sup[:, 0])))
         c1_sol.append(float(np.max(sup[:, 0] + sup[:, 1])))
-        for a, value in zip(alphas, _holder(diff[:, 0], u0.grid.h, alphas)):
+        for a, value in zip(alphas, _holder(diff[:, 0].T, u0.grid.h, alphas)):
             holder[a].append(value)
     c0_data = [abs(eps) * sup_norm(perturbation) for eps in eps_values]
     ratios = [s / d for s, d in zip(c0_sol, c0_data) if d > 0]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwsolver.grid import Grid, GridFunction, _hermite, _slopes, derivative, interpolate_many
+from fwsolver.grid import (Grid, GridFunction, _column_text, _hermite, _slopes, derivative,
+                           interpolate_many, write_columns, write_csv)
 from fwsolver.lagrangian import (LagrangianState, SolverConfig, ball_geometry,
                                  initial_state, integrate)
 from fwsolver.flowmap import (FlowMap, FlowMapError, flow_map,
                               inverse_slope_bounds, invert_many,
-                              map_slopes, reconstruct, slope_bounds)
+                              map_slopes, reconstruct, slope_bounds,
+                              write_flowmap_csv, write_snapshot_csv)
 from fwsolver.profiles import gaussian
 
 
@@ -279,3 +281,31 @@ def test_reconstruct_beats_the_monotone_composition_against_a_refined_run():
     coarse, reference = final(401), reconstruct(final(3201)).u.values[::8]
     error = np.max(np.abs(reconstruct(coarse).u.values - reference))
     assert error < np.max(np.abs(monotone_composition(coarse) - reference)) / 10
+
+
+# ---------------------------------------------------------------------------
+# csv output
+# ---------------------------------------------------------------------------
+
+def test_files_on_one_grid_format_its_nodes_once(tmp_path):
+    grid = Grid(10.0, 201)
+    u0 = gaussian(grid)
+    state = initial_state(u0, SolverConfig(grid=grid))
+    _column_text.cache_clear()
+    write_csv(u0, tmp_path / "initial_data.csv")
+    write_flowmap_csv(flow_map(state), tmp_path / "flowmap.csv")
+    write_snapshot_csv(reconstruct(state), tmp_path / "snapshot.csv")
+    info = _column_text.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # the cache is keyed by the column's bytes, not by the array or its grid
+    write_columns(tmp_path / "copy.csv", ("x", "value"), (grid.x.copy(), u0.values))
+    assert _column_text.cache_info().hits == 3
+    assert (tmp_path / "copy.csv").read_bytes() == (tmp_path / "initial_data.csv").read_bytes()
+
+
+def test_signed_zero_columns_keep_their_sign(tmp_path):
+    # 0.0 == -0.0 with equal hashes, so a cache keyed by value would write both as 0
+    path = tmp_path / "z.csv"
+    for zero, text in ((0.0, "0"), (-0.0, "-0")):
+        write_columns(path, ("a", "b"), (np.full(3, zero), np.ones(3)))
+        assert path.read_text() == "a,b\n" + f"{text},1\n" * 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fwsolver.grid
-from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _holder, _node_text,
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _column_text, _hermite, _holder,
                            _slopes, c1_norm, derivative, holder_seminorm, interpolate_many,
                            quadrature, read_csv, sup_norm, write_columns, write_csv)
 
@@ -222,14 +222,14 @@ ONE_ROW = (Grid(1.0, 5), [np.array([0.0, 1.0, -2.0, 0.5, 3.0])], [0.0, 0.5])
 @example(data=ONE_ROW, ladder=False)
 def test_holder_of_many_is_each_seminorm_bitwise(data, ladder):
     # the budget 0 sends every n down the ladder of offsets; the differences
-    # go in as a list of rows and as one (k, n) array
+    # go in node-major as one contiguous (n, k) array and as a transposed view
     grid, vs, alphas = data
     n = grid.n_points
     offsets = (sorted({1} | {2 ** k for k in range(1, int(math.log2(n - 1)) + 1)} | {n - 1})
                if ladder else range(1, n))
     with mock.patch.object(fwsolver.grid, "PAIR_BUDGET", 0 if ladder else 10 ** 9):
-        got = _holder(vs, grid.h, alphas)
-        stacked = _holder(np.array(vs), grid.h, alphas)
+        got = _holder(np.column_stack(vs), grid.h, alphas)
+        stacked = _holder(np.array(vs).T, grid.h, alphas)
         each = [max(holder_seminorm(GridFunction(grid, v), a) for v in vs) for a in alphas]
     loop = [max(holder_loop(v, grid.h, a, offsets) for v in vs) for a in alphas]
     assert (np.array(got).tobytes() == np.array(stacked).tobytes()
@@ -556,12 +556,10 @@ def test_write_columns_round_trips_across_chunks(tmp_path, n_rows):
     assert path.read_text() == "a,b,c\n" + rows
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back, columns.T)
-    if n_rows >= 3:  # a grid's cached node text writes what its nodes write
-        grid = Grid(7.3, n_rows)
-        write_columns(path, ("x", "b", "c"), (grid.x, *columns[1:]))
-        expected = path.read_bytes()
-        write_columns(path, ("x", "b", "c"), (_node_text(grid), *columns[1:]))
-        assert path.read_bytes() == expected
+    expected, hits = path.read_bytes(), _column_text.cache_info().hits
+    write_columns(path, ("a", "b", "c"), columns)  # the first column's text is cached now
+    assert _column_text.cache_info().hits == hits + 1
+    assert path.read_bytes() == expected
 
 
 def test_read_csv_rejects_nonuniform(tmp_path):
