@@ -186,6 +186,9 @@ def _cmd_solve(args) -> int:
             warnings.simplefilter("ignore")  # the fw process prints the same warnings
             _write_snapshots(levels, planned, out)
             code = 0
+        except OSError as err:  # an unusable output path, reported as main reports one
+            print(f"error: {err}", file=sys.stderr, flush=True)
+            code = EXIT_CONFIG
         except BaseException:
             sys.excepthook(*sys.exc_info())
         finally:
@@ -207,6 +210,8 @@ def _cmd_solve(args) -> int:
         raise
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == EXIT_CONFIG:  # the fork has printed its error
+        return EXIT_CONFIG
     if status:
         raise RuntimeError(f"the snapshot writer of fw solve exited with status {status}")
     if traj.breach is not None:

@@ -135,20 +135,32 @@ def _holder(values, h: float, alphas) -> list:
     ``h``), bit for bit: one numerator ``max |v_{i+d} - v_i|`` per offset
     ``d`` over all columns, shared by every alpha.  Each offset's difference
     is of two slices of whole rows, contiguous when ``values`` is, into one
-    buffer that every offset reuses."""
+    buffer that every offset reuses.
+
+    The scan stops at the first offset from which no alpha's quotient can
+    beat its best so far: rounding is monotone, so none exceeds ``osc``, the
+    largest column's ``max - min``, over the least denominator still to
+    come, which holds even where ``**`` is not monotone."""
     n = values.shape[0]
     if n * (n - 1) // 2 <= PAIR_BUDGET:
         offsets = range(1, n)
     else:
         # adjacent pairs plus separations 2, 4, 8, ... cover all scales
         offsets = sorted({n - 1, *(2 ** k for k in range(int(math.log2(n - 1)) + 1))})
+    osc = float((values.max(axis=0) - values.min(axis=0)).max())
+    seps = [d * h for d in offsets]
+    dens = np.array([[sep ** alpha for sep in seps] for alpha in alphas])  # (alpha, offset)
+    floors = np.minimum.accumulate(dens[:, ::-1], axis=1)[:, ::-1]
     diff = np.empty((n - 1, values.shape[1]))
-    nums = []
-    for d in offsets:
+    best = [0.0] * len(alphas)
+    for d, den, floor in zip(offsets, dens.T.tolist(), floors.T.tolist()):
+        if all(osc / lo <= b for lo, b in zip(floor, best)):
+            break
         gap = np.subtract(values[d:], values[:-d], out=diff[:n - d])
-        nums.append((d, float(np.abs(gap, out=gap).max())))
-    # max commutes with the correctly rounded division by the same (d*h)**alpha
-    return [max(num / (d * h) ** alpha for d, num in nums) for alpha in alphas]
+        num = float(np.abs(gap, out=gap).max())
+        # max commutes with the correctly rounded division by the same (d*h)**alpha
+        best = [max(b, num / p) for b, p in zip(best, den)]
+    return best
 
 
 def quadrature(f: GridFunction) -> float:

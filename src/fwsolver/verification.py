@@ -12,9 +12,9 @@ the joint order of ``pde_residual`` requires; the physical-space oracle of
 solver's default step, a twentieth of the lifespan, and keeps every level.
 Each run streams its levels and keeps five, those its readers use; the
 flow-map and size verdicts are made on every level of the configured run
-as it streams.  The other checks, :data:`SELF_CONTAINED`, read no cached
-run; :meth:`VerificationSuite.run_all` runs them in one forked worker
-process beside the refinement checks.
+as it streams.  :meth:`VerificationSuite.run_all` runs the checks of
+:data:`WORKER_CHECKS`, which read no cached run, in one forked worker
+process beside the others.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ CLOSED_FORM_GRID = (30.0, 3001)  # (X, n) of kernel_closed_form
 DIRECT_N, DIRECT_PAIRS = 1501, 20  # grid size and random pairs of fast_vs_direct
 SMALL_N = 1001  # cap on n for continuity and lipschitz_sampling
 LIPSCHITZ_PAIRS = 100
-# the checks that never call VerificationSuite.run
-SELF_CONTAINED = ("kernel_closed_form", "fast_vs_direct", "lifespan_arithmetic",
-                  "slope_ode_closed_form", "continuity", "lipschitz_sampling")
+# the forked worker's checks: the slowest of those that never call
+# VerificationSuite.run, and the two that draw from numpy.random, whose first
+# use would cost the fw process 5.5 MiB
+WORKER_CHECKS = ("fast_vs_direct", "continuity", "lipschitz_sampling")
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,7 @@ class VerificationSuite:
     def run_all(self) -> list:
         """Every check's result, in :data:`CHECK_NAMES` order.
 
-        One forked worker runs the :data:`SELF_CONTAINED` checks while this
+        One forked worker runs the :data:`WORKER_CHECKS` while this
         process runs the rest.  The task is submitted before this process
         caches a run, so the suite it carries pickles small.  A check's
         runtime is the wall time in the process that ran it.
@@ -449,9 +450,9 @@ class VerificationSuite:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        shared = [name for name in CHECK_NAMES if name not in SELF_CONTAINED]
+        shared = [name for name in CHECK_NAMES if name not in WORKER_CHECKS]
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            worker = pool.submit(self._run_checks, SELF_CONTAINED)
+            worker = pool.submit(self._run_checks, WORKER_CHECKS)
             results = self._run_checks(shared) + worker.result()
         return sorted(results, key=lambda res: CHECK_NAMES.index(res.name))
 

@@ -22,7 +22,7 @@ from fwsolver.lagrangian import (GuardBreach, LagrangianState, SolverConfig, _ti
                                  ball_geometry, integrate, stream_levels)
 from fwsolver.profiles import gaussian, make_profile, sech2
 from fwsolver.grid import Grid
-from fwsolver.verification import CHECK_NAMES, SELF_CONTAINED, STEPS, VerificationSuite
+from fwsolver.verification import CHECK_NAMES, STEPS, WORKER_CHECKS, VerificationSuite
 
 
 SOLVE_ARGS = ["solve", "--profile", "gaussian:a=0.1,sigma=1",
@@ -486,6 +486,17 @@ def test_solve_reaps_a_failed_producer(name, stub, error, tmp_path, monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_solve_reports_an_unusable_snapshot_path_in_one_line(tmp_path, monkeypatch, capfd):
+    # the forked process writes the snapshots, so its error reaches stderr as
+    # the fw process's own errors do: one line, exit 2
+    (tmp_path / "out" / "snapshot_00000.csv").mkdir(parents=True)
+    assert run(SOLVE_ARGS, tmp_path, monkeypatch)[0] == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: [Errno 21] ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ---------------------------------------------------------------------------
 # allocator pin
 # ---------------------------------------------------------------------------
@@ -858,8 +869,22 @@ def test_verify_worker_checks_never_run_the_solver(monkeypatch):
     monkeypatch.setattr(VerificationSuite, "run", run_in_parent)
     results = VerificationSuite(SolverConfig(grid=Grid(10.0, 51))).run_all()
     assert [res.name for res in results] == list(CHECK_NAMES)
-    assert len(SELF_CONTAINED) == 6 and set(SELF_CONTAINED) < set(CHECK_NAMES)
+    assert WORKER_CHECKS == ("fast_vs_direct", "continuity", "lipschitz_sampling")
     assert multiprocessing.active_children() == []
+
+
+def test_verify_leaves_numpy_random_to_the_worker(tmp_path):
+    # the first use of numpy.random costs 5.5 MiB of RSS, and perfbench's
+    # peak_rss_mb reads the fw process alone
+    src = str(Path(fwsolver.cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "FW_OUTPUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from fwsolver.cli import main; "
+            "code = main(['verify', '--X', '10', '--n', '51', '--output', 'out']); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_VERIFY} False", proc.stderr
 
 
 def test_verify_worker_guard_breach_exits_3(tmp_path, monkeypatch, capsys):

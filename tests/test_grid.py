@@ -213,6 +213,13 @@ ROOT_GRID = Grid(10.0, 401)
 ROOT_DATA = (ROOT_GRID, [np.array([(i * ROOT_GRID.h) ** 0.25 for i in range(401)])], [0.0, 0.25])
 LONG_DATA = (Grid(10.0, 8193), list(np.random.default_rng(3).normal(size=(2, 8193))), [0.5])
 ONE_ROW = (Grid(1.0, 5), [np.array([0.0, 1.0, -2.0, 0.5, 3.0])], [0.0, 0.5])
+# the pair that sets osc sits at nodes 0 and n - 1, so the scan runs to the last offset
+END_GRID = Grid(1.0, 101)
+END_PAIR = (END_GRID, [np.r_[-1.0, 0.01 * np.sin(END_GRID.x[1:-1]), 1.0]], [0.0, 0.5])
+ALPHA_ZERO = (Grid(3.0, 300), list(np.random.default_rng(5).normal(size=(3, 300))), [0.0])
+TINY_ALPHA = (Grid(2.0, 50), [np.random.default_rng(6).normal(size=50)], [5e-324, 0.5])
+SUBNORMAL = (Grid(5.0, 64), list(2.0 ** -1070 * np.random.default_rng(7).normal(size=(2, 64))),
+             [0.0, 0.25])
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,6 +227,13 @@ ONE_ROW = (Grid(1.0, 5), [np.array([0.0, 1.0, -2.0, 0.5, 3.0])], [0.0, 0.5])
 @example(data=ROOT_DATA, ladder=False)
 @example(data=LONG_DATA, ladder=True)
 @example(data=ONE_ROW, ladder=False)
+@example(data=END_PAIR, ladder=False)
+@example(data=END_PAIR, ladder=True)
+@example(data=ALPHA_ZERO, ladder=False)
+@example(data=ALPHA_ZERO, ladder=True)
+@example(data=TINY_ALPHA, ladder=False)
+@example(data=SUBNORMAL, ladder=False)
+@example(data=SUBNORMAL, ladder=True)
 def test_holder_of_many_is_each_seminorm_bitwise(data, ladder):
     # the budget 0 sends every n down the ladder of offsets; the differences
     # go in node-major as one contiguous (n, k) array and as a transposed view
@@ -234,6 +248,48 @@ def test_holder_of_many_is_each_seminorm_bitwise(data, ladder):
     loop = [max(holder_loop(v, grid.h, a, offsets) for v in vs) for a in alphas]
     assert (np.array(got).tobytes() == np.array(stacked).tobytes()
             == np.array(each).tobytes() == np.array(loop).tobytes())
+
+
+class CountingNumpy:
+    """numpy as fwsolver.grid sees it, counting its calls of np.subtract."""
+
+    def __init__(self):
+        self.subtracts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.subtracts += 1
+        return np.subtract(*args, **kwargs)
+
+
+def scanned_offsets(values, h, alphas, monkeypatch):
+    """``_holder``'s result and the number of offsets it scanned."""
+    counting = CountingNumpy()
+    monkeypatch.setattr(fwsolver.grid, "np", counting)
+    return _holder(values, h, alphas), counting.subtracts
+
+
+def test_holder_scan_of_smooth_differences_stops_early(monkeypatch):
+    # the shape of continuity's (node, level) buffer in fw verify: 1001
+    # nodes, 21 levels of a difference that grows in time
+    grid = Grid(20.0, 1001)
+    du = np.exp(-(grid.x[:, None] - 1.0) ** 2) * np.linspace(0.0, 1e-3, 21)
+    alphas = [0.25, 0.5, 0.75]
+    got, scanned = scanned_offsets(du, grid.h, alphas, monkeypatch)
+    assert scanned <= 60
+    exhaustive = [max(holder_loop(v, grid.h, a, range(1, 1001)) for v in du.T) for a in alphas]
+    assert np.array(got).tobytes() == np.array(exhaustive).tobytes()
+
+
+@pytest.mark.parametrize("budget, offsets", [(10 ** 9, 100), (0, 8)], ids=["all", "ladder"])
+def test_holder_scan_reaches_a_pair_at_the_two_ends(budget, offsets, monkeypatch):
+    # offsets 1 to 100, or the ladder 1, 2, 4, ..., 64 and 100
+    grid, vs, alphas = END_PAIR
+    monkeypatch.setattr(fwsolver.grid, "PAIR_BUDGET", budget)
+    got, scanned = scanned_offsets(vs[0][:, None], grid.h, alphas, monkeypatch)
+    assert scanned == offsets and got[0] == 2.0
 
 
 # ---------------------------------------------------------------------------

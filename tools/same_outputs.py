@@ -21,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
 
@@ -31,13 +33,21 @@ CHECK_SECONDS = re.compile(r"\(\d+\.\d+s\)$", re.MULTILINE)
 def battery(input_dir: Path) -> list:
     """``(name, args)`` per case: the arguments of ``fw`` (``--output`` is
     added) or, for a demo, the script's path.  The seeded ``solve-fine``
-    packet of perfbench is written to ``input_dir``."""
+    packet of perfbench and the far-apart perturbation are written to
+    ``input_dir``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from workloads import make_plan
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
     sech2 = ["--profile", "sech2:a=2,k=1", "--X", "20", "--guard", "warn"]
+    # bumps of opposite sign at x = -15 and 15 on the default grid: the pair
+    # that sets the Hölder scan's bound lies 30 apart, so alpha = 0 scans
+    # three quarters of the offsets
+    x = np.linspace(-20.0, 20.0, 2001)
+    far = input_dir / "far_apart.csv"
+    np.savetxt(far, np.column_stack([x, 0.1 * (np.exp(-(x + 15) ** 2) - np.exp(-(x - 15) ** 2))]),
+               fmt="%.17g", delimiter=",", header="x,value", comments="")
     return [
         ("solve-default", ["solve", "--X", "20", "--n", "2001"]),
         ("solve-fine", make_plan("solve-fine", 1, input_dir).argv),
@@ -50,6 +60,8 @@ def battery(input_dir: Path) -> list:
         ("verify", ["verify"]),
         ("verify-coarse", ["verify", "--X", "10", "--n", "51"]),
         ("continuity", ["continuity"]),
+        ("continuity-four-alphas", ["continuity", "--alpha", "0,0.25,0.5,0.75"]),
+        ("continuity-far-apart", ["continuity", "--perturbation", f"from_csv:path={far}"]),
         ("continuity-201-levels", ["continuity", "--X", "20", "--n", "8001",
                                    "--dt", "3.2809e-4"]),
         ("breaking", ["breaking", *sech2, "--n", "801", "--t-max", "1.5", "--dt", "0.0012"]),
