@@ -22,8 +22,8 @@ from .grid import Grid, write_columns, write_csv
 from .lagrangian import (GUARD_MODES, GuardBreach, SolverConfig, _time_steps, ball_geometry,
                          keep_levels, stream_levels)
 from .flowmap import FlowMapError, flow_map, reconstruct, write_flowmap_csv, write_snapshot_csv
-from .diagnostics import (continuity_experiment, diagnostics_series,
-                          wave_breaking_probe, write_series_csv)
+from .diagnostics import (_data_distances, _probe_config, continuity_experiment,
+                          diagnostics_series, wave_breaking_probe, write_series_csv)
 from .profiles import make_profile
 from .verification import VerificationSuite
 
@@ -256,8 +256,9 @@ def _cmd_continuity(args) -> int:
     eps_values = [float(e) for e in args.eps.split(",")]
     u0 = make_profile(profile, cfg.grid)
     pert = make_profile(args.perturbation, cfg.grid)
+    _data_distances(pert, eps_values, alphas, cfg.r0)  # bad settings exit before any write
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --output fails before any run
     report = continuity_experiment(u0, pert, eps_values, alphas, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "continuity.json").write_text(report.to_json())
     write_columns(out / "continuity.csv",
                   ["eps", "c0_data_dist", "c0_sol_dist", "c1_sol_dist"]
@@ -272,10 +273,12 @@ def _cmd_continuity(args) -> int:
 
 def _cmd_breaking(args) -> int:
     cfg, profile, out = _run_description(args)
-    traj = wave_breaking_probe(make_profile(profile, cfg.grid), cfg, t_max=args.t_max)
+    u0 = make_profile(profile, cfg.grid)
+    _probe_config(u0, cfg, args.t_max)  # bad settings exit before any write
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --output fails before any run
+    traj = wave_breaking_probe(u0, cfg, t_max=args.t_max)
     t, x = (None, None) if traj.breach is None else (traj.breach.t, traj.breach.x)
     min_q = float(traj.final.y[2].min())
-    out.mkdir(parents=True, exist_ok=True)
     report = dict(breach_time=t, breach_x=x, min_q_final=min_q, t_max=args.t_max)
     (out / "breaking.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     if t is None:

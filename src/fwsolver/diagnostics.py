@@ -222,6 +222,35 @@ class ContinuityReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _data_distances(perturbation: GridFunction, eps_values, alphas, r0: float) -> list:
+    """Each eps's data distance ``|eps| sup|perturbation|``, once the settings
+    of :func:`continuity_experiment` pass its checks."""
+    for i, a in enumerate(alphas):
+        if not (0.0 <= a < 1.0):
+            raise ValueError(f"alpha must lie in [0, 1), got {a}")
+        if a in alphas[:i]:
+            raise ValueError(f"alpha={a:g} is given twice")
+    p, h = perturbation.values, perturbation.grid.h
+    # the norm of the initial-state difference (w, v, q) = eps (p, p', 0)
+    pert_norm = _norm(np.stack([p, derivative_values(p, h), np.zeros_like(p)]), h)
+    for eps in eps_values:
+        if abs(eps) * pert_norm > r0:
+            raise ValueError(
+                f"eps={eps:g} pushes the data outside the admissible ball: "
+                f"eps * perturbation norm = {abs(eps) * pert_norm:.4g} > r0 = {r0}"
+            )
+    c0_data = [abs(eps) * sup_norm(perturbation) for eps in eps_values]
+    for i, d in enumerate(c0_data):
+        if d > 0 and d in c0_data[:i]:
+            raise ValueError(f"eps={eps_values[i]:g} repeats the data distance "
+                             f"|eps| sup|perturbation| = {d:g} "
+                             f"of eps={eps_values[c0_data.index(d)]:g}")
+    if sum(d > 0 for d in c0_data) < 2:
+        raise ValueError("fitting the exponents needs two or more nonzero data distances "
+                         f"|eps| sup|perturbation|, got {', '.join(f'{d:g}' for d in c0_data)}")
+    return c0_data
+
+
 def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
                           eps_values, alphas, config: SolverConfig) -> ContinuityReport:
     """Solve for the base data and each ``u0 + eps * perturbation``, and
@@ -238,32 +267,9 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
     runs stream through :func:`~fwsolver.flowmap.reconstruct`, and only the base
     run's ``u`` and ``ux`` are held whole.
     """
-    alphas = list(alphas)
-    for i, a in enumerate(alphas):
-        if not (0.0 <= a < 1.0):
-            raise ValueError(f"alpha must lie in [0, 1), got {a}")
-        if a in alphas[:i]:
-            raise ValueError(f"alpha={a:g} is given twice")
-    eps_values = [float(e) for e in eps_values]
-    p, h, grid = perturbation.values, perturbation.grid.h, u0.grid
-    # the norm of the initial-state difference (w, v, q) = eps (p, p', 0)
-    pert_norm = _norm(np.stack([p, derivative_values(p, h), np.zeros_like(p)]), h)
-    for eps in eps_values:
-        if abs(eps) * pert_norm > config.r0:
-            raise ValueError(
-                f"eps={eps:g} pushes the data outside the admissible ball: "
-                f"eps * perturbation norm = {abs(eps) * pert_norm:.4g} > r0 = {config.r0}"
-            )
-    c0_data = [abs(eps) * sup_norm(perturbation) for eps in eps_values]
-    for i, d in enumerate(c0_data):
-        if d > 0 and d in c0_data[:i]:
-            raise ValueError(f"eps={eps_values[i]:g} repeats the data distance "
-                             f"|eps| sup|perturbation| = {d:g} "
-                             f"of eps={eps_values[c0_data.index(d)]:g}")
-    if sum(d > 0 for d in c0_data) < 2:
-        raise ValueError("fitting the exponents needs two or more nonzero data distances "
-                         f"|eps| sup|perturbation|, got {', '.join(f'{d:g}' for d in c0_data)}")
-
+    alphas, eps_values = list(alphas), [float(e) for e in eps_values]
+    c0_data = _data_distances(perturbation, eps_values, alphas, config.r0)
+    p, grid = perturbation.values, u0.grid
     geometry = ball_geometry(u0, config.r0)
 
     def snapshots(data):
@@ -313,6 +319,17 @@ def continuity_experiment(u0: GridFunction, perturbation: GridFunction,
 # wave-breaking probe
 # ---------------------------------------------------------------------------
 
+def _probe_config(u0: GridFunction, config: SolverConfig, t_max: float):
+    """The config and geometry :func:`wave_breaking_probe` runs, once checked."""
+    if config.guard_mode != "warn":
+        raise ValueError("breaking probe needs guard_mode='warn'")
+    if config.t_end is not None:
+        raise ValueError(f"breaking probe runs to t_max; t_end must be unset, got {config.t_end}")
+    geometry = ball_geometry(u0, config.r0)
+    dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
+    return replace(config, dt=dt, t_end=t_max), geometry
+
+
 def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) -> Trajectory:
     """Integrate past the guaranteed lifespan to ``t_max``, or to the first
     time the stretch factor reaches the guard floor or the flow map stops
@@ -325,13 +342,7 @@ def wave_breaking_probe(u0: GridFunction, config: SolverConfig, t_max: float) ->
     not the solver's default: the breach is located only to the step that
     fails, so the probe keeps the finer step.
     """
-    if config.guard_mode != "warn":
-        raise ValueError("breaking probe needs guard_mode='warn'")
-    if config.t_end is not None:
-        raise ValueError(f"breaking probe runs to t_max; t_end must be unset, got {config.t_end}")
-    geometry = ball_geometry(u0, config.r0)
-    dt = config.dt if config.dt is not None else min(config.grid.h, geometry.lifespan / 200.0)
-    traj, levels = stream_levels(u0, replace(config, dt=dt, t_end=t_max), geometry)
+    traj, levels = stream_levels(u0, *_probe_config(u0, config, t_max))
     traj.states = list(deque(levels, maxlen=1))
     return traj
 

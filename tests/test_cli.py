@@ -397,10 +397,12 @@ def test_exit_code_matrix(argv, code, prefix, tmp_path, monkeypatch, capsys):
 def test_unusable_output_exits_2(argv, unusable, tmp_path, monkeypatch, capsys):
     # --output names a file (FileExistsError) or a path under one (NotADirectoryError)
     (tmp_path / unusable.split("/")[0]).write_text("")
-    checks = []
-    monkeypatch.setattr(VerificationSuite, "run_all", lambda suite: checks.append(suite) or [])
+    runs = []
+    monkeypatch.setattr(VerificationSuite, "run_all", lambda suite: runs.append(suite) or [])
+    for name in ("continuity_experiment", "wave_breaking_probe"):
+        monkeypatch.setattr(fwsolver.cli, name, lambda *args, **kwargs: runs.append(args))
     code, _ = run([*argv, "--X", "10", "--n", "201"], tmp_path, monkeypatch, subdir=unusable)
-    assert code == EXIT_CONFIG and checks == []
+    assert code == EXIT_CONFIG and runs == []
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
     assert str(tmp_path / unusable) in err

@@ -1,5 +1,6 @@
 import math
 import pickle
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fwsolver.grid
-from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _column_text, _hermite, _holder,
-                           _slopes, c1_norm, derivative, holder_seminorm, interpolate_many,
+from fwsolver.grid import (CSV_CHUNK_ROWS, Grid, GridFunction, _hermite, _holder, _slopes,
+                           c1_norm, derivative, holder_seminorm, interpolate_many,
                            quadrature, read_csv, sup_norm, write_columns, write_csv)
 
 
@@ -602,7 +603,8 @@ def test_write_columns_matches_format_spec_on_special_values(tmp_path):
     assert path.read_text() == "a,b\n" + rows
 
 
-@pytest.mark.parametrize("n_rows", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", sorted({1, 512, 513, 1025, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                           CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1}))
 def test_write_columns_round_trips_across_chunks(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     columns = rng.standard_normal((3, n_rows)) * 10.0 ** rng.integers(-300, 300, (3, n_rows))
@@ -612,10 +614,74 @@ def test_write_columns_round_trips_across_chunks(tmp_path, n_rows):
     assert path.read_text() == "a,b,c\n" + rows
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back, columns.T)
-    expected, hits = path.read_bytes(), _column_text.cache_info().hits
-    write_columns(path, ("a", "b", "c"), columns)  # the first column's text is cached now
-    assert _column_text.cache_info().hits == hits + 1
+    expected = path.read_bytes()
+    write_columns(path, ("a", "b", "c"), columns)
     assert path.read_bytes() == expected
+
+
+def assert_written_as_format_spec(path, table):
+    """write_columns writes each row of ``table`` as its ``%.17g`` fields."""
+    table = np.asarray(table, dtype=np.float64).reshape(len(table), -1)
+    names = [f"c{j}" for j in range(table.shape[1])]
+    write_columns(path, names, table.T)
+    rows = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    assert path.read_text() == ",".join(names) + "\n" + rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1)),
+                min_size=1, max_size=64))
+def test_write_columns_is_format_spec_on_every_bit_pattern(tmp_path_factory, bits):
+    table = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert_written_as_format_spec(tmp_path_factory.getbasetemp() / "bits.csv", table)
+
+
+def test_write_columns_is_format_spec_around_every_power_of_ten(tmp_path):
+    # the double nearest 10**j and its two neighbours, with their negatives
+    near = [float(f"1e{j}") for j in range(-285, 286)]
+    table = [[x, -x] for p in near for x in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]
+    assert_written_as_format_spec(tmp_path / "powers.csv", table)
+
+
+# the doubles in (1e-280, 1e280) below a power of 10 whose 17 digits round up to it
+NEXT_DECADE = [1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98, 1e129,
+               1e153, 1e220]
+
+
+@pytest.mark.parametrize("values", [
+    [1000000000000000.25, 1000000000000000.75, 0.5, 2.5, 1e23],  # ties, half to even
+    # 17 digits within 2**-59 of a tie, by lattice reduction
+    [1.3588129002659584e-245, 6.538311315939327e+64, 1.234550136632744e-99,
+     1.7706146115181413e+137, 6.326079131941828e+160, 1.6173470704192264e-37,
+     8.133530312496636e+160, 1.610907380751657e+221],
+    NEXT_DECADE,
+    # either side of fixed notation, -4 <= exponent <= 16
+    [1e-5, 9.9999999999999995e-6, 1e-4, 1.5e-4, 9999999999999998.0, 1e16, 12345678901234567.0,
+     99999999999999984.0, 1e17, 123456789012345678.0],
+    [1e100, 1.5e-200, 1e-100, 2.5e279, 1e-279],  # three-digit exponents
+    [5e-324, -2.2250738585072009e-308, 1e-280, 1e280, 1.7976931348623157e308],  # by %
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 10.0, 0.1],
+], ids=["ties", "near-ties", "next-decade", "fixed-edges", "exponents", "out-of-range",
+        "special"])
+def test_write_columns_is_format_spec_on_pinned_values(tmp_path, values):
+    assert_written_as_format_spec(tmp_path / "pinned.csv", [[v, -v] for v in values])
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_write_columns_is_format_spec_when_log10_is_one_ulp_off(tmp_path, monkeypatch, toward):
+    # the decimal exponent then lands a decade off at powers of 10, as it may on another libm
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    values = [*NEXT_DECADE, 1e-5, 1e-4, 0.1, 1.0, 100.0, 1e16, 1e17, 1e200]
+    assert_written_as_format_spec(tmp_path / "off.csv",
+                                  [[x, math.nextafter(x, 0), -x] for x in values])
+
+
+def test_next_decade_lists_every_double_below_a_power_of_ten_that_prints_as_it():
+    near = [x for j in range(-279, 280)
+            for x in (float(f"1e{j}"), math.nextafter(float(f"1e{j}"), 0))
+            if Fraction(x) < Fraction(10) ** j and "%.17g" % x == "%.0e" % x]
+    assert near == NEXT_DECADE
 
 
 def test_read_csv_rejects_nonuniform(tmp_path):

@@ -32,9 +32,9 @@ CHECK_SECONDS = re.compile(r"\(\d+\.\d+s\)$", re.MULTILINE)
 
 def battery(input_dir: Path) -> list:
     """``(name, args)`` per case: the arguments of ``fw`` (``--output`` is
-    added) or, for a demo, the script's path.  The seeded ``solve-fine``
-    packet of perfbench and the far-apart perturbation are written to
-    ``input_dir``."""
+    added) or, for a demo or ``adversarial_table.py``, the script's path.
+    The seeded ``solve-fine`` packet of perfbench and the far-apart
+    perturbation are written to ``input_dir``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from workloads import make_plan
@@ -65,6 +65,8 @@ def battery(input_dir: Path) -> list:
         ("continuity-201-levels", ["continuity", "--X", "20", "--n", "8001",
                                    "--dt", "3.2809e-4"]),
         ("breaking", ["breaking", *sech2, "--n", "801", "--t-max", "1.5", "--dt", "0.0012"]),
+        # the CSV writer on values no command writes: every decade, ties, subnormals, nan
+        ("writer-table", [str(ROOT / "tools" / "adversarial_table.py")]),
         *[(demo.stem, [str(demo)]) for demo in sorted((ROOT / "demos").glob("*.py"))],
     ]
 
